@@ -3,10 +3,10 @@
 Three families:
 
 * one-shot rules: uniform random association, max-SINR;
-* pricing loops with alternative user scores f1(i, j) and price updates f2
-  (proportional-fair, fixed-alpha fairness, delay-oriented), run through the
-  same two-stage skeleton, price floor/ceiling and best-primal convention as
-  the proposed method;
+* pricing rules with alternative user scores f1(i, j) and price updates f2
+  (proportional-fair, fixed-alpha fairness, delay-oriented). Each is a
+  PricingRule run by the one pricing loop, `pricing.iterate`, so it shares the
+  proposed method's price floor/ceiling, best-primal convention and trace;
 * search: single-move local search (2RS), a genetic algorithm, and exhaustive
   enumeration for small instances.
 
@@ -36,26 +36,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import ra
+from . import pricing, ra
 from .core import Allocation, Association, NetworkInstance, haf_objective
-from .pricing import PricingConfig, RunTrace, dual_value
+from .pricing import PricingConfig, PricingRule, RunTrace
+from .pricing import dual_value  # unused here; perfbench's tracer test reads baselines.dual_value
 
 
 class BaselineKind(Enum):
-    RANDOM = "random"
-    MAX_SINR = "max_sinr"
+    """The pricing baselines' printed rules."""
+
     PF = "pf"
     ALPHA_FAIR = "alpha_fair"
     MIN_LATENCY = "min_latency"
-    TWO_RS = "two_rs"
-    GENETIC = "genetic"
-    BRUTE_FORCE = "brute_force"
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class BaselineSpec:
     kind: BaselineKind
     alpha_fixed: Optional[float] = None  # ALPHA_FAIR only
     delay_argmin: bool = False  # MIN_LATENCY: flip the printed argmax rule
-    ga: GaParams = field(default_factory=GaParams)
 
     def validate(self) -> None:
         if self.kind is BaselineKind.ALPHA_FAIR:
@@ -111,49 +108,47 @@ def _signed_pow(x: float, p: float) -> float:
     return math.copysign(abs(x) ** p, x)
 
 
-def _baseline_scores(inst: NetworkInstance, mu: np.ndarray, spec: BaselineSpec) -> np.ndarray:
+def _rule(spec: BaselineSpec) -> PricingRule:
+    """The spec's printed user score f1 and price update f2 as a PricingRule."""
     if spec.kind is BaselineKind.PF:
-        return mu[None, :] * inst.gamma
-    if spec.kind is BaselineKind.ALPHA_FAIR:
-        a = float(spec.alpha_fixed)
-        return mu[None, :] * inst.gamma ** ((1.0 - a) / a)
-    if spec.kind is BaselineKind.MIN_LATENCY:
-        return mu[None, :] / np.sqrt(inst.gamma)
-    raise ValueError(f"{spec.kind} is not a pricing baseline")
 
+        def score(inst, mu):
+            return mu[None, :] * inst.gamma
 
-def _baseline_associate(inst: NetworkInstance, mu: np.ndarray, spec: BaselineSpec) -> Association:
-    scores = _baseline_scores(inst, mu, spec)
-    if spec.kind is BaselineKind.MIN_LATENCY and spec.delay_argmin:
-        return Association(bs_of_user=np.argmin(scores, axis=1))
-    return Association(bs_of_user=np.argmax(scores, axis=1))
+        def direction(inst, assoc, mu):
+            counts = np.bincount(np.asarray(assoc.bs_of_user, dtype=int), minlength=inst.num_bs)
+            return np.exp(np.minimum(mu - 1.0, 709.0)) - counts.astype(float)
 
-
-def _baseline_price_update(
-    inst: NetworkInstance,
-    assoc: Association,
-    mu: np.ndarray,
-    eta: float,
-    spec: BaselineSpec,
-    cfg: PricingConfig,
-) -> np.ndarray:
-    J = inst.num_bs
-    js = np.asarray(assoc.bs_of_user, dtype=int)
-    if spec.kind is BaselineKind.PF:
-        counts = np.bincount(js, minlength=J).astype(float)
-        delta = np.exp(np.minimum(mu - 1.0, 709.0)) - counts
     elif spec.kind is BaselineKind.ALPHA_FAIR:
         a = float(spec.alpha_fixed)
-        gh = inst.gamma[np.arange(inst.num_users), js] ** ((1.0 - a) / a)
-        sums = np.bincount(js, weights=gh, minlength=J)
-        supply = np.array([_signed_pow((1.0 - a) / a * m, 1.0 / (a - 1.0)) for m in mu])
-        delta = -supply + sums
-    elif spec.kind is BaselineKind.MIN_LATENCY:
-        inv_sqrt = 1.0 / np.sqrt(inst.gamma[np.arange(inst.num_users), js])
-        delta = 0.5 * mu + np.bincount(js, weights=inv_sqrt, minlength=J)
-    else:
-        raise ValueError(f"{spec.kind} is not a pricing baseline")
-    return np.clip(mu - eta * delta, cfg.mu_min, cfg.mu_max)
+        e = (1.0 - a) / a
+
+        def score(inst, mu):
+            return mu[None, :] * inst.gamma ** e
+
+        def direction(inst, assoc, mu):
+            js = np.asarray(assoc.bs_of_user, dtype=int)
+            gh = inst.gamma[np.arange(inst.num_users), js] ** e
+            sums = np.bincount(js, weights=gh, minlength=inst.num_bs)
+            supply = np.array([_signed_pow(e * m, 1.0 / (a - 1.0)) for m in mu])
+            return -supply + sums
+
+    else:  # MIN_LATENCY
+
+        def score(inst, mu):
+            return mu[None, :] / np.sqrt(inst.gamma)
+
+        def direction(inst, assoc, mu):
+            js = np.asarray(assoc.bs_of_user, dtype=int)
+            inv_sqrt = 1.0 / np.sqrt(inst.gamma[np.arange(inst.num_users), js])
+            return 0.5 * mu + np.bincount(js, weights=inv_sqrt, minlength=inst.num_bs)
+
+    pick = np.argmin if spec.delay_argmin and spec.kind is BaselineKind.MIN_LATENCY else np.argmax
+
+    def associate(inst, mu):
+        return Association(bs_of_user=pick(score(inst, mu), axis=1))
+
+    return PricingRule(associate=associate, direction=direction)
 
 
 def run_pricing_baseline(
@@ -164,55 +159,14 @@ def run_pricing_baseline(
     mu0: Optional[np.ndarray] = None,
     x0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, Allocation, RunTrace]:
-    """Two-stage loop with the baseline's own scores and price update.
+    """The pricing loop with the baseline's own scores and price update.
 
     The recorded dual values are the HAF dual bound at the baseline's prices
     (valid for any positive price vector); no gap certificate is attached
     because the bound construction is specific to the proposed update.
     """
     spec.validate()
-    cfg = cfg or PricingConfig()
-    T = int(cfg.total_iters)
-    J = inst.num_bs
-    mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
-    mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
-    assoc = _baseline_associate(inst, mu, spec) if x0 is None else Association(np.asarray(x0, dtype=int).copy())
-
-    primal = np.empty(T)
-    dual = np.empty(T)
-    mu_snaps = np.empty((T, J))
-    changes = np.zeros(T, dtype=int)
-    grad_norms = np.zeros(T)
-
-    best_p = -np.inf
-    best: Tuple[Association, Allocation] = (assoc, ra.allocate(inst, assoc, ra_cfg))
-    pending = 0
-    for t in range(1, T + 1):
-        k = t - 1
-        alloc = ra.allocate(inst, assoc, ra_cfg)
-        p = haf_objective(inst, assoc, alloc)
-        primal[k] = p
-        dual[k] = dual_value(inst, mu)
-        mu_snaps[k] = mu
-        changes[k] = pending
-        if p > best_p:
-            best_p = p
-            best = (assoc, alloc)
-        mu = _baseline_price_update(inst, assoc, mu, cfg.eta_at(t), spec, cfg)
-        nxt = _baseline_associate(inst, mu, spec)
-        pending = int(np.count_nonzero(nxt.bs_of_user != assoc.bs_of_user))
-        assoc = nxt
-
-    trace = RunTrace(
-        primal=primal,
-        dual=dual,
-        mu=mu_snaps,
-        assoc_changes=changes,
-        grad_norm=grad_norms,
-        mu_final=mu,
-        certificate=None,
-    )
-    return best[0], best[1], trace
+    return pricing.iterate(inst, _rule(spec), cfg, ra_cfg, mu0, x0)
 
 
 # ----------------------------------------------------------------- search ---

@@ -12,9 +12,9 @@ from __future__ import annotations
 import configparser
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class ScenarioConfig:
             raise ValueError("alpha_ratios must be non-negative")
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be >= 1")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         for m in self.methods:
             if m not in available_methods():
                 raise ValueError(f"unknown method {m!r}")
@@ -165,7 +167,9 @@ def build_instance(
 
 # ---------------------------------------------------------------- methods ---
 
-_PRICING_BASELINES: Dict[str, BaselineSpec] = {
+#: Pricing methods by name: the proposed rule (no spec) and the baselines.
+_PRICING: Dict[str, Optional[BaselineSpec]] = {
+    "proposed": None,
     "pf": BaselineSpec(BaselineKind.PF),
     "af_low": BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=0.6),
     "af_high": BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=1.6),
@@ -175,14 +179,21 @@ _PRICING_BASELINES: Dict[str, BaselineSpec] = {
 
 
 def available_methods() -> Tuple[str, ...]:
-    return (
-        "proposed",
-        "max_sinr",
-        "random",
-        "two_rs",
-        "ga",
-        "brute_force",
-    ) + tuple(_PRICING_BASELINES)
+    return tuple(_PRICING) + ("max_sinr", "random", "two_rs", "ga", "brute_force")
+
+
+def _run_pricing(
+    name: str,
+    inst: NetworkInstance,
+    cfg: PricingConfig,
+    ra_cfg: LambdaSearchConfig,
+    mu0: Optional[np.ndarray] = None,
+    x0: Optional[np.ndarray] = None,
+) -> Tuple[Association, object, pricing.RunTrace]:
+    spec = _PRICING[name]
+    if spec is None:
+        return pricing.solve(inst, cfg, ra_cfg, mu0=mu0, x0=x0)
+    return baselines.run_pricing_baseline(inst, spec, cfg, ra_cfg, mu0=mu0, x0=x0)
 
 
 @dataclass
@@ -201,33 +212,25 @@ def run_method(
     seed_index: int,
 ) -> MethodResult:
     """Dispatch one method on one instance."""
-    if name == "proposed":
-        assoc, alloc, trace = pricing.solve(inst, cfg.pricing, cfg.ra)
-        return MethodResult(name, assoc, alloc, trace)
-    if name == "max_sinr":
+    trace = None
+    if name in _PRICING:
+        assoc, alloc, trace = _run_pricing(name, inst, cfg.pricing, cfg.ra)
+    elif name == "max_sinr":
         assoc, alloc = baselines.run_max_sinr(inst, cfg.ra)
-        return MethodResult(name, assoc, alloc)
-    if name == "random":
+    elif name == "random":
         assoc, alloc = baselines.run_random(inst, child_seed(master_seed, seed_index, _PURPOSE_RANDOM), cfg.ra)
-        return MethodResult(name, assoc, alloc)
-    if name in _PRICING_BASELINES:
-        assoc, alloc, trace = baselines.run_pricing_baseline(
-            inst, _PRICING_BASELINES[name], cfg.pricing, cfg.ra
-        )
-        return MethodResult(name, assoc, alloc, trace)
-    if name == "two_rs":
+    elif name == "two_rs":
         start, _ = baselines.run_max_sinr(inst, cfg.ra)
         assoc, alloc = baselines.run_2rs(inst, start, ra_cfg=cfg.ra)
-        return MethodResult(name, assoc, alloc)
-    if name == "ga":
+    elif name == "ga":
         assoc, alloc = baselines.run_ga(
             inst, cfg.ga, child_seed(master_seed, seed_index, _PURPOSE_GA), cfg.ra
         )
-        return MethodResult(name, assoc, alloc)
-    if name == "brute_force":
+    elif name == "brute_force":
         assoc, alloc, _ = baselines.brute_force(inst, cfg.ra)
-        return MethodResult(name, assoc, alloc)
-    raise ValueError(f"unknown method {name!r}")
+    else:
+        raise ValueError(f"unknown method {name!r}")
+    return MethodResult(name, assoc, alloc, trace)
 
 
 # ------------------------------------------------------------------- CSVs ---
@@ -457,7 +460,7 @@ def run_time_varying(
     tv.validate()
     methods = tuple(methods) if methods is not None else _TV_METHODS
     for m in methods:
-        if m not in _TV_METHODS + tuple(_PRICING_BASELINES) + ("max_sinr", "random"):
+        if m not in _TV_METHODS + tuple(_PRICING) + ("max_sinr", "random"):
             raise ValueError(f"method {m!r} not supported in time-varying mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,37 +479,28 @@ def run_time_varying(
                 inst = channel.make_instance(topo, fading, prof, meta={"seed_index": s})
             for m in methods:
                 st = state[m]
-                if m == "proposed" or m in _PRICING_BASELINES:
-                    if m == "proposed":
-                        _, _, trace = pricing.solve(
-                            inst, slot_cfg, cfg.ra, mu0=st.get("mu"), x0=st.get("x")
-                        )
-                        assoc = pricing.associate(inst, trace.mu_final)
-                    else:
-                        spec = _PRICING_BASELINES[m]
-                        _, _, trace = baselines.run_pricing_baseline(
-                            inst, spec, slot_cfg, cfg.ra, mu0=st.get("mu"), x0=st.get("x")
-                        )
-                        assoc = baselines._baseline_associate(inst, trace.mu_final, spec)
-                    st["mu"] = trace.mu_final
-                    st["x"] = assoc.bs_of_user
+                if m in _PRICING:
+                    _, _, trace = _run_pricing(m, inst, slot_cfg, cfg.ra, mu0=st.get("mu"), x0=st.get("x"))
+                    assoc = trace.assoc_final
+                    st["mu"], st["x"] = trace.mu_final, assoc.bs_of_user
+                    alloc = ra.allocate(inst, assoc, cfg.ra)
                 elif m == "frozen":
                     if "x" not in st:
                         _, _, trace = pricing.solve(inst, slot_cfg, cfg.ra)
-                        st["x"] = pricing.associate(inst, trace.mu_final).bs_of_user
+                        st["x"] = trace.assoc_final.bs_of_user
                     assoc = Association(st["x"])
+                    alloc = ra.allocate(inst, assoc, cfg.ra)
                 elif m == "two_rs":
                     if "x" not in st:
                         st["x"] = np.argmax(inst.gamma, axis=1)
-                    assoc, _ = baselines.run_2rs(inst, Association(st["x"]), adaptive=True, ra_cfg=cfg.ra)
+                    assoc, alloc = baselines.run_2rs(inst, Association(st["x"]), adaptive=True, ra_cfg=cfg.ra)
                     st["x"] = assoc.bs_of_user
                 elif m == "max_sinr":
-                    assoc, _ = baselines.run_max_sinr(inst, cfg.ra)
+                    assoc, alloc = baselines.run_max_sinr(inst, cfg.ra)
                 else:  # random, fresh draw each slot
-                    assoc, _ = baselines.run_random(
+                    assoc, alloc = baselines.run_random(
                         inst, child_seed(master_seed, s, _PURPOSE_RANDOM, slot), cfg.ra
                     )
-                alloc = ra.allocate(inst, assoc, cfg.ra)
                 rows.append([s, slot, m, haf_objective(inst, assoc, alloc)])
 
     path = out / "timevary.csv"
@@ -539,142 +533,77 @@ def bootstrap_mean_lower(
 
 
 # ------------------------------------------------------------ config file ---
+# Keys are the dataclass field names. Each nested dataclass of ScenarioConfig
+# gets the section named after its field; the other fields go in [scenario].
+# Tuples are comma lists, with the pairs inside a tuple written x:y.
 
-_SCENARIO_SCALARS = (
-    "num_bs",
-    "num_users",
-    "bandwidth_mhz",
-    "cell_size_m",
-    "noise_dbm_per_hz",
-    "indoor_prob",
-    "carrier_ghz",
-    "pathloss_exp_macro",
-    "pathloss_exp_small",
-    "shadow_sigma_db",
-    "indoor_loss_db",
-    "cluster_radius_m",
-    "gamma_min",
-    "num_seeds",
-    "force",
-)
+
+def _sections(cfg: ScenarioConfig) -> Dict[str, object]:
+    nested = {f.name: getattr(cfg, f.name) for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))}
+    return {"scenario": cfg, **nested}
+
+
+def _encode(value, seps: str = ",:") -> str:
+    if isinstance(value, tuple):
+        return seps[0].join(_encode(v, seps[1:]) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
+
+
+def _decode(raw: str, tp, seps: str = ",:"):
+    if get_origin(tp) is tuple:
+        parts = [p for p in raw.split(seps[0]) if p.strip()]
+        types = get_args(tp)
+        if types[-1] is Ellipsis:
+            types = types[:1] * len(parts)
+        elif len(parts) != len(types):
+            raise ValueError(f"expected {len(types)} entries")
+        return tuple(_decode(p, t, seps[1:]) for p, t in zip(parts, types))
+    if tp is bool:
+        if raw.lower() not in ("true", "false", "1", "0", "yes", "no"):
+            raise ValueError(raw)
+        return raw.lower() in ("true", "1", "yes")
+    return tp(raw.strip())  # int, float or str
 
 
 def save_config(cfg: ScenarioConfig, path) -> Path:
     """Serialize to a flat INI file; load_config(save_config(cfg)) == cfg."""
     parser = configparser.ConfigParser()
-    sc = {}
-    for name in _SCENARIO_SCALARS:
-        sc[name] = repr(getattr(cfg, name)) if not isinstance(getattr(cfg, name), bool) else str(getattr(cfg, name)).lower()
-    sc["macro_power_dbm"] = ",".join(repr(v) for v in cfg.macro_power_dbm)
-    sc["small_power_dbm"] = ",".join(repr(v) for v in cfg.small_power_dbm)
-    sc["alpha_ratios"] = ",".join(repr(v) for v in cfg.alpha_ratios)
-    sc["cluster_centers"] = ",".join(f"{repr(x)}:{repr(y)}" for x, y in cfg.cluster_centers)
-    sc["methods"] = ",".join(cfg.methods)
-    parser["scenario"] = sc
-    parser["pricing"] = {
-        "total_iters": repr(cfg.pricing.total_iters),
-        "eta0": repr(cfg.pricing.eta0),
-        "eta_schedule": cfg.pricing.eta_schedule,
-        "mu_init": repr(cfg.pricing.mu_init),
-        "mu_min": repr(cfg.pricing.mu_min),
-        "mu_max": repr(cfg.pricing.mu_max),
-    }
-    parser["ra"] = {
-        "initial_step": repr(cfg.ra.initial_step),
-        "outer_iters": repr(cfg.ra.outer_iters),
-        "inner_iters": repr(cfg.ra.inner_iters),
-        "bisect_tol": repr(cfg.ra.bisect_tol),
-    }
-    parser["timevary"] = {
-        "rho": repr(cfg.timevary.rho),
-        "num_slots": repr(cfg.timevary.num_slots),
-        "iters_per_slot": repr(cfg.timevary.iters_per_slot),
-        "eta0": repr(cfg.timevary.eta0),
-    }
-    parser["ga"] = {
-        "population": repr(cfg.ga.population),
-        "parents": repr(cfg.ga.parents),
-        "mutation_prob": repr(cfg.ga.mutation_prob),
-        "max_generations": repr(cfg.ga.max_generations),
-    }
+    for section, obj in _sections(cfg).items():
+        parser[section] = {
+            f.name: _encode(getattr(obj, f.name)) for f in fields(obj) if not is_dataclass(getattr(obj, f.name))
+        }
     path = Path(path)
     with open(path, "w") as fh:
         parser.write(fh)
     return path
 
 
-def _coerce(section: str, key: str, raw: str, template_value):
-    try:
-        if isinstance(template_value, bool):
-            if raw.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                raise ValueError
-            return raw.lower() in ("true", "1", "yes")
-        if isinstance(template_value, int):
-            return int(raw)
-        if isinstance(template_value, float):
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ValueError(f"malformed config value [{section}] {key} = {raw!r}") from None
-
-
 def load_config(path) -> ScenarioConfig:
-    """Parse an INI scenario file. Unknown keys and malformed values raise
-    ValueError naming the offending key."""
+    """Parse an INI scenario file. Unknown sections or keys and malformed
+    values raise ValueError naming the offending key."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(path)
-    defaults = ScenarioConfig()
-    known_sections = {"scenario", "pricing", "ra", "timevary", "ga"}
+    defaults = _sections(ScenarioConfig())
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in defaults:
             raise ValueError(f"unknown config section [{section}]")
 
-    kw = {}
-    if parser.has_section("scenario"):
-        for key, raw in parser["scenario"].items():
-            if key in _SCENARIO_SCALARS:
-                kw[key] = _coerce("scenario", key, raw, getattr(defaults, key))
-            elif key in ("macro_power_dbm", "small_power_dbm"):
-                parts = [p for p in raw.split(",") if p.strip()]
-                if len(parts) != 2:
-                    raise ValueError(f"malformed config value [scenario] {key} = {raw!r}")
-                kw[key] = tuple(float(p) for p in parts)
-            elif key == "alpha_ratios":
-                parts = [p for p in raw.split(",") if p.strip()]
-                if len(parts) != 4:
-                    raise ValueError(f"malformed config value [scenario] alpha_ratios = {raw!r}")
-                kw[key] = tuple(float(p) for p in parts)
-            elif key == "cluster_centers":
-                centers = []
-                for pair in raw.split(","):
-                    x, _, y = pair.partition(":")
-                    if not y:
-                        raise ValueError(f"malformed config value [scenario] cluster_centers = {raw!r}")
-                    centers.append((float(x), float(y)))
-                kw[key] = tuple(centers)
-            elif key == "methods":
-                kw[key] = tuple(m.strip() for m in raw.split(",") if m.strip())
-            else:
-                raise ValueError(f"unknown config key [scenario] {key}")
-
-    def sub(section: str, cls, template):
-        if not parser.has_section(section):
-            return template
+    values = {}
+    for section, template in defaults.items():
+        types = get_type_hints(type(template))
         vals = {}
-        for key, raw in parser[section].items():
-            if not hasattr(template, key):
+        for key, raw in parser[section].items() if parser.has_section(section) else ():
+            if key not in types or is_dataclass(types[key]):
                 raise ValueError(f"unknown config key [{section}] {key}")
-            vals[key] = _coerce(section, key, raw, getattr(template, key))
-        return replace(template, **vals)
-
-    cfg = ScenarioConfig(
-        **kw,
-        pricing=sub("pricing", PricingConfig, defaults.pricing),
-        ra=sub("ra", LambdaSearchConfig, defaults.ra),
-        timevary=sub("timevary", TimeVaryingConfig, defaults.timevary),
-        ga=sub("ga", GaParams, defaults.ga),
-    )
+            try:
+                vals[key] = _decode(raw, types[key])
+            except ValueError:
+                raise ValueError(f"malformed config value [{section}] {key} = {raw!r}") from None
+        values[section] = replace(template, **vals)
+    cfg = replace(values.pop("scenario"), **values)
     cfg.validate()
     return cfg

@@ -17,13 +17,17 @@ upper-bounds the HAF value of every feasible decision, so any price vector
 certifies solution quality: the run keeps the best primal iterate and reports
 the gap to the best dual value, together with an analytic bound on that gap
 evaluated at the best-dual prices.
+
+`iterate` is the one two-stage loop. A method enters it as a PricingRule (an
+association rule and a price direction): `solve` runs it with the rule above
+and attaches the certificate; the baselines module supplies the other rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,7 +71,11 @@ class GapCertificate:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of one pricing run (arrays of length T)."""
+    """Per-iteration record of one pricing run (arrays of length T).
+
+    grad_norm is ||d|| of the run's price direction (the dual subgradient for
+    the proposed rule). Only the proposed rule attaches a certificate.
+    """
 
     primal: np.ndarray
     dual: np.ndarray
@@ -75,6 +83,7 @@ class RunTrace:
     assoc_changes: np.ndarray
     grad_norm: np.ndarray
     mu_final: np.ndarray  # prices after the last update (warm-start handle)
+    assoc_final: Optional[Association] = None  # the association mu_final induces
     certificate: Optional[GapCertificate] = None
 
     def __len__(self) -> int:
@@ -100,6 +109,15 @@ class RunTrace:
         """dual >= primal - tol*(1+|dual|) at every iteration."""
         slack = self.dual - self.primal + tol * (1.0 + np.abs(self.dual))
         return bool(np.all(slack >= 0.0))
+
+
+@dataclass(frozen=True)
+class PricingRule:
+    """One pricing method for `iterate`: associate(inst, mu) picks each user's
+    BS, and the prices step mu <- clip(mu - eta_t * direction(inst, assoc, mu))."""
+
+    associate: Callable[[NetworkInstance, np.ndarray], Association]
+    direction: Callable[[NetworkInstance, Association, np.ndarray], np.ndarray]
 
 
 def _mu_array(mu: MuLike) -> np.ndarray:
@@ -207,24 +225,79 @@ def theorem2_bound(
 
 
 def _certificate(
-    inst: NetworkInstance,
-    dual: np.ndarray,
-    primal: np.ndarray,
-    mu_snaps: np.ndarray,
-    ra_cfg: Optional[ra.LambdaSearchConfig],
+    inst: NetworkInstance, trace: RunTrace, ra_cfg: Optional[ra.LambdaSearchConfig]
 ) -> GapCertificate:
-    t_star = int(np.argmin(dual))
-    mu_star = mu_snaps[t_star].copy()
+    mu_star = trace.mu[trace.best_dual_iter].copy()
     assoc = associate(inst, mu_star)
     alloc = ra.allocate(inst, assoc, ra_cfg)
-    lam_hat = np.where(np.isfinite(alloc.lam), alloc.lam, 0.0)
-    bound = theorem2_bound(inst, assoc, mu_star, alloc.lam)
     return GapCertificate(
-        theorem2_bound=bound,
-        empirical_gap=float(dual[t_star] - np.max(primal)),
+        theorem2_bound=theorem2_bound(inst, assoc, mu_star, alloc.lam),
+        empirical_gap=trace.best_dual - trace.best_primal,
         lambda_star=PriceVector(mu=mu_star),
-        lambda_hat=lam_hat,
+        lambda_hat=np.where(np.isfinite(alloc.lam), alloc.lam, 0.0),
     )
+
+
+def iterate(
+    inst: NetworkInstance,
+    rule: PricingRule,
+    cfg: Optional[PricingConfig] = None,
+    ra_cfg: Optional[ra.LambdaSearchConfig] = None,
+    mu0: Optional[np.ndarray] = None,
+    x0: Optional[np.ndarray] = None,
+) -> Tuple[Association, Allocation, RunTrace]:
+    """The two-stage loop of every pricing method: returns the best primal
+    iterate (the first on ties) and a trace with no certificate. The recorded
+    dual is g(mu), a valid bound at any positive prices. mu0/x0 warm-start a
+    continuation.
+    """
+    cfg = cfg or PricingConfig()
+    T = int(cfg.total_iters)
+    if T < 1:
+        raise ValueError("total_iters must be >= 1")
+    J = inst.num_bs
+    mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
+    mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
+    assoc = rule.associate(inst, mu) if x0 is None else Association(np.asarray(x0, dtype=int).copy())
+
+    primal = np.empty(T)
+    dual = np.empty(T)
+    mu_snaps = np.empty((T, J))
+    changes = np.zeros(T, dtype=int)
+    grad_norms = np.empty(T)
+
+    best_p = -np.inf
+    best: Optional[Tuple[Association, Allocation]] = None
+    pending_changes = 0
+
+    for t in range(1, T + 1):
+        k = t - 1
+        alloc = ra.allocate(inst, assoc, ra_cfg)
+        p = haf_objective(inst, assoc, alloc)
+        d = rule.direction(inst, assoc, mu)
+        primal[k] = p
+        dual[k] = dual_value(inst, mu)
+        mu_snaps[k] = mu
+        changes[k] = pending_changes
+        grad_norms[k] = float(np.linalg.norm(d))
+        if best is None or p > best_p:
+            best_p = p
+            best = (assoc, alloc)
+        mu = np.clip(mu - cfg.eta_at(t) * d, cfg.mu_min, cfg.mu_max)
+        nxt = rule.associate(inst, mu)
+        pending_changes = int(np.count_nonzero(nxt.bs_of_user != assoc.bs_of_user))
+        assoc = nxt
+
+    trace = RunTrace(
+        primal=primal,
+        dual=dual,
+        mu=mu_snaps,
+        assoc_changes=changes,
+        grad_norm=grad_norms,
+        mu_final=mu,
+        assoc_final=assoc,
+    )
+    return best[0], best[1], trace
 
 
 def solve(
@@ -234,63 +307,19 @@ def solve(
     mu0: Optional[np.ndarray] = None,
     x0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, Allocation, RunTrace]:
-    """Run the two-stage pricing loop and return the best primal iterate.
+    """Run the pricing loop with the proposed rule and return the best primal
+    iterate.
 
     With the default uniform price init the first association is max-SINR.
     mu0/x0 warm-start a continuation (time-varying operation). The returned
     trace carries per-iteration primal/dual values and a GapCertificate.
     """
-    cfg = cfg or PricingConfig()
-    T = int(cfg.total_iters)
-    if T < 1:
-        raise ValueError("total_iters must be >= 1")
-    J = inst.num_bs
-    mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
-    mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
-    assoc = associate(inst, mu) if x0 is None else Association(np.asarray(x0, dtype=int).copy())
-
-    primal = np.empty(T)
-    dual = np.empty(T)
-    mu_snaps = np.empty((T, J))
-    changes = np.zeros(T, dtype=int)
-    grad_norms = np.empty(T)
-
-    best_p = -np.inf
-    best_assoc = assoc
-    best_alloc: Optional[Allocation] = None
-    pending_changes = 0
-
-    for t in range(1, T + 1):
-        k = t - 1
-        alloc = ra.allocate(inst, assoc, ra_cfg)
-        p = haf_objective(inst, assoc, alloc)
-        g = price_gradient(inst, assoc, mu)
-        primal[k] = p
-        dual[k] = dual_value(inst, mu)
-        mu_snaps[k] = mu
-        changes[k] = pending_changes
-        grad_norms[k] = float(np.linalg.norm(g))
-        if p > best_p:
-            best_p = p
-            best_assoc = assoc
-            best_alloc = alloc
-        mu = np.clip(mu - cfg.eta_at(t) * g, cfg.mu_min, cfg.mu_max)
-        nxt = associate(inst, mu)
-        pending_changes = int(np.count_nonzero(nxt.bs_of_user != assoc.bs_of_user))
-        assoc = nxt
-
-    cert = _certificate(inst, dual, primal, mu_snaps, ra_cfg)
-    trace = RunTrace(
-        primal=primal,
-        dual=dual,
-        mu=mu_snaps,
-        assoc_changes=changes,
-        grad_norm=grad_norms,
-        mu_final=mu,
-        certificate=cert,
-    )
-    assert best_alloc is not None
-    return best_assoc, best_alloc, trace
+    # built per call from the module attributes, so a wrapper installed on
+    # them (the perfbench tracer) sees every association and gradient
+    rule = PricingRule(associate=associate, direction=price_gradient)
+    assoc, alloc, trace = iterate(inst, rule, cfg, ra_cfg, mu0, x0)
+    trace.certificate = _certificate(inst, trace, ra_cfg)
+    return assoc, alloc, trace
 
 
 def theorem1_check(
@@ -309,10 +338,8 @@ def theorem1_check(
     pass is run with the constant step ||mu1 - mu*|| / (G sqrt(T)); the check
     holds if its best dual gap obeys  min_t g(mu_t) - g(mu*) <= G ||mu1 - mu*||^2 / sqrt(T) + tol.
     """
-    duals = trace.dual
     T = len(trace)
-    t_star = int(np.argmin(duals))
-    proxy = trace.mu[t_star] if mu_star_proxy is None else _mu_array(mu_star_proxy)
+    proxy = trace.mu[trace.best_dual_iter] if mu_star_proxy is None else _mu_array(mu_star_proxy)
     g_star = dual_value(inst, proxy)
     G = float(np.max(trace.grad_norm)) if g_observed is None else float(g_observed)
     mu1 = trace.mu[0]

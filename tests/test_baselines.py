@@ -14,7 +14,7 @@ from hafnet.baselines import (
     run_random,
 )
 from hafnet.core import Association, haf_objective
-from hafnet.pricing import PricingConfig, associate
+from hafnet.pricing import PricingConfig, associate, solve
 from hafnet.ra import allocate
 from conftest import make_instance, random_instance
 
@@ -106,6 +106,30 @@ def test_pricing_baseline_traces_stay_finite():
         assert np.all(np.isfinite(trace.mu))
         assert np.all(trace.mu >= PricingConfig().mu_min)
         assert np.all(trace.mu <= PricingConfig().mu_max)
+
+
+def test_final_prices_and_association_continue_the_run_exactly():
+    # with a constant step, k iterations then k more warm-started from
+    # (mu_final, assoc_final) replay one run of 2k iterations
+    rng = np.random.default_rng(8)
+    inst = random_instance(rng, 12, 3)
+    cfg = PricingConfig(total_iters=20, eta0=0.2, eta_schedule="constant")
+    half = PricingConfig(total_iters=10, eta0=0.2, eta_schedule="constant")
+    runs = {"proposed": lambda c, **kw: solve(inst, c, **kw)}
+    for spec in (
+        BaselineSpec(BaselineKind.PF),
+        BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=0.6),
+        BaselineSpec(BaselineKind.MIN_LATENCY, delay_argmin=True),
+    ):
+        runs[spec] = lambda c, spec=spec, **kw: run_pricing_baseline(inst, spec, c, **kw)
+    for name, run in runs.items():
+        _, _, full = run(cfg)
+        _, _, first = run(half)
+        _, _, second = run(half, mu0=first.mu_final, x0=first.assoc_final.bs_of_user)
+        assert np.array_equal(np.concatenate([first.primal, second.primal]), full.primal), name
+        assert np.array_equal(np.concatenate([first.mu, second.mu]), full.mu), name
+        assert np.array_equal(second.assoc_final.bs_of_user, full.assoc_final.bs_of_user), name
+        assert np.all(full.grad_norm > 0), name
 
 
 def test_2rs_keeps_global_optimum():

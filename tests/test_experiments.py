@@ -1,13 +1,16 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hafnet.experiments as ex
-from hafnet.core import Group
+from hafnet import channel
+from hafnet.baselines import GaParams
+from hafnet.core import Association, Group, haf_objective
 from hafnet.pricing import PricingConfig, solve
+from hafnet.ra import LambdaSearchConfig, allocate
 from conftest import random_instance
 
 
@@ -60,8 +63,76 @@ def test_build_instance_deterministic():
     assert np.array_equal(f1.h, f2.h)
 
 
+# Every field, nested ones included, differs from its default.
+ALL_CHANGED = ex.ScenarioConfig(
+    num_bs=5, num_users=33, bandwidth_mhz=10.0, cell_size_m=300.0, noise_dbm_per_hz=-170.0,
+    indoor_prob=0.25, macro_power_dbm=(30.0, 40.0), small_power_dbm=(20.0, 25.5),
+    carrier_ghz=3.5, pathloss_exp_macro=3.5, pathloss_exp_small=3.0, shadow_sigma_db=6.0,
+    indoor_loss_db=15.0, cluster_centers=((0.1, 0.2), (0.9, 0.8)), cluster_radius_m=25.0,
+    gamma_min=1e-05, alpha_ratios=ex.HIGH_RATIOS, num_seeds=17,
+    methods=("proposed", "pf", "min_latency_argmin"), force=True,
+    pricing=PricingConfig(total_iters=123, eta0=0.31, eta_schedule="constant",
+                          mu_init=2.0, mu_min=1e-06, mu_max=1e9),
+    ra=LambdaSearchConfig(initial_step=100.0, outer_iters=8, inner_iters=6, bisect_tol=1e-08),
+    timevary=ex.TimeVaryingConfig(rho=0.9, num_slots=7, iters_per_slot=3, eta0=0.1),
+    ga=GaParams(population=30, parents=6, mutation_prob=0.05, max_generations=40),
+)
+
+# ALL_CHANGED as save_config wrote it when each key was encoded by hand;
+# files in this format must keep loading.
+ALL_CHANGED_INI = """\
+[scenario]
+num_bs = 5
+num_users = 33
+bandwidth_mhz = 10.0
+cell_size_m = 300.0
+noise_dbm_per_hz = -170.0
+indoor_prob = 0.25
+carrier_ghz = 3.5
+pathloss_exp_macro = 3.5
+pathloss_exp_small = 3.0
+shadow_sigma_db = 6.0
+indoor_loss_db = 15.0
+cluster_radius_m = 25.0
+gamma_min = 1e-05
+num_seeds = 17
+force = true
+macro_power_dbm = 30.0,40.0
+small_power_dbm = 20.0,25.5
+alpha_ratios = 0.125,0.125,0.375,0.375
+cluster_centers = 0.1:0.2,0.9:0.8
+methods = proposed,pf,min_latency_argmin
+
+[pricing]
+total_iters = 123
+eta0 = 0.31
+eta_schedule = constant
+mu_init = 2.0
+mu_min = 1e-06
+mu_max = 1000000000.0
+
+[ra]
+initial_step = 100.0
+outer_iters = 8
+inner_iters = 6
+bisect_tol = 1e-08
+
+[timevary]
+rho = 0.9
+num_slots = 7
+iters_per_slot = 3
+eta0 = 0.1
+
+[ga]
+population = 30
+parents = 6
+mutation_prob = 0.05
+max_generations = 40
+"""
+
+
 def test_config_roundtrip(tmp_path):
-    cfg = replace(
+    some_changed = replace(
         ex.ScenarioConfig(),
         num_users=44,
         alpha_ratios=ex.HIGH_RATIOS,
@@ -69,13 +140,23 @@ def test_config_roundtrip(tmp_path):
         pricing=PricingConfig(total_iters=123, eta0=0.31),
         timevary=ex.TimeVaryingConfig(rho=0.9, num_slots=7),
     )
+    defaults = ex.ScenarioConfig()
+    for f in fields(ALL_CHANGED):
+        value, default = getattr(ALL_CHANGED, f.name), getattr(defaults, f.name)
+        if is_dataclass(value):
+            assert all(getattr(value, g.name) != getattr(default, g.name) for g in fields(value)), f.name
+        else:
+            assert value != default, f.name
     path = tmp_path / "scenario.ini"
-    ex.save_config(cfg, path)
-    loaded = ex.load_config(path)
-    assert loaded == cfg
-    # round-trip of the round-trip is identical too
-    ex.save_config(loaded, path)
-    assert ex.load_config(path) == cfg
+    for cfg in (some_changed, ALL_CHANGED):
+        ex.save_config(cfg, path)
+        loaded = ex.load_config(path)
+        assert loaded == cfg
+        # round-trip of the round-trip is identical too
+        ex.save_config(loaded, path)
+        assert ex.load_config(path) == cfg
+    path.write_text(ALL_CHANGED_INI)
+    assert ex.load_config(path) == ALL_CHANGED
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -87,9 +168,21 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_load_config_rejects_malformed_value(tmp_path):
     path = tmp_path / "bad2.ini"
-    path.write_text("[scenario]\nnum_users = forty\n")
-    with pytest.raises(ValueError, match="num_users"):
-        ex.load_config(path)
+    for section, line in (
+        ("scenario", "num_users = forty"),
+        ("scenario", "alpha_ratios = a,b,c,d"),
+        ("scenario", "alpha_ratios = 0.5,0.5"),
+        ("scenario", "macro_power_dbm = x,36"),
+        ("scenario", "cluster_centers = 0.1:zz"),
+        ("scenario", "cluster_centers = 0.1:0.2:0.3"),
+        ("scenario", "force = maybe"),
+        ("scenario", "methods = "),
+        ("pricing", "total_iters = 1.5"),
+    ):
+        key = line.split(" =")[0]
+        path.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(ValueError, match=key):
+            ex.load_config(path)
 
 
 def test_load_config_missing_file():
@@ -102,6 +195,8 @@ def test_validate_rejects_bad_ratios_and_methods():
         replace(ex.ScenarioConfig(), alpha_ratios=(0.5, 0.5, 0.5, 0.5)).validate()
     with pytest.raises(ValueError):
         replace(ex.ScenarioConfig(), methods=("proposed", "oracle9000")).validate()
+    with pytest.raises(ValueError, match="methods"):
+        replace(ex.ScenarioConfig(), methods=()).validate()
     with pytest.raises(ValueError):
         replace(ex.ScenarioConfig(), num_users=900).validate()
     # force bypasses the range check but not consistency checks
@@ -208,6 +303,27 @@ def test_time_varying_rows_layout(tmp_path):
     csv_lines = (tmp_path / "tv2" / "timevary.csv").read_text().splitlines()
     assert csv_lines[0] == "seed,slot,method,haf"
     assert len(csv_lines) == 1 + len(rows)
+
+
+def test_time_varying_every_method(tmp_path):
+    methods = ("proposed", "frozen", "two_rs", "pf", "af_low", "af_high", "min_latency",
+               "min_latency_argmin", "max_sinr", "random")
+    tv = ex.TimeVaryingConfig(rho=0.9, num_slots=4, iters_per_slot=3)
+    cfg = replace(SMALL, num_seeds=1, timevary=tv)
+    res = ex.run_time_varying(cfg, tmp_path / "tv3", master_seed=7, methods=methods)
+    rows = res["rows"]
+    assert [r[2] for r in rows] == list(methods) * tv.num_slots
+    assert all(np.isfinite(r[3]) for r in rows)
+    # each max_sinr row is the max-SINR HAF of that slot's rebuilt channel
+    inst, topo, fading = ex.build_instance(cfg, 7, 0, rho=tv.rho)
+    for slot in range(1, tv.num_slots + 1):
+        if slot > 1:
+            fading = channel.evolve_fading(fading)
+            inst = channel.make_instance(topo, fading, inst.alphas)
+        best = Association(np.argmax(inst.gamma, axis=1))
+        expected = haf_objective(inst, best, allocate(inst, best, cfg.ra))
+        (got,) = [r[3] for r in rows if r[1] == slot and r[2] == "max_sinr"]
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_user_sweep_rows(tmp_path):

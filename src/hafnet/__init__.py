@@ -35,6 +35,7 @@ from .ra import (
     kkt_residual,
     solve_lambda_bisect,
     solve_lambda_digit,
+    subset_utilities,
 )
 from .pricing import (
     GapCertificate,

@@ -34,11 +34,10 @@ mu_j <- mu_j - eta (exp(mu_j - 1) - K_j), reaches a mean HAF of 12.7 against
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +75,11 @@ class BaselineSpec:
                 raise ValueError("alpha_fixed is required for the fixed-alpha baseline")
             if self.alpha_fixed <= 0 or self.alpha_fixed == 1.0:
                 raise ValueError("alpha_fixed must be positive and != 1")
+
+
+# Subsets or candidates per brute-force batch; bounds its memory on the
+# largest instances it accepts.
+_BATCH = 4096
 
 
 class InstanceTooLargeError(ValueError):
@@ -173,26 +177,27 @@ def run_pricing_baseline(
 
 
 class _UtilityCache:
-    """Memoizes the optimal per-BS utility of a user set (keyed by tuple)."""
+    """Memoizes the optimal per-BS utility of a user set, keyed by (BS, the
+    set's membership row); each lookup batch solves its misses in one
+    ra.subset_utilities call."""
 
     def __init__(self, inst: NetworkInstance, ra_cfg=None):
         self.inst = inst
         self.ra_cfg = ra_cfg
-        self._memo: Dict[Tuple[int, Tuple[int, ...]], float] = {}
+        self._memo: Dict[Tuple[int, bytes], float] = {}
 
-    def utility(self, j: int, users: Tuple[int, ...]) -> float:
-        key = (j, users)
-        val = self._memo.get(key)
-        if val is None:
-            val, _ = ra.bs_optimal_utility(self.inst, j, np.array(users, dtype=int), self.ra_cfg)
-            self._memo[key] = val
-        return val
-
-    def total(self, bs: np.ndarray) -> float:
-        J = self.inst.num_bs
-        return sum(
-            self.utility(j, tuple(np.flatnonzero(bs == j).tolist())) for j in range(J)
-        )
+    def utilities(self, bs: np.ndarray, members: np.ndarray) -> List[float]:
+        """Utility of serving the users where members[p] is true from BS bs[p]."""
+        keys = [(j, row.tobytes()) for j, row in zip(bs.tolist(), members)]
+        misses: Dict[Tuple[int, bytes], int] = {}
+        for p, key in enumerate(keys):
+            if key not in self._memo:
+                misses.setdefault(key, p)
+        if misses:
+            rows = list(misses.values())
+            vals, _ = ra.subset_utilities(self.inst, bs[rows], members[rows], self.ra_cfg)
+            self._memo.update(zip(misses, vals.tolist()))
+        return [self._memo[key] for key in keys]
 
 
 def run_2rs(
@@ -205,32 +210,34 @@ def run_2rs(
     """First-improvement local search over single-user reassignments.
 
     A move changes one user's BS (association matrices at Hamming distance 2).
-    Full mode repeats passes until a complete pass finds no improving move or
-    max_passes is hit; adaptive mode applies exactly one improving move.
+    Moves are tried user by user, target BS by target BS; one batch per user
+    solves its old BS without it and every other BS with it. Full mode repeats
+    passes until a complete pass finds no improving move or max_passes is
+    hit; adaptive mode applies exactly one improving move.
     """
     cache = _UtilityCache(inst, ra_cfg)
     bs = np.asarray(start.bs_of_user, dtype=int).copy()
     I, J = inst.num_users, inst.num_bs
-    sets = [tuple(np.flatnonzero(bs == j).tolist()) for j in range(J)]
-    utils = [cache.utility(j, sets[j]) for j in range(J)]
+    all_bs = np.arange(J)
+    sets = bs[None, :] == all_bs[:, None]  # sets[j, i]: BS j serves user i
+    utils = cache.utilities(all_bs, sets)
 
     for _ in range(max_passes):
         improved = False
         for i in range(I):
             a = bs[i]
+            moved = sets.copy()  # row a: a without i; row b != a: b with i
+            moved[:, i] = True
+            moved[a, i] = False
+            u = cache.utilities(all_bs, moved)
             for b in range(J):
                 if b == a:
                     continue
-                minus = tuple(u for u in sets[a] if u != i)
-                plus = tuple(sorted(sets[b] + (i,)))
-                delta = (
-                    cache.utility(a, minus) + cache.utility(b, plus) - utils[a] - utils[b]
-                )
+                delta = u[a] + u[b] - utils[a] - utils[b]
                 if delta > 1e-12:
                     bs[i] = b
-                    sets[a], sets[b] = minus, plus
-                    utils[a] = cache.utility(a, minus)
-                    utils[b] = cache.utility(b, plus)
+                    sets[a, i], sets[b, i] = False, True
+                    utils[a], utils[b] = u[a], u[b]
                     improved = True
                     if adaptive:
                         return _finish(inst, bs, ra_cfg)
@@ -250,6 +257,7 @@ def run_ga(
 
     Elitist: the top `parents` chromosomes survive unchanged, offspring come
     from uniform crossover of two random parents plus per-gene mutation.
+    Each generation's fitness is one utility-cache batch.
     """
     params = params or GaParams()
     if params.parents < 2 or params.parents > params.population:
@@ -257,9 +265,14 @@ def run_ga(
     rng = np.random.default_rng(seed)
     cache = _UtilityCache(inst, ra_cfg)
     I, J = inst.num_users, inst.num_bs
+    all_bs = np.tile(np.arange(J), params.population)
+
+    def fitness_of(pop):
+        members = (pop[:, None, :] == np.arange(J)[None, :, None]).reshape(-1, I)
+        return np.array(cache.utilities(all_bs, members)).reshape(-1, J).sum(axis=1)
 
     pop = rng.integers(0, J, size=(params.population, I))
-    fitness = np.array([cache.total(row) for row in pop])
+    fitness = fitness_of(pop)
     best_idx = int(np.argmax(fitness))
     best_bs, best_fit = pop[best_idx].copy(), float(fitness[best_idx])
 
@@ -276,13 +289,27 @@ def run_ga(
                 child[mut] = rng.integers(0, J, size=int(np.count_nonzero(mut)))
             children[c] = child
         pop = np.vstack([elite, children])
-        fitness = np.array([cache.total(row) for row in pop])
+        fitness = fitness_of(pop)
         gen_best = int(np.argmax(fitness))
         if float(fitness[gen_best]) > best_fit:
             best_fit = float(fitness[gen_best])
             best_bs = pop[gen_best].copy()
 
     return _finish(inst, best_bs, ra_cfg)
+
+
+def _subset_table(inst: NetworkInstance, ra_cfg=None) -> np.ndarray:
+    """(J, 2^I) optimal utility of every user subset at every BS; bit i of
+    the column index is user i. Solved in batches of subsets."""
+    I, J = inst.num_users, inst.num_bs
+    table = np.empty((J, 2**I))
+    bit = 1 << np.arange(I)
+    for lo in range(0, 2**I, _BATCH):
+        subsets = np.arange(lo, min(lo + _BATCH, 2**I))
+        members = (subsets[:, None] & bit) > 0
+        util, _ = ra.subset_utilities(inst, np.repeat(np.arange(J), subsets.size), np.tile(members, (J, 1)), ra_cfg)
+        table[:, subsets] = util.reshape(J, subsets.size)
+    return table
 
 
 def brute_force(
@@ -303,27 +330,21 @@ def brute_force(
         assoc, alloc = _finish(inst, np.zeros(I, dtype=int), ra_cfg)
         return assoc, alloc, haf_objective(inst, assoc, alloc)
 
-    # per-BS utility of every user subset, then sum over the partition
-    table = []
-    for j in range(J):
-        col = np.empty(2**I)
-        col[0] = 0.0
-        for mask in range(1, 2**I):
-            users = [i for i in range(I) if mask >> i & 1]
-            col[mask], _ = ra.bs_optimal_utility(inst, j, np.array(users), ra_cfg)
-        table.append(col)
-
+    # per-BS utility of every user subset, then the partition sums in
+    # batches of candidates; candidate k's digits in base J, user 0 first,
+    # give the lexicographic order
+    table = _subset_table(inst, ra_cfg)
+    bit = 1 << np.arange(I)
+    place = J ** np.arange(I - 1, -1, -1)
     best_val = -np.inf
     best = None
-    for cand in itertools.product(range(J), repeat=I):
-        masks = [0] * J
-        for i, j in enumerate(cand):
-            masks[j] |= 1 << i
-        val = 0.0
+    for lo in range(0, n_cand, _BATCH):
+        cand = np.arange(lo, min(lo + _BATCH, n_cand))[:, None] // place % J
+        val = np.zeros(cand.shape[0])
         for j in range(J):
-            val += table[j][masks[j]]
-        if val > best_val:
-            best_val = val
-            best = cand
+            val += table[j, (cand == j) @ bit]
+        k = int(np.argmax(val))
+        if val[k] > best_val:
+            best_val, best = val[k], cand[k]
     assoc, alloc = _finish(inst, np.array(best, dtype=int), ra_cfg)
     return assoc, alloc, float(best_val)

@@ -32,10 +32,15 @@ def _base_parser() -> argparse.ArgumentParser:
     return common
 
 
+def _methods(args):
+    return tuple(m.strip() for m in args.methods.split(",") if m.strip())
+
+
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.methods:
-        cfg = replace(cfg, methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()))
+    # timevary has its own method list, which run_time_varying validates
+    if args.methods and args.verb != "timevary":
+        cfg = replace(cfg, methods=_methods(args))
     cfg.validate()
     return cfg
 
@@ -75,9 +80,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "timevary":
-        methods = None
-        if args.methods:
-            methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        methods = _methods(args) if args.methods else None
         res = experiments.run_time_varying(cfg, out, master_seed=args.seed, methods=methods)
         print(f"wrote {len(res['rows'])} slot rows to {out}")
         return 0

@@ -220,7 +220,7 @@ def run_method(
     elif name == "random":
         assoc, alloc = baselines.run_random(inst, child_seed(master_seed, seed_index, _PURPOSE_RANDOM), cfg.ra)
     elif name == "two_rs":
-        start, _ = baselines.run_max_sinr(inst, cfg.ra)
+        start = Association(np.argmax(inst.gamma, axis=1))  # the max-SINR association
         assoc, alloc = baselines.run_2rs(inst, start, ra_cfg=cfg.ra)
     elif name == "ga":
         assoc, alloc = baselines.run_ga(

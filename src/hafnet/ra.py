@@ -9,9 +9,12 @@ scalar root-find per BS: find lam > 0 with
 after which y_ij = gamma_hat_ij * lam^(-1/alpha_i). The left side is strictly
 decreasing in lam (+inf at 0+, -> 0 at inf), so the root is unique.
 
-Two solvers are provided: a decimal digit search that refines lam one digit at
-a time from a coarse initial step, and a bracketing bisection (the production
-default, with a deterministic relative tolerance).
+Production solves go through one segmented Newton kernel on s = log lam,
+which solves many root-finds at once: `allocate` passes every BS of an
+association, and `subset_utilities` passes many (BS, user set) pairs for the
+search baselines. A decimal digit search (the printed method) and a
+bracketing bisection are kept as scalar references that the tests compare
+the kernel against; nothing in production calls them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ class LambdaSearchConfig:
     initial_step: float = 1e3
     outer_iters: int = 12
     inner_iters: int = 10
-    bisect_tol: float = 1e-10  # relative bracket width at termination
+    # Newton: tolerance on log(lam); bisection: relative bracket width.
+    bisect_tol: float = 1e-10
 
 
 class EmptyBSError(ValueError):
@@ -145,42 +149,98 @@ def solve_lambda_bisect(
     return _bisect(gh, ia, cfg.bisect_tol)
 
 
+# Newton steps: 5-8 suffice from the start point; the cap catches NaNs.
+_NEWTON_MAX_STEPS = 100
+_ULPS4 = 4.0 * np.finfo(float).eps  # a few ulps, relative to |s|
+
+
+def _newton(lg: np.ndarray, ia: np.ndarray, seg: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """Segmented Newton on s = log lam for n KKT equations at once.
+
+    Term k belongs to segment seg[k] (every segment has at least one term)
+    and contributes exp(lg[k] - s * ia[k]), with lg = log gamma_hat and
+    ia = 1/alpha. Segment sums go through np.bincount. The start
+    s0 = max_k lg[k] / ia[k] has every term <= 1 and load >= 1, i.e. it sits
+    left of the root of the convex, decreasing load - 1; so the iterates
+    climb monotonically to the root and no exp overflows. A segment stops
+    once its step is at most max(tol, a few ulps of s); a non-positive step
+    means rounding has reached the root. Returns s per segment.
+    """
+    s = np.full(n, -np.inf)
+    np.maximum.at(s, seg, lg / ia)
+    active = np.ones(n, dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        t = np.exp(lg - s[seg] * ia)
+        # (load - 1) / -(d load / ds): the Newton step, positive left of the root
+        step = (np.bincount(seg, t, n) - 1.0) / np.bincount(seg, t * ia, n)
+        step *= active  # converged segments stay put
+        s += step
+        active = ~(step <= np.maximum(tol, _ULPS4 * np.abs(s)))  # a NaN stays active
+        if not np.count_nonzero(active):
+            return s
+    raise ArithmeticError("Newton multiplier search did not converge")
+
+
 def allocate(
     inst: NetworkInstance,
     assoc: Association,
     cfg: Optional[LambdaSearchConfig] = None,
-    solver: str = "bisect",
 ) -> Allocation:
     """Optimal bandwidth fractions for every BS under a fixed association.
 
-    Per-BS problems are independent. Empty BSs get a NaN multiplier and a
-    zero column. y_ij = gamma_hat_ij * lam_j^(-1/alpha_i) on associated pairs.
+    One Newton kernel call solves every non-empty BS. Empty BSs get a NaN
+    multiplier and a zero column. y_ij = gamma_hat_ij * lam_j^(-1/alpha_i)
+    on associated pairs.
     """
     cfg = cfg or _DEFAULT
-    if solver not in ("bisect", "digit"):
-        raise ValueError(f"unknown solver {solver!r}")
     I, J = inst.num_users, inst.num_bs
     bs = np.asarray(assoc.bs_of_user, dtype=int)
     if bs.shape[0] != I:
         raise ValueError("association length must match the instance")
-    if np.any(bs < 0) or np.any(bs >= J):
+    used, seg = np.unique(bs, return_inverse=True)  # used is sorted
+    if used.size and (used[0] < 0 or used[-1] >= J):
         raise ValueError("association refers to a BS outside the instance")
+    users = np.arange(I)
+    lg = np.log(inst.gamma_hat[users, bs])
+    ia = 1.0 / inst.alphas.alpha
+    s = _newton(lg, ia, seg, used.size, cfg.bisect_tol)
     y = np.zeros((I, J))
+    y[users, bs] = np.exp(lg - s[seg] * ia)
     lam = np.full(J, np.nan)
-    alpha = inst.alphas.alpha
-    for j in range(J):
-        users = np.flatnonzero(bs == j)
-        if users.size == 0:
-            continue
-        gh_list = inst.gamma_hat[users, j].tolist()
-        ia_list = (1.0 / alpha[users]).tolist()
-        if solver == "bisect":
-            lam_j = _bisect(gh_list, ia_list, cfg.bisect_tol)
-        else:
-            lam_j = _digit_search(gh_list, ia_list, cfg)
-        lam[j] = lam_j
-        y[users, j] = inst.gamma_hat[users, j] * lam_j ** (-1.0 / alpha[users])
+    lam[used] = np.exp(s)
     return Allocation(y=y, lam=lam)
+
+
+def subset_utilities(
+    inst: NetworkInstance,
+    bs: np.ndarray,
+    members: np.ndarray,
+    cfg: Optional[LambdaSearchConfig] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Optimal HAF contribution of many (BS, user set) pairs in one kernel call.
+
+    Pair p serves the users where members[p] (shape (P, I), boolean) is true
+    from BS bs[p]. Returns (utility, lam), each of shape (P,); empty sets
+    contribute (0.0, nan). Utilities use the same rate floor as the global
+    objective, so per-BS sums match haf_objective.
+    """
+    cfg = cfg or _DEFAULT
+    bs = np.asarray(bs, dtype=int)
+    members = np.asarray(members, dtype=bool)
+    P = bs.shape[0]
+    pair, users = np.nonzero(members)
+    used, seg = np.unique(pair, return_inverse=True)
+    js = bs[pair]
+    lg = np.log(inst.gamma_hat[users, js])
+    alpha = inst.alphas.alpha[users]
+    ia = 1.0 / alpha
+    s = _newton(lg, ia, seg, used.size, cfg.bisect_tol)
+    rates = inst.gamma[users, js] * np.exp(lg - s[seg] * ia)
+    util = np.zeros(P)
+    util[used] = np.bincount(seg, weights=utility_vector(rates, alpha), minlength=used.size)
+    lam = np.full(P, np.nan)
+    lam[used] = np.exp(s)
+    return util, lam
 
 
 def bs_optimal_utility(
@@ -191,16 +251,10 @@ def bs_optimal_utility(
 ) -> Tuple[float, float]:
     """Optimal HAF contribution of serving `users` from BS j: (utility, lam).
 
-    Empty user sets contribute (0.0, nan). Utilities use the same rate floor
-    as the global objective, so per-BS sums match haf_objective exactly.
+    The one-pair form of subset_utilities; empty user sets contribute
+    (0.0, nan).
     """
-    cfg = cfg or _DEFAULT
-    users = np.asarray(users, dtype=int)
-    if users.size == 0:
-        return 0.0, float("nan")
-    gh = inst.gamma_hat[users, j]
-    alpha = inst.alphas.alpha[users]
-    lam_j = _bisect(gh.tolist(), (1.0 / alpha).tolist(), cfg.bisect_tol)
-    y = gh * lam_j ** (-1.0 / alpha)
-    rates = inst.gamma[users, j] * y
-    return float(np.sum(utility_vector(rates, alpha))), lam_j
+    members = np.zeros((1, inst.num_users), dtype=bool)
+    members[0, np.asarray(users, dtype=int)] = True
+    util, lam = subset_utilities(inst, np.array([j]), members, cfg)
+    return float(util[0]), float(lam[0])

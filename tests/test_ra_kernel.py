@@ -1,0 +1,170 @@
+"""Property tests for the batched Newton kernel and the search code on it.
+
+The kernel is checked against the scalar bisection reference and against
+the KKT equation; the batched search paths against per-pair loops kept here.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hafnet.baselines import _subset_table, brute_force, run_2rs
+from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInstance
+from hafnet.ra import (
+    LambdaSearchConfig,
+    allocate,
+    bs_optimal_utility,
+    kkt_residual,
+    solve_lambda_bisect,
+    subset_utilities,
+)
+from conftest import random_instance
+
+GAMMA_MIN = 1e-6  # the channel model's spectral-efficiency floor
+ALPHA_RANGES = tuple(GROUP_INTERVALS.values()) + ((0.999, 0.999), (1.001, 1.001))
+TOLS = (0.0, 1e-16, 1e-12, 1e-10)
+REFERENCE = LambdaSearchConfig(bisect_tol=1e-13)
+
+
+@st.composite
+def layouts(draw):
+    """An instance and an association with 0-12 users per BS, at least one
+    user; alphas from every group interval plus 0.999 and 1.001; gammas
+    log-uniform down to the floor, some exactly at it."""
+    J = draw(st.integers(1, 5))
+    counts = draw(st.lists(st.integers(0, 12), min_size=J, max_size=J).filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bs = rng.permutation(np.repeat(np.arange(J), counts))
+    I = bs.size
+    gamma = 10.0 ** rng.uniform(np.log10(GAMMA_MIN), 2.0, size=(I, J))
+    gamma[rng.random((I, J)) < 0.1] = GAMMA_MIN
+    group = rng.integers(0, len(ALPHA_RANGES), size=I)
+    lo, hi = np.array(ALPHA_RANGES).T
+    alpha = lo[group] + rng.random(I) * (hi[group] - lo[group])
+    prof = AlphaProfile(alpha=alpha, group=np.minimum(group, 3))
+    return NetworkInstance.from_gamma(gamma, prof), Association(bs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layouts(), st.sampled_from(TOLS))
+def test_allocate_solves_every_bs(layout, tol):
+    inst, assoc = layout
+    with np.errstate(all="raise"):
+        alloc = allocate(inst, assoc, LambdaSearchConfig(bisect_tol=tol))
+    for j in range(inst.num_bs):
+        users = assoc.users_of(j)
+        if users.size == 0:
+            assert np.isnan(alloc.lam[j]) and np.all(alloc.y[:, j] == 0.0)
+            continue
+        assert abs(alloc.y[users, j].sum() - 1.0) <= 1e-12
+        assert abs(kkt_residual(inst, assoc, j, alloc.lam[j])) <= 1e-8
+        lam_ref = solve_lambda_bisect(inst, assoc, j, REFERENCE)
+        assert alloc.lam[j] == pytest.approx(lam_ref, rel=1e-10)
+    off = np.ones(alloc.y.shape, dtype=bool)
+    off[np.arange(inst.num_users), assoc.bs_of_user] = False
+    assert np.all(alloc.y[off] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layouts(), st.sampled_from(TOLS), st.integers(0, 2**32 - 1))
+def test_subset_utilities_equal_per_pair_calls(layout, tol, seed):
+    inst, _ = layout
+    cfg = LambdaSearchConfig(bisect_tol=tol)
+    rng = np.random.default_rng(seed)
+    P = int(rng.integers(1, 12))
+    bs = rng.integers(0, inst.num_bs, size=P)
+    members = rng.random((P, inst.num_users)) < rng.random((P, 1))
+    with np.errstate(all="raise"):
+        util, lam = subset_utilities(inst, bs, members, cfg)
+    for p in range(P):
+        u_ref, lam_ref = bs_optimal_utility(inst, int(bs[p]), np.flatnonzero(members[p]), cfg)
+        assert util[p] == u_ref
+        assert lam[p] == lam_ref or (np.isnan(lam[p]) and np.isnan(lam_ref))
+
+
+def _reference_table(inst):
+    I, J = inst.num_users, inst.num_bs
+    table = np.zeros((J, 2**I))
+    for j in range(J):
+        for mask in range(1, 2**I):
+            users = np.array([i for i in range(I) if mask >> i & 1])
+            table[j, mask], _ = bs_optimal_utility(inst, j, users)
+    return table
+
+
+def test_subset_table_spans_batches():
+    inst = random_instance(np.random.default_rng(13), 13, 2)  # 2^13 subsets: two batches
+    assert np.array_equal(_subset_table(inst), _reference_table(inst))
+
+
+def _reference_brute_force(inst, table):
+    best_val, best = -np.inf, None
+    for cand in itertools.product(range(inst.num_bs), repeat=inst.num_users):
+        val = 0.0
+        for j in range(inst.num_bs):
+            val += table[j, sum(1 << i for i, c in enumerate(cand) if c == j)]
+        if val > best_val:
+            best_val, best = val, cand
+    return list(best), best_val
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_brute_force_matches_per_subset_loop(I, J, seed):
+    inst = random_instance(np.random.default_rng(seed), I, J)
+    table = _reference_table(inst)
+    assert np.array_equal(_subset_table(inst), table)
+    assoc, _, value = brute_force(inst)
+    assert (assoc.bs_of_user.tolist(), value) == _reference_brute_force(inst, table)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_brute_force_across_candidate_batches(seed):
+    inst = random_instance(np.random.default_rng(seed), 9, 3)  # 3^9 candidates: five batches
+    assoc, _, value = brute_force(inst)
+    assert (assoc.bs_of_user.tolist(), value) == _reference_brute_force(inst, _reference_table(inst))
+
+
+def _reference_2rs(inst, start, adaptive, max_passes=50):
+    """2RS one set at a time: first improving (user, BS) move, as printed."""
+    bs = start.copy()
+    I, J = inst.num_users, inst.num_bs
+    sets = [tuple(np.flatnonzero(bs == j).tolist()) for j in range(J)]
+
+    def util(j, users):
+        return bs_optimal_utility(inst, j, np.array(users, dtype=int))[0]
+
+    utils = [util(j, sets[j]) for j in range(J)]
+    for _ in range(max_passes):
+        improved = False
+        for i in range(I):
+            a = bs[i]
+            for b in range(J):
+                if b == a:
+                    continue
+                minus = tuple(u for u in sets[a] if u != i)
+                plus = tuple(sorted(sets[b] + (i,)))
+                u_minus, u_plus = util(a, minus), util(b, plus)
+                if u_minus + u_plus - utils[a] - utils[b] > 1e-12:
+                    bs[i] = b
+                    sets[a], sets[b] = minus, plus
+                    utils[a], utils[b] = u_minus, u_plus
+                    improved = True
+                    if adaptive:
+                        return bs
+                    break
+        if not improved:
+            break
+    return bs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 14), st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_2rs_matches_per_move_reference(I, J, adaptive, seed):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, I, J)
+    start = rng.integers(0, J, size=I)
+    assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
+    assert assoc.bs_of_user.tolist() == _reference_2rs(inst, start, adaptive).tolist()

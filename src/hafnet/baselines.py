@@ -77,6 +77,10 @@ class BaselineSpec:
                 raise ValueError("alpha_fixed must be positive and != 1")
 
 
+# 2RS takes a move only when its gain exceeds this share of the utilities it
+# differences: well above their rounding, far below any gain worth a move.
+_GAIN_RTOL = 1e-12
+
 # Subsets or candidates per brute-force batch; bounds its memory on the
 # largest instances it accepts.
 _BATCH = 4096
@@ -234,7 +238,11 @@ def run_2rs(
                 if b == a:
                     continue
                 delta = u[a] + u[b] - utils[a] - utils[b]
-                if delta > 1e-12:
+                # a gain must clear the rounding of the four utilities it
+                # differences (the first test is the cheap necessary one)
+                if delta > _GAIN_RTOL and delta > _GAIN_RTOL * (
+                    1.0 + abs(u[a]) + abs(u[b]) + abs(utils[a]) + abs(utils[b])
+                ):
                     bs[i] = b
                     sets[a, i], sets[b, i] = False, True
                     utils[a], utils[b] = u[a], u[b]

@@ -85,6 +85,11 @@ class RunTrace:
     mu_final: np.ndarray  # prices after the last update (warm-start handle)
     assoc_final: Optional[Association] = None  # the association mu_final induces
     certificate: Optional[GapCertificate] = None
+    # True where the iteration solved its allocation, False where its
+    # association equalled the previous one and the allocation was reused
+    alloc_solved: Optional[np.ndarray] = None
+    # the (association, allocation) of the best dual iterate, for the certificate
+    best_dual_decision: Optional[Tuple[Association, Allocation]] = None
 
     def __len__(self) -> int:
         return int(self.primal.shape[0])
@@ -161,29 +166,40 @@ def price_step(
     return PriceVector(mu=np.clip(new, cfg.mu_min, cfg.mu_max))
 
 
-def dual_value(inst: NetworkInstance, mu: MuLike) -> float:
-    """g(mu): an upper bound on the HAF value of every feasible decision.
-
-    Users with alpha exactly 1 contribute max_j (ln gamma_ij - ln mu_j) - 1
-    (the proportional-fair form); all others use the closed power form.
-    """
-    m = _mu_array(mu)
-    if np.any(m <= 0):
-        raise ValueError("prices must be positive")
+def _dual(inst: NetworkInstance) -> Callable[[np.ndarray], float]:
+    """g as a function of a price array, with the instance's constants (the
+    alpha == 1 mask, log gamma of those users, coef * gamma_hat and the
+    exponents) computed once. Users with alpha exactly 1 contribute
+    max_j (ln gamma_ij - ln mu_j) - 1 (the proportional-fair form); all
+    others use the closed power form."""
     a = inst.alphas.alpha
-    total = float(np.sum(m))
     pf = a == 1.0
-    if np.any(pf):
-        scores = np.log(inst.gamma[pf]) - np.log(m)[None, :]
-        total += float(np.sum(np.max(scores, axis=1) - 1.0))
+    has_pf = bool(np.any(pf))
+    log_gamma = np.log(inst.gamma[pf]) if has_pf else None
     rest = ~pf
-    if np.any(rest):
-        ar = a[rest]
-        expo = (ar - 1.0) / ar
-        coef = ar / (1.0 - ar)
-        terms = coef[:, None] * inst.gamma_hat[rest] * m[None, :] ** expo[:, None]
-        total += float(np.sum(np.max(terms, axis=1)))
-    return total
+    has_rest = bool(np.any(rest))
+    ar = a[rest]
+    expo = ((ar - 1.0) / ar)[:, None]
+    coef_gh = (ar / (1.0 - ar))[:, None] * inst.gamma_hat[rest]
+
+    def g(m: np.ndarray) -> float:
+        if np.any(m <= 0):
+            raise ValueError("prices must be positive")
+        total = float(np.sum(m))
+        if has_pf:
+            scores = log_gamma - np.log(m)[None, :]
+            total += float(np.sum(np.max(scores, axis=1) - 1.0))
+        if has_rest:
+            terms = coef_gh * m[None, :] ** expo
+            total += float(np.sum(np.max(terms, axis=1)))
+        return total
+
+    return g
+
+
+def dual_value(inst: NetworkInstance, mu: MuLike) -> float:
+    """g(mu): an upper bound on the HAF value of every feasible decision."""
+    return _dual(inst)(_mu_array(mu))
 
 
 def theorem2_bound(
@@ -229,7 +245,7 @@ def _certificate(
 ) -> GapCertificate:
     mu_star = trace.mu[trace.best_dual_iter].copy()
     assoc = associate(inst, mu_star)
-    alloc = ra.allocate(inst, assoc, ra_cfg)
+    alloc = ra.allocate(inst, assoc, ra_cfg, trace.best_dual_decision)
     return GapCertificate(
         theorem2_bound=theorem2_bound(inst, assoc, mu_star, alloc.lam),
         empirical_gap=trace.best_dual - trace.best_primal,
@@ -250,6 +266,10 @@ def iterate(
     iterate (the first on ties) and a trace with no certificate. The recorded
     dual is g(mu), a valid bound at any positive prices. mu0/x0 warm-start a
     continuation.
+
+    Each iteration passes the previous (association, allocation) to
+    ra.allocate, which returns that allocation when the association has not
+    changed; the primal value is then reused too.
     """
     cfg = cfg or PricingConfig()
     T = int(cfg.total_iters)
@@ -265,24 +285,35 @@ def iterate(
     mu_snaps = np.empty((T, J))
     changes = np.zeros(T, dtype=int)
     grad_norms = np.empty(T)
+    solved = np.zeros(T, dtype=bool)
+    g = _dual(inst)
 
     best_p = -np.inf
     best: Optional[Tuple[Association, Allocation]] = None
+    best_d = np.inf
+    at_best_dual: Optional[Tuple[Association, Allocation]] = None
+    prev: Optional[Tuple[Association, Allocation]] = None
     pending_changes = 0
 
     for t in range(1, T + 1):
         k = t - 1
-        alloc = ra.allocate(inst, assoc, ra_cfg)
-        p = haf_objective(inst, assoc, alloc)
+        alloc = ra.allocate(inst, assoc, ra_cfg, prev)
+        if prev is None or alloc is not prev[1]:
+            p = haf_objective(inst, assoc, alloc)
+            solved[k] = True
+        prev = (assoc, alloc)
         d = rule.direction(inst, assoc, mu)
         primal[k] = p
-        dual[k] = dual_value(inst, mu)
+        dual[k] = g(mu)
         mu_snaps[k] = mu
         changes[k] = pending_changes
         grad_norms[k] = float(np.linalg.norm(d))
         if best is None or p > best_p:
             best_p = p
-            best = (assoc, alloc)
+            best = prev
+        if dual[k] < best_d:
+            best_d = dual[k]
+            at_best_dual = prev
         mu = np.clip(mu - cfg.eta_at(t) * d, cfg.mu_min, cfg.mu_max)
         nxt = rule.associate(inst, mu)
         pending_changes = int(np.count_nonzero(nxt.bs_of_user != assoc.bs_of_user))
@@ -296,6 +327,8 @@ def iterate(
         grad_norm=grad_norms,
         mu_final=mu,
         assoc_final=assoc,
+        alloc_solved=solved,
+        best_dual_decision=at_best_dual,
     )
     return best[0], best[1], trace
 

@@ -185,13 +185,21 @@ def allocate(
     inst: NetworkInstance,
     assoc: Association,
     cfg: Optional[LambdaSearchConfig] = None,
+    prev: Optional[Tuple[Association, Allocation]] = None,
 ) -> Allocation:
     """Optimal bandwidth fractions for every BS under a fixed association.
 
     One Newton kernel call solves every non-empty BS. Empty BSs get a NaN
     multiplier and a zero column. y_ij = gamma_hat_ij * lam_j^(-1/alpha_i)
     on associated pairs.
+
+    prev is an (association, allocation) pair this function already returned
+    for the same instance and cfg. If assoc equals prev's association, prev's
+    Allocation object is returned as it is (the solve is deterministic, so a
+    cold solve would give the same arrays); otherwise the split is solved.
     """
+    if prev is not None and np.array_equal(prev[0].bs_of_user, assoc.bs_of_user):
+        return prev[1]
     cfg = cfg or _DEFAULT
     I, J = inst.num_users, inst.num_bs
     bs = np.asarray(assoc.bs_of_user, dtype=int)

@@ -15,7 +15,7 @@ from hafnet.baselines import (
 )
 from hafnet.core import Association, haf_objective
 from hafnet.pricing import PricingConfig, associate, solve
-from hafnet.ra import allocate
+from hafnet.ra import allocate, subset_utilities
 from conftest import make_instance, random_instance
 
 
@@ -164,6 +164,23 @@ def test_2rs_adaptive_single_move():
     assoc, _ = run_2rs(inst, start, adaptive=True)
     moved = np.sum(assoc.bs_of_user != start.bs_of_user)
     assert moved == 1
+
+
+def test_2rs_refuses_a_gain_made_of_rounding():
+    # users 1 and 2 mirror each other across the two BSs and user 0 sees both
+    # alike, so moving user 0 gains exactly nothing; the low-rate alpha=2.8
+    # users put the BS utilities near -1e5, whose rounding exceeds 1e-12
+    inst = make_instance([[1.0, 1.0], [1e-3, 1e-4], [1e-4, 1e-3]], [0.5, 2.8, 2.8])
+    start = Association(np.array([0, 0, 1]))
+    sets = np.array([[True, True, False], [False, False, True]])
+    moved = np.array([[False, True, False], [True, False, True]])
+    utils, _ = subset_utilities(inst, np.array([0, 1]), sets)
+    u, _ = subset_utilities(inst, np.array([0, 1]), moved)
+    assert u[0] == utils[1] and u[1] == utils[0]
+    assert u[0] + u[1] - utils[0] - utils[1] > 1e-12  # the gain 2RS sums
+    for adaptive in (True, False):
+        assoc, _ = run_2rs(inst, start, adaptive=adaptive)
+        assert np.array_equal(assoc.bs_of_user, start.bs_of_user)
 
 
 def test_2rs_result_is_single_move_local_optimum():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hafnet.core import AlphaProfile, Association, NetworkInstance, haf_objective
+from hafnet import baselines
+from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInstance, haf_objective
+from hafnet.experiments import _PRICING
 from hafnet.pricing import (
     PricingConfig,
+    PricingRule,
     associate,
     dual_value,
     price_gradient,
@@ -215,3 +219,157 @@ def test_eta_schedules():
     assert cfg2.eta_at(9) == pytest.approx(0.4)
     with pytest.raises(ValueError):
         PricingConfig(eta_schedule="warmup").eta_at(1)
+
+
+# ------------------------------------------------ exactness of the reuse ---
+
+
+def _plain_dual(inst, mu):
+    """g(mu) by the formula, with every constant recomputed per call."""
+    a = inst.alphas.alpha
+    total = float(np.sum(mu))
+    pf = a == 1.0
+    if np.any(pf):
+        scores = np.log(inst.gamma[pf]) - np.log(mu)[None, :]
+        total += float(np.sum(np.max(scores, axis=1) - 1.0))
+    rest = ~pf
+    if np.any(rest):
+        ar = a[rest]
+        expo = (ar - 1.0) / ar
+        coef = ar / (1.0 - ar)
+        terms = coef[:, None] * inst.gamma_hat[rest] * mu[None, :] ** expo[:, None]
+        total += float(np.sum(np.max(terms, axis=1)))
+    return total
+
+
+def _cold_loop(inst, rule, cfg, mu0=None, x0=None):
+    """The pricing loop with nothing reused: a cold allocate, objective and
+    dual every iteration. Returns the best primal decision, the per-iteration
+    primal, dual and prices, and the final prices."""
+    J = inst.num_bs
+    mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
+    mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
+    assoc = rule.associate(inst, mu) if x0 is None else Association(np.asarray(x0).copy())
+    primal, dual, mus = [], [], []
+    best = None
+    for t in range(1, cfg.total_iters + 1):
+        alloc = allocate(inst, assoc)
+        p = haf_objective(inst, assoc, alloc)
+        primal.append(p)
+        dual.append(_plain_dual(inst, mu))
+        mus.append(mu)
+        if best is None or p > best[2]:
+            best = (assoc, alloc, p)
+        mu = np.clip(mu - cfg.eta_at(t) * rule.direction(inst, assoc, mu), cfg.mu_min, cfg.mu_max)
+        assoc = rule.associate(inst, mu)
+    return best[0], best[1], np.array(primal), np.array(dual), np.array(mus), mu
+
+
+def _run(name, inst, cfg, mu0=None, x0=None):
+    spec = _PRICING[name]
+    if spec is None:
+        return solve(inst, cfg, mu0=mu0, x0=x0)
+    return baselines.run_pricing_baseline(inst, spec, cfg, mu0=mu0, x0=x0)
+
+
+def _rule(name):
+    spec = _PRICING[name]
+    return PricingRule(associate, price_gradient) if spec is None else baselines._rule(spec)
+
+
+def _exactness_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for n_users, n_bs in ((12, 3), (25, 4)):
+        inst = random_instance(rng, n_users, n_bs)
+        cases.append((inst, PricingConfig(total_iters=80, eta0=0.5), None, None))
+        # a warm start whose association is not the one its prices induce
+        mu0 = rng.uniform(0.5, 3.0, size=n_bs)
+        x0 = (associate(inst, mu0).bs_of_user + 1) % n_bs
+        cases.append((inst, PricingConfig(total_iters=40, eta0=0.05, eta_schedule="constant"), mu0, x0))
+        # one iteration: the best dual iterate is that warm start
+        cases.append((inst, PricingConfig(total_iters=1), mu0, x0))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_PRICING))
+def test_reuse_matches_the_cold_loop_bit_for_bit(name):
+    reused = 0
+    for inst, cfg, mu0, x0 in _exactness_cases():
+        assoc, alloc, trace = _run(name, inst, cfg, mu0, x0)
+        r_assoc, r_alloc, primal, dual, mus, mu_final = _cold_loop(inst, _rule(name), cfg, mu0, x0)
+        assert np.array_equal(trace.primal, primal)
+        assert np.array_equal(trace.dual, dual)
+        assert np.array_equal(trace.mu, mus)
+        assert np.array_equal(trace.mu_final, mu_final)
+        assert np.array_equal(assoc.bs_of_user, r_assoc.bs_of_user)
+        assert np.array_equal(alloc.y, r_alloc.y)
+        assert np.array_equal(alloc.lam, r_alloc.lam, equal_nan=True)
+        reused += int(np.count_nonzero(~trace.alloc_solved))
+        if _PRICING[name] is None:
+            mu_star = mus[int(np.argmin(dual))]
+            a_star = associate(inst, mu_star)
+            lam = allocate(inst, a_star).lam
+            cert = trace.certificate
+            assert np.array_equal(cert.lambda_star.mu, mu_star)
+            assert np.array_equal(cert.lambda_hat, np.where(np.isfinite(lam), lam, 0.0))
+            assert np.array_equal(cert.theorem2_bound, theorem2_bound(inst, a_star, mu_star, lam))
+    assert reused > 0  # the cases exercise the reuse path
+
+
+@pytest.mark.parametrize("name", list(_PRICING))
+def test_alloc_solved_counts_association_changes(name):
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        inst = random_instance(rng, int(rng.integers(5, 30)), int(rng.integers(2, 6)))
+        _, _, trace = _run(name, inst, PricingConfig(total_iters=60, eta0=0.5))
+        assert trace.alloc_solved.dtype == bool and trace.alloc_solved.shape == (60,)
+        assert trace.alloc_solved[0]
+        assert trace.alloc_solved.sum() == 1 + np.count_nonzero(trace.assoc_changes[1:])
+
+
+# -------------------------------------------------- dual property tests ---
+
+_ALPHA_RANGES = tuple(GROUP_INTERVALS.values()) + ((1.0, 1.0), (0.999, 0.999), (1.001, 1.001))
+_MU_MIN, _MU_MAX = PricingConfig().mu_min, PricingConfig().mu_max
+
+
+@st.composite
+def _priced_instances(draw):
+    """An instance with alphas from every group interval plus 1.0 (built
+    without validation), 0.999 and 1.001, gammas log-uniform down to the
+    1e-6 floor, and prices anywhere in [mu_min, mu_max], often at the ends."""
+    I = draw(st.integers(1, 10))
+    J = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = 10.0 ** rng.uniform(-6.0, 2.0, size=(I, J))
+    group = rng.integers(0, len(_ALPHA_RANGES), size=I)
+    lo, hi = np.array(_ALPHA_RANGES).T
+    alpha = lo[group] + rng.random(I) * (hi[group] - lo[group])
+    inst = NetworkInstance.from_gamma(gamma, AlphaProfile(alpha=alpha, group=np.minimum(group, 3)))
+    price = st.one_of(
+        st.sampled_from([_MU_MIN, _MU_MAX]),
+        st.floats(np.log10(_MU_MIN), np.log10(_MU_MAX)).map(lambda e: 10.0**e),
+    )
+    mu = np.array(draw(st.lists(price, min_size=J, max_size=J)))
+    return inst, mu, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(_priced_instances())
+def test_dual_equals_the_plain_formula(case):
+    inst, mu, _ = case
+    with np.errstate(all="raise"):
+        assert dual_value(inst, mu) == _plain_dual(inst, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_priced_instances())
+def test_dual_bounds_every_optimally_split_association(case):
+    inst, mu, rng = case
+    with np.errstate(all="raise"):
+        g = dual_value(inst, mu)
+        for _ in range(5):
+            a = Association(rng.integers(0, inst.num_bs, size=inst.num_users))
+            p = haf_objective(inst, a, allocate(inst, a))
+            assert g >= p - 1e-6 * (1.0 + abs(g))

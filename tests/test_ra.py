@@ -143,3 +143,28 @@ def test_digit_search_config_reach():
     assoc = Association(np.array([0]))
     lam = solve_lambda_digit(inst, assoc, 0, cfg)
     assert lam == pytest.approx(10.0 ** 0.5, rel=1e-5)
+
+
+def _same_allocation(a, b):
+    return np.array_equal(a.y, b.y) and np.array_equal(a.lam, b.lam, equal_nan=True)
+
+
+def test_allocate_reuses_prev_only_for_an_equal_association():
+    rng = np.random.default_rng(31)
+    inst = random_instance(rng, 9, 3)
+    assoc = Association(np.array([0, 1, 2, 0, 1, 2, 0, 1, 2]))
+    alloc = allocate(inst, assoc)
+    # an equal association in a new object returns prev's allocation itself
+    same = Association(assoc.bs_of_user.copy())
+    assert allocate(inst, same, prev=(assoc, alloc)) is alloc
+    # a different association is solved cold, bit for bit
+    other = Association(assoc.bs_of_user.copy())
+    other.bs_of_user[4] = (other.bs_of_user[4] + 1) % 3
+    got = allocate(inst, other, prev=(assoc, alloc))
+    assert got is not alloc
+    assert _same_allocation(got, allocate(inst, other))
+    # an association leaving a BS empty still gives that BS a NaN multiplier
+    empty = Association(np.where(assoc.bs_of_user == 2, 0, assoc.bs_of_user))
+    got = allocate(inst, empty, prev=(assoc, alloc))
+    assert np.isnan(got.lam[2]) and np.all(got.y[:, 2] == 0.0)
+    assert _same_allocation(got, allocate(inst, empty))

@@ -9,7 +9,6 @@ from .core import (
     GROUP_INTERVALS,
     Group,
     NetworkInstance,
-    PriceVector,
     RATE_FLOOR,
     alpha_utility,
     groupwise_haf,
@@ -44,14 +43,11 @@ from .pricing import (
     associate,
     dual_value,
     price_gradient,
-    price_step,
     solve,
     theorem1_check,
     theorem2_bound,
 )
 from .baselines import (
-    BaselineKind,
-    BaselineSpec,
     GaParams,
     InstanceTooLargeError,
     brute_force,

@@ -20,7 +20,7 @@ the first one. On the low-fairness mix (100 seeds, eta0 = 0.5, master seed
 
 * ``pf`` returns the max-SINR association on 98/100 seeds, ``af_low`` on
   100/100;
-* ``af_high`` and ``min_latency`` (``delay_argmin`` off) pick the same
+* ``af_high`` and ``min_latency`` (the printed argmax) pick the same
   association on every seed: every user on its weakest BS on 90/100 seeds
   (the first iterate), all users on one BS on the other 10, for a mean HAF
   of -4.9e11.
@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,34 +46,12 @@ from .pricing import PricingConfig, PricingRule, RunTrace
 from .pricing import dual_value  # unused here; perfbench's tracer test reads baselines.dual_value
 
 
-class BaselineKind(Enum):
-    """The pricing baselines' printed rules."""
-
-    PF = "pf"
-    ALPHA_FAIR = "alpha_fair"
-    MIN_LATENCY = "min_latency"
-
-
 @dataclass(frozen=True)
 class GaParams:
     population: int = 60
     parents: int = 10
     mutation_prob: float = 0.01
     max_generations: int = 300
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    kind: BaselineKind
-    alpha_fixed: Optional[float] = None  # ALPHA_FAIR only
-    delay_argmin: bool = False  # MIN_LATENCY: flip the printed argmax rule
-
-    def validate(self) -> None:
-        if self.kind is BaselineKind.ALPHA_FAIR:
-            if self.alpha_fixed is None:
-                raise ValueError("alpha_fixed is required for the fixed-alpha baseline")
-            if self.alpha_fixed <= 0 or self.alpha_fixed == 1.0:
-                raise ValueError("alpha_fixed must be positive and != 1")
 
 
 # 2RS takes a move only when its gain exceeds this share of the utilities it
@@ -116,42 +93,8 @@ def _signed_pow(x: float, p: float) -> float:
     return math.copysign(abs(x) ** p, x)
 
 
-def _rule(spec: BaselineSpec) -> PricingRule:
-    """The spec's printed user score f1 and price update f2 as a PricingRule."""
-    if spec.kind is BaselineKind.PF:
-
-        def score(inst, mu):
-            return mu[None, :] * inst.gamma
-
-        def direction(inst, assoc, mu):
-            counts = np.bincount(np.asarray(assoc.bs_of_user, dtype=int), minlength=inst.num_bs)
-            return np.exp(np.minimum(mu - 1.0, 709.0)) - counts.astype(float)
-
-    elif spec.kind is BaselineKind.ALPHA_FAIR:
-        a = float(spec.alpha_fixed)
-        e = (1.0 - a) / a
-
-        def score(inst, mu):
-            return mu[None, :] * inst.gamma ** e
-
-        def direction(inst, assoc, mu):
-            js = np.asarray(assoc.bs_of_user, dtype=int)
-            gh = inst.gamma[np.arange(inst.num_users), js] ** e
-            sums = np.bincount(js, weights=gh, minlength=inst.num_bs)
-            supply = np.array([_signed_pow(e * m, 1.0 / (a - 1.0)) for m in mu])
-            return -supply + sums
-
-    else:  # MIN_LATENCY
-
-        def score(inst, mu):
-            return mu[None, :] / np.sqrt(inst.gamma)
-
-        def direction(inst, assoc, mu):
-            js = np.asarray(assoc.bs_of_user, dtype=int)
-            inv_sqrt = 1.0 / np.sqrt(inst.gamma[np.arange(inst.num_users), js])
-            return 0.5 * mu + np.bincount(js, weights=inv_sqrt, minlength=inst.num_bs)
-
-    pick = np.argmin if spec.delay_argmin and spec.kind is BaselineKind.MIN_LATENCY else np.argmax
+def _rule(score: Callable, direction: Callable, pick: Callable = np.argmax) -> PricingRule:
+    """The rule whose users take the pick (argmax or argmin) of their score row."""
 
     def associate(inst, mu):
         return Association(bs_of_user=pick(score(inst, mu), axis=1))
@@ -159,22 +102,69 @@ def _rule(spec: BaselineSpec) -> PricingRule:
     return PricingRule(associate=associate, direction=direction)
 
 
+def _pf_score(inst, mu):
+    return mu[None, :] * inst.gamma
+
+
+def _pf_direction(inst, assoc, mu):
+    counts = np.bincount(np.asarray(assoc.bs_of_user, dtype=int), minlength=inst.num_bs)
+    return np.exp(np.minimum(mu - 1.0, 709.0)) - counts.astype(float)
+
+
+def _alpha_fair(a: float) -> PricingRule:
+    """The printed fixed-alpha rule: score mu_j gamma_ij^e with e = (1-a)/a."""
+    e = (1.0 - a) / a
+
+    def score(inst, mu):
+        return mu[None, :] * inst.gamma ** e
+
+    def direction(inst, assoc, mu):
+        js = np.asarray(assoc.bs_of_user, dtype=int)
+        gh = inst.gamma[np.arange(inst.num_users), js] ** e
+        sums = np.bincount(js, weights=gh, minlength=inst.num_bs)
+        supply = np.array([_signed_pow(e * m, 1.0 / (a - 1.0)) for m in mu])
+        return -supply + sums
+
+    return _rule(score, direction)
+
+
+def _latency_score(inst, mu):
+    return mu[None, :] / np.sqrt(inst.gamma)
+
+
+def _latency_direction(inst, assoc, mu):
+    js = np.asarray(assoc.bs_of_user, dtype=int)
+    inv_sqrt = 1.0 / np.sqrt(inst.gamma[np.arange(inst.num_users), js])
+    return 0.5 * mu + np.bincount(js, weights=inv_sqrt, minlength=inst.num_bs)
+
+
+#: The pricing baselines by method name: each printed user score f1 and price
+#: update f2 as a PricingRule. ``min_latency`` takes the printed argmax of its
+#: score; ``min_latency_argmin`` is the same rule with argmin.
+RULES: Dict[str, PricingRule] = {
+    "pf": _rule(_pf_score, _pf_direction),
+    "af_low": _alpha_fair(0.6),
+    "af_high": _alpha_fair(1.6),
+    "min_latency": _rule(_latency_score, _latency_direction),
+    "min_latency_argmin": _rule(_latency_score, _latency_direction, np.argmin),
+}
+
+
 def run_pricing_baseline(
     inst: NetworkInstance,
-    spec: BaselineSpec,
+    name: str,
     cfg: Optional[PricingConfig] = None,
     ra_cfg=None,
     mu0: Optional[np.ndarray] = None,
     x0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, Allocation, RunTrace]:
-    """The pricing loop with the baseline's own scores and price update.
+    """The pricing loop with the named baseline's own scores and price update.
 
     The recorded dual values are the HAF dual bound at the baseline's prices
     (valid for any positive price vector); no gap certificate is attached
     because the bound construction is specific to the proposed update.
     """
-    spec.validate()
-    return pricing.iterate(inst, _rule(spec), cfg, ra_cfg, mu0, x0)
+    return pricing.iterate(inst, RULES[name], cfg, ra_cfg, mu0, x0)
 
 
 # ----------------------------------------------------------------- search ---

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -202,8 +202,7 @@ def make_instance(
     topo: Topology,
     fading: FadingState,
     alphas: AlphaProfile,
-    meta: Optional[dict] = None,
 ) -> NetworkInstance:
     """Bundle a channel snapshot and a fairness profile into one instance."""
     gamma = spectral_efficiency(topo, fading)
-    return NetworkInstance.from_gamma(gamma, alphas, bandwidth_hz=topo.bandwidth_hz, meta=meta)
+    return NetworkInstance.from_gamma(gamma, alphas, bandwidth_hz=topo.bandwidth_hz)

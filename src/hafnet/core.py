@@ -16,9 +16,9 @@ can be shared freely across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class AlphaProfile:
             if np.any(sel < lo) or np.any(sel > hi):
                 raise ValueError(f"alpha outside {Group(int(gi)).name} interval [{lo}, {hi}]")
 
-    def users_in_group(self, group: Group) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.group) == int(group))
-
 
 @dataclass(frozen=True)
 class NetworkInstance:
@@ -94,7 +91,6 @@ class NetworkInstance:
     gamma_hat: np.ndarray
     alphas: AlphaProfile
     bandwidth_hz: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def num_users(self) -> int:
@@ -110,7 +106,6 @@ class NetworkInstance:
         gamma: np.ndarray,
         alphas: AlphaProfile,
         bandwidth_hz: float = 20e6,
-        meta: Optional[dict] = None,
     ) -> "NetworkInstance":
         """Build an instance, computing gamma_hat from gamma and alphas."""
         gamma = np.asarray(gamma, dtype=float)
@@ -128,7 +123,6 @@ class NetworkInstance:
             gamma_hat=gamma_hat,
             alphas=alphas,
             bandwidth_hz=float(bandwidth_hz),
-            meta=dict(meta or {}),
         )
 
 
@@ -156,13 +150,6 @@ class Allocation:
 
     y: np.ndarray
     lam: np.ndarray
-
-
-@dataclass(frozen=True)
-class PriceVector:
-    """mu: shape (J,), positive per-BS prices."""
-
-    mu: np.ndarray
 
 
 def alpha_utility(rate: float, alpha: float) -> float:

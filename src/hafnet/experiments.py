@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, get_args, ge
 import numpy as np
 
 from . import baselines, channel, metrics, pricing, ra
-from .baselines import BaselineKind, BaselineSpec, GaParams
+from .baselines import GaParams
 from .core import AlphaProfile, Association, GROUP_INTERVALS, Group, NetworkInstance, haf_objective
 from .pricing import PricingConfig
 from .ra import LambdaSearchConfig
@@ -94,8 +94,13 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in available_methods():
                 raise ValueError(f"unknown method {m!r}")
-        if self.pricing.eta_schedule not in ("diminishing", "constant"):
-            raise ValueError(f"unknown eta_schedule {self.pricing.eta_schedule!r}")
+        p = self.pricing
+        if p.eta_schedule not in ("diminishing", "constant"):
+            raise ValueError(f"unknown eta_schedule {p.eta_schedule!r}")
+        if p.total_iters < 1:
+            raise ValueError(f"pricing total_iters={p.total_iters} must be >= 1")
+        if not (0.0 < p.mu_min <= p.mu_max):
+            raise ValueError(f"pricing mu_min={p.mu_min} must be positive and at most mu_max={p.mu_max}")
         self.timevary.validate()
         if self.force:
             return
@@ -161,25 +166,18 @@ def build_instance(
     fading = channel.make_fading(
         cfg.num_users, cfg.num_bs, rho, child_seed(master_seed, seed_index, _PURPOSE_FADING)
     )
-    inst = channel.make_instance(topo, fading, prof, meta={"seed_index": seed_index})
+    inst = channel.make_instance(topo, fading, prof)
     return inst, topo, fading
 
 
 # ---------------------------------------------------------------- methods ---
 
-#: Pricing methods by name: the proposed rule (no spec) and the baselines.
-_PRICING: Dict[str, Optional[BaselineSpec]] = {
-    "proposed": None,
-    "pf": BaselineSpec(BaselineKind.PF),
-    "af_low": BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=0.6),
-    "af_high": BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=1.6),
-    "min_latency": BaselineSpec(BaselineKind.MIN_LATENCY),
-    "min_latency_argmin": BaselineSpec(BaselineKind.MIN_LATENCY, delay_argmin=True),
-}
+#: Pricing methods by name: the proposed rule and the baselines' rules.
+_PRICING = ("proposed",) + tuple(baselines.RULES)
 
 
 def available_methods() -> Tuple[str, ...]:
-    return tuple(_PRICING) + ("max_sinr", "random", "two_rs", "ga", "brute_force")
+    return _PRICING + ("max_sinr", "random", "two_rs", "ga", "brute_force")
 
 
 def _run_pricing(
@@ -190,10 +188,9 @@ def _run_pricing(
     mu0: Optional[np.ndarray] = None,
     x0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, object, pricing.RunTrace]:
-    spec = _PRICING[name]
-    if spec is None:
+    if name == "proposed":
         return pricing.solve(inst, cfg, ra_cfg, mu0=mu0, x0=x0)
-    return baselines.run_pricing_baseline(inst, spec, cfg, ra_cfg, mu0=mu0, x0=x0)
+    return baselines.run_pricing_baseline(inst, name, cfg, ra_cfg, mu0=mu0, x0=x0)
 
 
 @dataclass
@@ -460,7 +457,7 @@ def run_time_varying(
     tv.validate()
     methods = tuple(methods) if methods is not None else _TV_METHODS
     for m in methods:
-        if m not in _TV_METHODS + tuple(_PRICING) + ("max_sinr", "random"):
+        if m not in _TV_METHODS + _PRICING + ("max_sinr", "random"):
             raise ValueError(f"method {m!r} not supported in time-varying mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,7 +473,7 @@ def run_time_varying(
         for slot in range(1, tv.num_slots + 1):
             if slot > 1:
                 fading = channel.evolve_fading(fading)
-                inst = channel.make_instance(topo, fading, prof, meta={"seed_index": s})
+                inst = channel.make_instance(topo, fading, prof)
             for m in methods:
                 st = state[m]
                 if m in _PRICING:

@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import ra
-from .core import Allocation, Association, NetworkInstance, PriceVector, haf_objective
-
-MuLike = Union[PriceVector, np.ndarray]
+from .core import Allocation, Association, NetworkInstance, haf_objective
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class GapCertificate:
 
     theorem2_bound: float
     empirical_gap: float
-    lambda_star: PriceVector
+    lambda_star: np.ndarray
     lambda_hat: np.ndarray
 
 
@@ -125,45 +123,23 @@ class PricingRule:
     direction: Callable[[NetworkInstance, Association, np.ndarray], np.ndarray]
 
 
-def _mu_array(mu: MuLike) -> np.ndarray:
-    if isinstance(mu, PriceVector):
-        return np.asarray(mu.mu, dtype=float)
-    return np.asarray(mu, dtype=float)
-
-
-def associate(inst: NetworkInstance, mu: MuLike) -> Association:
+def associate(inst: NetworkInstance, mu: np.ndarray) -> Association:
     """Each user picks argmax_j gamma_ij / mu_j; ties go to the lowest index."""
-    m = _mu_array(mu)
-    if np.any(m <= 0):
+    if np.any(mu <= 0):
         raise ValueError("prices must be positive")
-    ratios = inst.gamma / m[None, :]
+    ratios = inst.gamma / mu[None, :]
     return Association(bs_of_user=np.argmax(ratios, axis=1))
 
 
-def price_gradient(inst: NetworkInstance, assoc: Association, mu: MuLike) -> np.ndarray:
+def price_gradient(inst: NetworkInstance, assoc: Association, mu: np.ndarray) -> np.ndarray:
     """Subgradient of the dual at mu for the association it induced:
     component j is 1 - sum_{i in I_j} gamma_hat_ij * mu_j^(-1/alpha_i)."""
-    m = _mu_array(mu)
     I, J = inst.num_users, inst.num_bs
     js = np.asarray(assoc.bs_of_user, dtype=int)
     idx = np.arange(I)
-    terms = inst.gamma_hat[idx, js] * m[js] ** (-1.0 / inst.alphas.alpha)
+    terms = inst.gamma_hat[idx, js] * mu[js] ** (-1.0 / inst.alphas.alpha)
     loads = np.bincount(js, weights=terms, minlength=J)
     return 1.0 - loads
-
-
-def price_step(
-    inst: NetworkInstance,
-    assoc: Association,
-    mu: MuLike,
-    eta_t: float,
-    cfg: Optional[PricingConfig] = None,
-) -> PriceVector:
-    """One projected subgradient step on the prices."""
-    cfg = cfg or PricingConfig()
-    m = _mu_array(mu)
-    new = m - eta_t * price_gradient(inst, assoc, m)
-    return PriceVector(mu=np.clip(new, cfg.mu_min, cfg.mu_max))
 
 
 def _dual(inst: NetworkInstance) -> Callable[[np.ndarray], float]:
@@ -197,16 +173,16 @@ def _dual(inst: NetworkInstance) -> Callable[[np.ndarray], float]:
     return g
 
 
-def dual_value(inst: NetworkInstance, mu: MuLike) -> float:
+def dual_value(inst: NetworkInstance, mu: np.ndarray) -> float:
     """g(mu): an upper bound on the HAF value of every feasible decision."""
-    return _dual(inst)(_mu_array(mu))
+    return _dual(inst)(mu)
 
 
 def theorem2_bound(
     inst: NetworkInstance,
     assoc: Association,
-    lambda_star: MuLike,
-    lambda_hat: MuLike,
+    lambda_star: np.ndarray,
+    lambda_hat: np.ndarray,
 ) -> float:
     """Analytic duality-gap bound between prices lambda_star and the exact
     per-BS multipliers lambda_hat of the association they induce:
@@ -218,16 +194,15 @@ def theorem2_bound(
     Non-finite lambda_hat entries (empty BSs) contribute 0 to the first sum
     and cannot appear in the second.
     """
-    ls = _mu_array(lambda_star)
-    lh = np.where(np.isfinite(_mu_array(lambda_hat)), _mu_array(lambda_hat), 0.0)
+    lh = np.where(np.isfinite(lambda_hat), lambda_hat, 0.0)
     js = np.asarray(assoc.bs_of_user, dtype=int)
     a = inst.alphas.alpha
     idx = np.arange(inst.num_users)
     gh = inst.gamma_hat[idx, js]
-    ls_u, lh_u = ls[js], lh[js]
+    ls_u, lh_u = lambda_star[js], lh[js]
     if np.any(lh_u <= 0):
         raise ValueError("lambda_hat must be positive on associated BSs")
-    total = float(np.sum(ls - lh))
+    total = float(np.sum(lambda_star - lh))
     pf = a == 1.0
     if np.any(pf):
         total += float(np.sum(np.log(lh_u[pf]) - np.log(ls_u[pf])))
@@ -249,7 +224,7 @@ def _certificate(
     return GapCertificate(
         theorem2_bound=theorem2_bound(inst, assoc, mu_star, alloc.lam),
         empirical_gap=trace.best_dual - trace.best_primal,
-        lambda_star=PriceVector(mu=mu_star),
+        lambda_star=mu_star,
         lambda_hat=np.where(np.isfinite(alloc.lam), alloc.lam, 0.0),
     )
 
@@ -358,8 +333,6 @@ def solve(
 def theorem1_check(
     inst: NetworkInstance,
     trace: RunTrace,
-    mu_star_proxy: Optional[MuLike] = None,
-    g_observed: Optional[float] = None,
     cfg: Optional[PricingConfig] = None,
     ra_cfg: Optional[ra.LambdaSearchConfig] = None,
     tol: float = 1e-6,
@@ -372,9 +345,9 @@ def theorem1_check(
     holds if its best dual gap obeys  min_t g(mu_t) - g(mu*) <= G ||mu1 - mu*||^2 / sqrt(T) + tol.
     """
     T = len(trace)
-    proxy = trace.mu[trace.best_dual_iter] if mu_star_proxy is None else _mu_array(mu_star_proxy)
+    proxy = trace.mu[trace.best_dual_iter]
     g_star = dual_value(inst, proxy)
-    G = float(np.max(trace.grad_norm)) if g_observed is None else float(g_observed)
+    G = float(np.max(trace.grad_norm))
     mu1 = trace.mu[0]
     D = float(np.linalg.norm(mu1 - proxy))
     if G <= 0.0 or D <= 0.0:

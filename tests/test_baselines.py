@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from hafnet.baselines import (
-    BaselineKind,
-    BaselineSpec,
     GaParams,
     InstanceTooLargeError,
     brute_force,
@@ -53,8 +51,7 @@ def test_max_sinr_rows_and_ties():
 def test_pf_first_association_is_max_sinr():
     rng = np.random.default_rng(3)
     inst = random_instance(rng, 15, 3)
-    spec = BaselineSpec(BaselineKind.PF)
-    _, _, trace = run_pricing_baseline(inst, spec, PricingConfig(total_iters=1))
+    _, _, trace = run_pricing_baseline(inst, "pf", PricingConfig(total_iters=1))
     ms, _ = run_max_sinr(inst)
     expected = haf_objective(inst, ms, allocate(inst, ms))
     assert trace.primal[0] == pytest.approx(expected, rel=1e-12)
@@ -63,45 +60,28 @@ def test_pf_first_association_is_max_sinr():
 def test_pf_price_fixed_point_single_user():
     # |I_j| = 1: printed update is stationary at mu = 1 (e^{mu-1} = 1)
     inst = make_instance([[2.0]], [0.5])
-    spec = BaselineSpec(BaselineKind.PF)
-    _, _, trace = run_pricing_baseline(inst, spec, PricingConfig(total_iters=40, eta0=0.3))
+    _, _, trace = run_pricing_baseline(inst, "pf", PricingConfig(total_iters=40, eta0=0.3))
     assert trace.mu_final[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_min_latency_argmax_as_printed_prefers_weak_link():
     # mu=(1,1), gamma=(4,1): f1 = mu/sqrt(gamma) = (0.5, 1) -> argmax picks BS 1
     inst = make_instance([[4.0, 1.0]], [0.5])
-    spec = BaselineSpec(BaselineKind.MIN_LATENCY)
-    assoc, _, _ = run_pricing_baseline(inst, spec, PricingConfig(total_iters=1))
+    assoc, _, _ = run_pricing_baseline(inst, "min_latency", PricingConfig(total_iters=1))
     assert assoc.bs_of_user[0] == 1
 
 
 def test_min_latency_argmin_switch():
     inst = make_instance([[4.0, 1.0]], [0.5])
-    spec = BaselineSpec(BaselineKind.MIN_LATENCY, delay_argmin=True)
-    assoc, _, _ = run_pricing_baseline(inst, spec, PricingConfig(total_iters=1))
+    assoc, _, _ = run_pricing_baseline(inst, "min_latency_argmin", PricingConfig(total_iters=1))
     assert assoc.bs_of_user[0] == 0
-
-
-def test_alpha_fair_requires_alpha():
-    inst = make_instance([[1.0]], [0.5])
-    spec = BaselineSpec(BaselineKind.ALPHA_FAIR)
-    with pytest.raises(ValueError):
-        run_pricing_baseline(inst, spec, PricingConfig(total_iters=1))
-    with pytest.raises(ValueError):
-        BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=1.0).validate()
 
 
 def test_pricing_baseline_traces_stay_finite():
     rng = np.random.default_rng(5)
     inst = random_instance(rng, 20, 4)
-    for spec in (
-        BaselineSpec(BaselineKind.PF),
-        BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=0.6),
-        BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=1.6),
-        BaselineSpec(BaselineKind.MIN_LATENCY),
-    ):
-        _, _, trace = run_pricing_baseline(inst, spec, PricingConfig(total_iters=300, eta0=0.5))
+    for name in ("pf", "af_low", "af_high", "min_latency"):
+        _, _, trace = run_pricing_baseline(inst, name, PricingConfig(total_iters=300, eta0=0.5))
         assert np.all(np.isfinite(trace.primal))
         assert np.all(np.isfinite(trace.mu))
         assert np.all(trace.mu >= PricingConfig().mu_min)
@@ -116,12 +96,8 @@ def test_final_prices_and_association_continue_the_run_exactly():
     cfg = PricingConfig(total_iters=20, eta0=0.2, eta_schedule="constant")
     half = PricingConfig(total_iters=10, eta0=0.2, eta_schedule="constant")
     runs = {"proposed": lambda c, **kw: solve(inst, c, **kw)}
-    for spec in (
-        BaselineSpec(BaselineKind.PF),
-        BaselineSpec(BaselineKind.ALPHA_FAIR, alpha_fixed=0.6),
-        BaselineSpec(BaselineKind.MIN_LATENCY, delay_argmin=True),
-    ):
-        runs[spec] = lambda c, spec=spec, **kw: run_pricing_baseline(inst, spec, c, **kw)
+    for name in ("pf", "af_low", "min_latency_argmin"):
+        runs[name] = lambda c, name=name, **kw: run_pricing_baseline(inst, name, c, **kw)
     for name, run in runs.items():
         _, _, full = run(cfg)
         _, _, first = run(half)

@@ -190,6 +190,22 @@ def test_load_config_missing_file():
         ex.load_config("/nonexistent/scenario.ini")
 
 
+def test_load_config_rejects_bad_price_bounds_and_iterations(tmp_path):
+    # each line parses but would freeze the prices or fail mid-run
+    path = tmp_path / "bad_pricing.ini"
+    for lines, field_name in (
+        ("mu_min = 5\nmu_max = 1", "mu_min"),
+        ("mu_min = 0", "mu_min"),
+        ("mu_min = -1e-8", "mu_min"),
+        ("total_iters = 0", "total_iters"),
+    ):
+        path.write_text(f"[pricing]\n{lines}\n")
+        with pytest.raises(ValueError, match=field_name):
+            ex.load_config(path)
+    path.write_text("[pricing]\nmu_min = 2\nmu_max = 2\ntotal_iters = 1\n")
+    assert ex.load_config(path).pricing.mu_max == 2.0
+
+
 def test_validate_rejects_bad_ratios_and_methods():
     with pytest.raises(ValueError):
         replace(ex.ScenarioConfig(), alpha_ratios=(0.5, 0.5, 0.5, 0.5)).validate()

@@ -11,7 +11,6 @@ from hafnet.pricing import (
     associate,
     dual_value,
     price_gradient,
-    price_step,
     solve,
     theorem1_check,
     theorem2_bound,
@@ -50,26 +49,29 @@ def test_price_gradient_is_one_minus_load():
     assert g[1] == pytest.approx(1.0, rel=1e-12)  # empty BS: full step up
 
 
-def test_price_step_empty_bs_decays_and_floors():
+def _one_step(inst, x0, mu0, eta):
+    """Prices after one iteration of the loop from (mu0, x0) with step eta."""
+    cfg = PricingConfig(total_iters=1, eta0=eta, eta_schedule="constant")
+    return solve(inst, cfg, mu0=np.array(mu0), x0=np.array(x0))[2].mu_final
+
+
+def test_one_step_empty_bs_decays_and_floors():
     inst = make_instance([[4.0, 1.0]], [0.5])
-    assoc = Association(np.array([0]))
-    cfg = PricingConfig()
-    mu = price_step(inst, assoc, np.array([1.0, 1.0]), 0.1, cfg)
+    mu = _one_step(inst, [0], [1.0, 1.0], 0.1)
     # BS1 empty: mu' = 1 - 0.1*1 = 0.9
-    assert mu.mu[1] == pytest.approx(0.9, rel=1e-12)
+    assert mu[1] == pytest.approx(0.9, rel=1e-12)
     # BS0 overloaded: mu' = 1 - 0.1*(-3) = 1.3
-    assert mu.mu[0] == pytest.approx(1.3, rel=1e-12)
+    assert mu[0] == pytest.approx(1.3, rel=1e-12)
     # floor applies
-    lo = price_step(inst, assoc, np.array([1.0, 1e-8]), 1.0, cfg)
-    assert lo.mu[1] == cfg.mu_min
+    lo = _one_step(inst, [0], [1.0, 1e-8], 1.0)
+    assert lo[1] == PricingConfig().mu_min
 
 
-def test_price_step_fixed_point_at_kkt_price():
+def test_one_step_fixed_point_at_kkt_price():
     # single user gamma=4 alpha=0.5: load(mu)=4 mu^-2 equals 1 at mu=2
     inst = make_instance([[4.0]], [0.5])
-    assoc = Association(np.array([0]))
-    mu = price_step(inst, assoc, np.array([2.0]), 0.5, PricingConfig())
-    assert mu.mu[0] == pytest.approx(2.0, rel=1e-12)
+    mu = _one_step(inst, [0], [2.0], 0.5)
+    assert mu[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_dual_value_single_link():
@@ -266,15 +268,13 @@ def _cold_loop(inst, rule, cfg, mu0=None, x0=None):
 
 
 def _run(name, inst, cfg, mu0=None, x0=None):
-    spec = _PRICING[name]
-    if spec is None:
+    if name == "proposed":
         return solve(inst, cfg, mu0=mu0, x0=x0)
-    return baselines.run_pricing_baseline(inst, spec, cfg, mu0=mu0, x0=x0)
+    return baselines.run_pricing_baseline(inst, name, cfg, mu0=mu0, x0=x0)
 
 
 def _rule(name):
-    spec = _PRICING[name]
-    return PricingRule(associate, price_gradient) if spec is None else baselines._rule(spec)
+    return PricingRule(associate, price_gradient) if name == "proposed" else baselines.RULES[name]
 
 
 def _exactness_cases():
@@ -306,12 +306,12 @@ def test_reuse_matches_the_cold_loop_bit_for_bit(name):
         assert np.array_equal(alloc.y, r_alloc.y)
         assert np.array_equal(alloc.lam, r_alloc.lam, equal_nan=True)
         reused += int(np.count_nonzero(~trace.alloc_solved))
-        if _PRICING[name] is None:
+        if name == "proposed":
             mu_star = mus[int(np.argmin(dual))]
             a_star = associate(inst, mu_star)
             lam = allocate(inst, a_star).lam
             cert = trace.certificate
-            assert np.array_equal(cert.lambda_star.mu, mu_star)
+            assert np.array_equal(cert.lambda_star, mu_star)
             assert np.array_equal(cert.lambda_hat, np.where(np.isfinite(lam), lam, 0.0))
             assert np.array_equal(cert.theorem2_bound, theorem2_bound(inst, a_star, mu_star, lam))
     assert reused > 0  # the cases exercise the reuse path
@@ -334,19 +334,25 @@ _ALPHA_RANGES = tuple(GROUP_INTERVALS.values()) + ((1.0, 1.0), (0.999, 0.999), (
 _MU_MIN, _MU_MAX = PricingConfig().mu_min, PricingConfig().mu_max
 
 
-@st.composite
-def _priced_instances(draw):
+def _edge_instance(I, J, rng):
     """An instance with alphas from every group interval plus 1.0 (built
-    without validation), 0.999 and 1.001, gammas log-uniform down to the
-    1e-6 floor, and prices anywhere in [mu_min, mu_max], often at the ends."""
-    I = draw(st.integers(1, 10))
-    J = draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    without validation), 0.999 and 1.001, and gammas log-uniform down to the
+    1e-6 floor."""
     gamma = 10.0 ** rng.uniform(-6.0, 2.0, size=(I, J))
     group = rng.integers(0, len(_ALPHA_RANGES), size=I)
     lo, hi = np.array(_ALPHA_RANGES).T
     alpha = lo[group] + rng.random(I) * (hi[group] - lo[group])
-    inst = NetworkInstance.from_gamma(gamma, AlphaProfile(alpha=alpha, group=np.minimum(group, 3)))
+    return NetworkInstance.from_gamma(gamma, AlphaProfile(alpha=alpha, group=np.minimum(group, 3)))
+
+
+@st.composite
+def _priced_instances(draw):
+    """An edge instance and prices anywhere in [mu_min, mu_max], often at
+    the ends."""
+    I = draw(st.integers(1, 10))
+    J = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = _edge_instance(I, J, rng)
     price = st.one_of(
         st.sampled_from([_MU_MIN, _MU_MAX]),
         st.floats(np.log10(_MU_MIN), np.log10(_MU_MAX)).map(lambda e: 10.0**e),
@@ -373,3 +379,33 @@ def test_dual_bounds_every_optimally_split_association(case):
             a = Association(rng.integers(0, inst.num_bs, size=inst.num_users))
             p = haf_objective(inst, a, allocate(inst, a))
             assert g >= p - 1e-6 * (1.0 + abs(g))
+
+
+@st.composite
+def _short_runs(draw):
+    """An edge instance and a short cold-start pricing config."""
+    I = draw(st.integers(1, 10))
+    J = draw(st.integers(1, 5))
+    inst = _edge_instance(I, J, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    cfg = PricingConfig(
+        total_iters=draw(st.integers(1, 30)),
+        eta0=draw(st.floats(1e-3, 2.0)),
+        eta_schedule=draw(st.sampled_from(["diminishing", "constant"])),
+    )
+    return inst, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(_short_runs())
+def test_certificate_bound_covers_the_empirical_gap(case):
+    # cold starts only: a warm start whose x0 is not associate(mu0) scores an
+    # association in the certificate that the loop never evaluated. The slack
+    # scales with both values the gap differences: one user at gamma 1.5e-6
+    # and alpha 2.96 has a primal near -1.4e11 and a dual near -1.1e4, and its
+    # bound, equal to the gap in exact arithmetic, rounds 2.4e-4 below it.
+    inst, cfg = case
+    with np.errstate(all="raise"):
+        _, _, trace = solve(inst, cfg)
+    cert = trace.certificate
+    slack = 1e-9 * (1.0 + abs(trace.best_dual) + abs(trace.best_primal))
+    assert cert.empirical_gap <= cert.theorem2_bound + slack

@@ -11,7 +11,6 @@ from .core import (
     NetworkInstance,
     RATE_FLOOR,
     alpha_utility,
-    groupwise_haf,
     haf_objective,
     rates_of,
     utility_vector,
@@ -57,7 +56,7 @@ from .baselines import (
     run_pricing_baseline,
     run_random,
 )
-from .metrics import MetricsReport, report, user_rates
+from .metrics import report, user_rates
 from .experiments import (
     HIGH_RATIOS,
     LOW_RATIOS,

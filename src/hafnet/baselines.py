@@ -53,6 +53,10 @@ class GaParams:
     mutation_prob: float = 0.01
     max_generations: int = 300
 
+    def validate(self) -> None:
+        if not (2 <= self.parents <= self.population):
+            raise ValueError(f"ga parents={self.parents} must lie in [2, population={self.population}]")
+
 
 # 2RS takes a move only when its gain exceeds this share of the utilities it
 # differences: well above their rounding, far below any gain worth a move.
@@ -258,8 +262,7 @@ def run_ga(
     Each generation's fitness is one utility-cache batch.
     """
     params = params or GaParams()
-    if params.parents < 2 or params.parents > params.population:
-        raise ValueError("need 2 <= parents <= population")
+    params.validate()
     rng = np.random.default_rng(seed)
     cache = _UtilityCache(inst, ra_cfg)
     I, J = inst.num_users, inst.num_bs

@@ -15,9 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import baselines, experiments, metrics, pricing
+from . import baselines, experiments, pricing
 from .core import haf_objective
 from .experiments import ScenarioConfig, load_config
 
@@ -88,7 +86,6 @@ def main(argv=None) -> int:
     if args.verb == "converge":
         inst, _, _ = experiments.build_instance(cfg, args.seed, 0)
         _, _, trace = pricing.solve(inst, cfg.pricing, cfg.ra)
-        out.mkdir(parents=True, exist_ok=True)
         path = experiments.emit_convergence_trace(trace, out / "convergence.csv")
         gap = trace.best_dual - trace.best_primal
         print(f"best primal {trace.best_primal:.6g}  best dual {trace.best_dual:.6g}  gap {gap:.3g}")
@@ -109,12 +106,9 @@ def main(argv=None) -> int:
             ok = cert.empirical_gap <= cert.theorem2_bound + 1e-6 and trace.best_dual >= best - 1e-6
             sound += ok
             rows.append([k, primal, best, trace.best_dual, cert.empirical_gap, cert.theorem2_bound, int(ok)])
-        out.mkdir(parents=True, exist_ok=True)
-        experiments._write_csv(out / "oracle.csv",
-                               ["instance", "primal_haf", "brute_force_haf", "best_dual",
-                                "empirical_gap", "theorem2_bound", "certificate_ok"],
-                               rows)
-        experiments._write_manifest(out, ["oracle.csv", "manifest.txt"])
+        header = ["instance", "primal_haf", "brute_force_haf", "best_dual",
+                  "empirical_gap", "theorem2_bound", "certificate_ok"]
+        experiments.write_tables(out, {"oracle.csv": (header, rows)})
         print(f"{sound}/{args.instances} certificates sound; wrote {out / 'oracle.csv'}")
         return 0 if sound == args.instances else 1
 

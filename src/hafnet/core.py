@@ -198,10 +198,3 @@ def haf_objective(inst: NetworkInstance, assoc: Association, alloc: Allocation) 
     rates = rates_of(inst, assoc, alloc)
     return float(np.sum(utility_vector(rates, inst.alphas.alpha)))
 
-
-def groupwise_haf(inst: NetworkInstance, assoc: Association, alloc: Allocation) -> Dict[Group, float]:
-    """Per-group HAF contributions; empty groups report 0. Sums to the total."""
-    rates = rates_of(inst, assoc, alloc)
-    utils = utility_vector(rates, inst.alphas.alpha)
-    g = np.asarray(inst.alphas.group, dtype=int)
-    return {grp: float(np.sum(utils[g == int(grp)])) for grp in Group}

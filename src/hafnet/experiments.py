@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, channel, metrics, pricing, ra
 from .baselines import GaParams
-from .core import AlphaProfile, Association, GROUP_INTERVALS, Group, NetworkInstance, haf_objective
+from .core import Allocation, AlphaProfile, Association, GROUP_INTERVALS, Group, NetworkInstance, haf_objective
 from .pricing import PricingConfig
 from .ra import LambdaSearchConfig
 
@@ -48,6 +48,8 @@ class TimeVaryingConfig:
             raise ValueError("rho must lie in (0, 1]")
         if self.num_slots < 1 or self.iters_per_slot < 1:
             raise ValueError("num_slots and iters_per_slot must be >= 1")
+        if self.eta0 <= 0.0:
+            raise ValueError(f"timevary eta0={self.eta0} must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,12 @@ class ScenarioConfig:
             raise ValueError(f"unknown eta_schedule {p.eta_schedule!r}")
         if p.total_iters < 1:
             raise ValueError(f"pricing total_iters={p.total_iters} must be >= 1")
+        if p.eta0 <= 0.0:
+            raise ValueError(f"pricing eta0={p.eta0} must be positive")
         if not (0.0 < p.mu_min <= p.mu_max):
             raise ValueError(f"pricing mu_min={p.mu_min} must be positive and at most mu_max={p.mu_max}")
         self.timevary.validate()
+        self.ga.validate()
         if self.force:
             return
         # deployment fields are pinned to the reference ranges unless forced
@@ -193,26 +198,17 @@ def _run_pricing(
     return baselines.run_pricing_baseline(inst, name, cfg, ra_cfg, mu0=mu0, x0=x0)
 
 
-@dataclass
-class MethodResult:
-    name: str
-    assoc: Association
-    alloc: object
-    trace: Optional[pricing.RunTrace] = None
-
-
 def run_method(
     name: str,
     inst: NetworkInstance,
     cfg: ScenarioConfig,
     master_seed: int,
     seed_index: int,
-) -> MethodResult:
-    """Dispatch one method on one instance."""
-    trace = None
+) -> Tuple[Association, Allocation, Optional[pricing.RunTrace]]:
+    """Dispatch one method on one instance; only pricing methods return a trace."""
     if name in _PRICING:
-        assoc, alloc, trace = _run_pricing(name, inst, cfg.pricing, cfg.ra)
-    elif name == "max_sinr":
+        return _run_pricing(name, inst, cfg.pricing, cfg.ra)
+    if name == "max_sinr":
         assoc, alloc = baselines.run_max_sinr(inst, cfg.ra)
     elif name == "random":
         assoc, alloc = baselines.run_random(inst, child_seed(master_seed, seed_index, _PURPOSE_RANDOM), cfg.ra)
@@ -227,26 +223,23 @@ def run_method(
         assoc, alloc, _ = baselines.brute_force(inst, cfg.ra)
     else:
         raise ValueError(f"unknown method {name!r}")
-    return MethodResult(name, assoc, alloc, trace)
+    return assoc, alloc, None
 
 
 # ------------------------------------------------------------------- CSVs ---
+# Every metric column comes from metrics.COLUMNS; these tables only add keys,
+# certificate columns and the statistics taken over seeds.
 
-_GROUPS = tuple(g.name.lower() for g in Group)
+#: The headline metric, whose spread the summary and the sweep also report.
+_HAF = metrics.METRICS[0]
+#: The pricing methods' certificate columns; blank for the other methods.
+_CERT_COLUMNS = ["best_dual", "empirical_gap", "theorem2_bound"]
+#: Per-seed columns the summary reports by their mean only.
+_MEAN_ONLY = [f"{_HAF}_{g}" for g in metrics.GROUPS] + _CERT_COLUMNS
 
-PER_SEED_COLUMNS = (
-    ["seed", "method", "haf"]
-    + [f"haf_{g}" for g in _GROUPS]
-    + ["sum_rate"]
-    + [f"sum_rate_{g}" for g in _GROUPS]
-    + ["pf"]
-    + [f"pf_{g}" for g in _GROUPS]
-    + ["latency"]
-    + [f"latency_{g}" for g in _GROUPS]
-    + ["min_rate"]
-    + [f"min_rate_{g}" for g in _GROUPS]
-    + ["best_dual", "empirical_gap", "theorem2_bound"]
-)
+PER_SEED_COLUMNS = ["seed", "method", *metrics.COLUMNS, *_CERT_COLUMNS]
+SUMMARY_COLUMNS = ["method", "n_seeds", f"{_HAF}_mean", f"{_HAF}_std"] + [f"{c}_mean" for c in _MEAN_ONLY]
+GROUP_METRIC_COLUMNS = ["method", "group", "metric", "mean", "std", "n_seeds"]
 
 
 def _fmt(x) -> str:
@@ -260,56 +253,36 @@ def _fmt(x) -> str:
     return f"{x:.9g}"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_manifest(out: Path, names: List[str]) -> Path:
-    path = out / "manifest.txt"
-    with open(path, "w") as fh:
-        for name in sorted(names):
-            fh.write(name + "\n")
-    return path
-
-
-def _seed_row(seed_index: int, res: MethodResult, rep: metrics.MetricsReport) -> dict:
-    row = {
-        "seed": seed_index,
-        "method": res.name,
-        "haf": rep.haf_total,
-        "sum_rate": rep.sum_rate,
-        "pf": rep.pf,
-        "latency": rep.avg_latency,
-        "min_rate": rep.min_rate,
-    }
-    for g in Group:
-        key = g.name.lower()
-        row[f"haf_{key}"] = rep.haf_by_group[g]
-        row[f"sum_rate_{key}"] = rep.sum_rate_by_group[g]
-        row[f"pf_{key}"] = rep.pf_by_group[g]
-        row[f"latency_{key}"] = rep.avg_latency_by_group[g]
-        row[f"min_rate_{key}"] = rep.min_rate_by_group[g]
-    if res.trace is not None:
-        row["best_dual"] = res.trace.best_dual
-        row["empirical_gap"] = res.trace.best_dual - res.trace.best_primal
-    else:
-        row["best_dual"] = ""
-        row["empirical_gap"] = ""
-    cert = res.trace.certificate if res.trace is not None else None
-    row["theorem2_bound"] = cert.theorem2_bound if cert is not None else ""
-    return row
+def write_tables(out, tables: Dict[str, Tuple[Sequence[str], Iterable]]) -> List[Path]:
+    """Write each named CSV under out, then a manifest.txt naming exactly the
+    files written; returns the CSV paths. A row is a sequence in header order
+    or a dict keyed by the header."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        with open(out / name, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                values = [row[c] for c in header] if isinstance(row, dict) else row
+                fh.write(",".join(_fmt(v) for v in values) + "\n")
+    (out / "manifest.txt").write_text("".join(n + "\n" for n in sorted([*tables, "manifest.txt"])))
+    return [out / name for name in tables]
 
 
 def _run_one_seed(cfg: ScenarioConfig, master_seed: int, seed_index: int) -> List[dict]:
     inst, _, _ = build_instance(cfg, master_seed, seed_index)
     rows = []
     for name in cfg.methods:
-        res = run_method(name, inst, cfg, master_seed, seed_index)
-        rep = metrics.report(inst, res.assoc, res.alloc)
-        rows.append(_seed_row(seed_index, res, rep))
+        assoc, alloc, trace = run_method(name, inst, cfg, master_seed, seed_index)
+        cert = trace.certificate if trace is not None else None
+        rows.append({
+            "seed": seed_index,
+            "method": name,
+            **metrics.report(inst, assoc, alloc),
+            "best_dual": trace.best_dual if trace is not None else "",
+            "empirical_gap": trace.best_dual - trace.best_primal if trace is not None else "",
+            "theorem2_bound": cert.theorem2_bound if cert is not None else "",
+        })
     return rows
 
 
@@ -327,9 +300,12 @@ def _collect_rows(cfg: ScenarioConfig, master_seed: int, threads: int) -> List[d
     return [row for chunk in chunks for row in chunk]
 
 
-def _mean_or_blank(values: List) -> object:
-    vals = [v for v in values if v != ""]
-    return float(np.mean(vals)) if vals else ""
+def _stats(rows: List[dict], method: str, col: str) -> Tuple[int, object, float]:
+    """Over method's rows that define col: their count, the mean ("" if none)
+    and the sample std (0 below two rows)."""
+    vals = [r[col] for r in rows if r["method"] == method and r[col] != ""]
+    mean = float(np.mean(vals)) if vals else ""
+    return len(vals), mean, float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
 
 
 def summarize(rows: List[dict], methods: Sequence[str]) -> List[dict]:
@@ -337,42 +313,22 @@ def summarize(rows: List[dict], methods: Sequence[str]) -> List[dict]:
     certificate column means where defined."""
     out = []
     for name in methods:
-        sel = [r for r in rows if r["method"] == name]
-        hafs = np.array([r["haf"] for r in sel])
-        summary = {
-            "method": name,
-            "n_seeds": len(sel),
-            "haf_mean": float(np.mean(hafs)),
-            "haf_std": float(np.std(hafs, ddof=1)) if len(sel) > 1 else 0.0,
-        }
-        for g in _GROUPS:
-            summary[f"haf_{g}_mean"] = float(np.mean([r[f"haf_{g}"] for r in sel]))
-        summary["best_dual_mean"] = _mean_or_blank([r["best_dual"] for r in sel])
-        summary["empirical_gap_mean"] = _mean_or_blank([r["empirical_gap"] for r in sel])
-        summary["theorem2_bound_mean"] = _mean_or_blank([r["theorem2_bound"] for r in sel])
+        n, mean, std = _stats(rows, name, _HAF)
+        summary = {"method": name, "n_seeds": n, f"{_HAF}_mean": mean, f"{_HAF}_std": std}
+        summary.update((f"{c}_mean", _stats(rows, name, c)[1]) for c in _MEAN_ONLY)
         out.append(summary)
     return out
 
 
-SUMMARY_COLUMNS = (
-    ["method", "n_seeds", "haf_mean", "haf_std"]
-    + [f"haf_{g}_mean" for g in _GROUPS]
-    + ["best_dual_mean", "empirical_gap_mean", "theorem2_bound_mean"]
-)
-
-GROUP_METRIC_COLUMNS = ["method", "group", "metric", "mean", "std", "n_seeds"]
-
-
 def group_metric_rows(rows: List[dict], methods: Sequence[str]) -> List[list]:
-    """Long-form per-group table over sum rate, PF, latency and min rate."""
+    """Long-form per-group table over every metric after HAF, whose group
+    means the summary holds."""
     out = []
     for name in methods:
-        sel = [r for r in rows if r["method"] == name]
-        for g in _GROUPS:
-            for metric_name in ("sum_rate", "pf", "latency", "min_rate"):
-                vals = np.array([r[f"{metric_name}_{g}"] for r in sel])
-                std = float(np.std(vals, ddof=1)) if len(sel) > 1 else 0.0
-                out.append([name, g.upper(), metric_name, float(np.mean(vals)), std, len(sel)])
+        for g in metrics.GROUPS:
+            for metric_name in metrics.METRICS[1:]:
+                n, mean, std = _stats(rows, name, f"{metric_name}_{g}")
+                out.append([name, g.upper(), metric_name, mean, std, n])
     return out
 
 
@@ -390,23 +346,16 @@ def run_static_experiment(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    probe = out / "manifest.txt"
-    probe.touch()  # surface I/O errors before the compute starts
+    (out / "manifest.txt").touch()  # surface I/O errors before the compute starts
 
     rows = _collect_rows(cfg, master_seed, threads)
-    per_seed_path = out / "static_per_seed.csv"
-    _write_csv(per_seed_path, PER_SEED_COLUMNS, ([r[c] for c in PER_SEED_COLUMNS] for r in rows))
-
     summary = summarize(rows, cfg.methods)
-    summary_path = out / "static_summary.csv"
-    _write_csv(summary_path, SUMMARY_COLUMNS, ([s[c] for c in SUMMARY_COLUMNS] for s in summary))
-
-    group_path = out / "static_group_metrics.csv"
-    _write_csv(group_path, GROUP_METRIC_COLUMNS, group_metric_rows(rows, cfg.methods))
-
-    names = [per_seed_path.name, summary_path.name, group_path.name]
-    _write_manifest(out, names + ["manifest.txt"])
-    return {"rows": rows, "summary": summary, "files": [out / n for n in names]}
+    files = write_tables(out, {
+        "static_per_seed.csv": (PER_SEED_COLUMNS, rows),
+        "static_summary.csv": (SUMMARY_COLUMNS, summary),
+        "static_group_metrics.csv": (GROUP_METRIC_COLUMNS, group_metric_rows(rows, cfg.methods)),
+    })
+    return {"rows": rows, "summary": summary, "files": files}
 
 
 def run_user_sweep(
@@ -425,14 +374,10 @@ def run_user_sweep(
         cfg_i = replace(cfg, num_users=int(count))
         rows = _collect_rows(cfg_i, master_seed, threads)
         for name in cfg.methods:
-            hafs = np.array([r["haf"] for r in rows if r["method"] == name])
-            std = float(np.std(hafs, ddof=1)) if hafs.size > 1 else 0.0
-            ci = 1.96 * std / math.sqrt(hafs.size) if hafs.size else 0.0
-            sweep_rows.append([int(count), name, hafs.size, float(np.mean(hafs)), ci])
-    path = out / "sweep.csv"
-    _write_csv(path, ["users", "method", "n_seeds", "haf_mean", "haf_ci95"], sweep_rows)
-    _write_manifest(out, [path.name, "manifest.txt"])
-    return {"rows": sweep_rows, "files": [path]}
+            n, mean, std = _stats(rows, name, _HAF)
+            sweep_rows.append([int(count), name, n, mean, 1.96 * std / math.sqrt(n) if n else 0.0])
+    header = ["users", "method", "n_seeds", f"{_HAF}_mean", f"{_HAF}_ci95"]
+    return {"rows": sweep_rows, "files": write_tables(out, {"sweep.csv": (header, sweep_rows)})}
 
 
 _TV_METHODS = ("proposed", "frozen", "two_rs")
@@ -500,22 +445,19 @@ def run_time_varying(
                     )
                 rows.append([s, slot, m, haf_objective(inst, assoc, alloc)])
 
-    path = out / "timevary.csv"
-    _write_csv(path, ["seed", "slot", "method", "haf"], rows)
-    _write_manifest(out, [path.name, "manifest.txt"])
-    return {"rows": rows, "files": [path]}
+    files = write_tables(out, {"timevary.csv": (["seed", "slot", "method", _HAF], rows)})
+    return {"rows": rows, "files": files}
 
 
 def emit_convergence_trace(trace: pricing.RunTrace, path) -> Path:
-    """Write one run's (iteration, primal, dual, gap) rows; header-only when
-    the trace is empty."""
+    """Write one run's (iteration, primal, dual, gap) rows, header-only when
+    the trace is empty, and a manifest.txt beside them."""
     path = Path(path)
     rows = (
         [t + 1, trace.primal[t], trace.dual[t], trace.dual[t] - trace.primal[t]]
         for t in range(len(trace))
     )
-    _write_csv(path, ["iter", "primal_haf", "dual_value", "gap"], rows)
-    return path
+    return write_tables(path.parent, {path.name: (["iter", "primal_haf", "dual_value", "gap"], rows)})[0]
 
 
 def bootstrap_mean_lower(

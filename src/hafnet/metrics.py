@@ -1,43 +1,23 @@
-"""Rate-level quality metrics, reported overall and per priority group."""
+"""Rate-level quality metrics, reported overall and per priority group.
+
+This module is the one place that names the reported metrics and their
+columns; the experiment tables derive their headers from it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
-from .core import (
-    RATE_FLOOR,
-    Allocation,
-    Association,
-    Group,
-    NetworkInstance,
-    groupwise_haf,
-    haf_objective,
-    rates_of,
-)
+from .core import RATE_FLOOR, Allocation, Association, Group, NetworkInstance, rates_of, utility_vector
 
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Snapshot of one decision's quality.
-
-    Rates are normalized (bit/s/Hz share) except sum_rate*, which are in
-    bit/s using the instance bandwidth. Groups with no users report 0.
-    """
-
-    haf_total: float
-    haf_by_group: Dict[Group, float]
-    sum_rate: float
-    sum_rate_by_group: Dict[Group, float]
-    pf: float
-    pf_by_group: Dict[Group, float]
-    avg_latency: float
-    avg_latency_by_group: Dict[Group, float]
-    min_rate: float
-    min_rate_by_group: Dict[Group, float]
-    per_user_rates: np.ndarray
+#: The reported metrics, in column order.
+METRICS = ("haf", "sum_rate", "pf", "latency", "min_rate")
+#: Priority-group suffixes of the per-group columns.
+GROUPS = tuple(g.name.lower() for g in Group)
+#: Every metric's overall column followed by its per-group columns.
+COLUMNS = tuple(col for m in METRICS for col in (m, *(f"{m}_{g}" for g in GROUPS)))
 
 
 def user_rates(
@@ -48,30 +28,31 @@ def user_rates(
     return r * inst.bandwidth_hz if absolute else r
 
 
-def report(inst: NetworkInstance, assoc: Association, alloc: Allocation) -> MetricsReport:
-    """Pure summary of the decision; identical inputs give identical bytes."""
+def report(inst: NetworkInstance, assoc: Association, alloc: Allocation) -> Dict[str, float]:
+    """One decision's quality keyed by COLUMNS; identical inputs give
+    identical bytes.
+
+    Rates are normalized (bit/s/Hz share) except sum_rate*, which are in
+    bit/s using the instance bandwidth. PF and latency use the rate floor;
+    min rate does not. Groups with no users report 0.
+    """
     r = rates_of(inst, assoc, alloc)
     floored = np.maximum(r, RATE_FLOOR)
-    g = np.asarray(inst.alphas.group, dtype=int)
     w = inst.bandwidth_hz
-
-    def by_group(values: np.ndarray, reducer) -> Dict[Group, float]:
-        out = {}
-        for grp in Group:
+    # per metric: the per-user values and how a set of users reduces them
+    per_user = {
+        "haf": (utility_vector(r, inst.alphas.alpha), np.sum),
+        "sum_rate": (r, lambda v: np.sum(v) * w),
+        "pf": (np.log(floored), np.sum),
+        "latency": (1.0 / floored, np.mean),
+        "min_rate": (r, np.min),
+    }
+    g = np.asarray(inst.alphas.group, dtype=int)
+    out = {}
+    for name in METRICS:
+        values, reduce = per_user[name]
+        out[name] = float(reduce(values))
+        for grp, suffix in zip(Group, GROUPS):
             sel = values[g == int(grp)]
-            out[grp] = float(reducer(sel)) if sel.size else 0.0
-        return out
-
-    return MetricsReport(
-        haf_total=haf_objective(inst, assoc, alloc),
-        haf_by_group=groupwise_haf(inst, assoc, alloc),
-        sum_rate=float(np.sum(r) * w),
-        sum_rate_by_group=by_group(r, lambda v: np.sum(v) * w),
-        pf=float(np.sum(np.log(floored))),
-        pf_by_group=by_group(np.log(floored), np.sum),
-        avg_latency=float(np.mean(1.0 / floored)),
-        avg_latency_by_group=by_group(1.0 / floored, np.mean),
-        min_rate=float(np.min(r)),
-        min_rate_by_group=by_group(r, np.min),
-        per_user_rates=r,
-    )
+            out[f"{name}_{suffix}"] = float(reduce(sel)) if sel.size else 0.0
+    return out

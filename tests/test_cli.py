@@ -34,3 +34,11 @@ def test_unknown_method_still_raises(small_ini, tmp_path):
         cli.main(["timevary", "--config", str(small_ini), "--methods", "proposed,bogus", "--out", out])
     with pytest.raises(ValueError, match="frozen"):
         cli.main(["static", "--config", str(small_ini), "--methods", "proposed,frozen", "--out", out])
+
+
+def test_converge_writes_a_manifest(small_ini, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(small_ini), "--out", str(out)]) == 0
+    assert (out / "manifest.txt").read_text() == "convergence.csv\nmanifest.txt\n"
+    with open(out / "convergence.csv") as f:
+        assert len(list(csv.DictReader(f))) == 500

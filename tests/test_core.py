@@ -7,10 +7,8 @@ from hafnet.core import (
     AlphaProfile,
     Allocation,
     Association,
-    Group,
     RATE_FLOOR,
     alpha_utility,
-    groupwise_haf,
     haf_objective,
     rates_of,
     utility_vector,
@@ -97,19 +95,6 @@ def test_rates_of_gathers_associated_entries():
     y = np.array([[0.0, 0.5], [0.25, 0.0]])
     r = rates_of(inst, assoc, Allocation(y=y, lam=np.array([1.0, 1.0])))
     assert r == pytest.approx([0.5, 0.25])
-
-
-def test_groupwise_haf_adds_up():
-    rng = np.random.default_rng(3)
-    from conftest import random_instance
-
-    inst = random_instance(rng, 12, 3)
-    assoc = Association(rng.integers(0, 3, size=12))
-    y = rng.uniform(0.01, 0.1, size=(12, 3))
-    alloc = Allocation(y=y, lam=np.full(3, np.nan))
-    parts = groupwise_haf(inst, assoc, alloc)
-    assert sum(parts.values()) == pytest.approx(haf_objective(inst, assoc, alloc), rel=1e-10)
-    assert set(parts) == set(Group)
 
 
 def test_gamma_hat_definition():

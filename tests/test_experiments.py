@@ -206,6 +206,25 @@ def test_load_config_rejects_bad_price_bounds_and_iterations(tmp_path):
     assert ex.load_config(path).pricing.mu_max == 2.0
 
 
+def test_load_config_rejects_nonpositive_steps_and_bad_ga_parents(tmp_path):
+    # each parses, but a non-positive step never descends and run_ga would
+    # reject the parents only after the other methods have run
+    path = tmp_path / "bad.ini"
+    for section, lines, field_name in (
+        ("pricing", "eta0 = 0", "eta0"),
+        ("pricing", "eta0 = -0.5", "eta0"),
+        ("timevary", "eta0 = 0", "eta0"),
+        ("timevary", "eta0 = -1e-3", "eta0"),
+        ("ga", "parents = 1", "parents"),
+        ("ga", "population = 4\nparents = 6", "parents"),
+    ):
+        path.write_text(f"[{section}]\n{lines}\n")
+        with pytest.raises(ValueError, match=field_name):
+            ex.load_config(path)
+    path.write_text("[ga]\npopulation = 2\nparents = 2\n")
+    assert ex.load_config(path).ga.parents == 2
+
+
 def test_validate_rejects_bad_ratios_and_methods():
     with pytest.raises(ValueError):
         replace(ex.ScenarioConfig(), alpha_ratios=(0.5, 0.5, 0.5, 0.5)).validate()
@@ -238,6 +257,28 @@ def test_static_experiment_rows_and_files(tmp_path):
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "static_per_seed.csv" in manifest
     assert "static_summary.csv" in manifest
+
+
+def test_static_headers_are_pinned(tmp_path):
+    ex.run_static_experiment(SMALL, tmp_path, master_seed=0)
+    expected = {
+        "static_per_seed.csv": "seed,method,haf,haf_a1,haf_a2,haf_a3,haf_a4,"
+        "sum_rate,sum_rate_a1,sum_rate_a2,sum_rate_a3,sum_rate_a4,pf,pf_a1,pf_a2,pf_a3,pf_a4,"
+        "latency,latency_a1,latency_a2,latency_a3,latency_a4,"
+        "min_rate,min_rate_a1,min_rate_a2,min_rate_a3,min_rate_a4,best_dual,empirical_gap,theorem2_bound",
+        "static_summary.csv": "method,n_seeds,haf_mean,haf_std,haf_a1_mean,haf_a2_mean,haf_a3_mean,"
+        "haf_a4_mean,best_dual_mean,empirical_gap_mean,theorem2_bound_mean",
+        "static_group_metrics.csv": "method,group,metric,mean,std,n_seeds",
+    }
+    for name, header in expected.items():
+        assert (tmp_path / name).read_text().splitlines()[0] == header
+
+
+def test_static_experiment_process_pool_matches_serial(tmp_path):
+    ex.run_static_experiment(SMALL, tmp_path / "serial", master_seed=4, threads=1)
+    ex.run_static_experiment(SMALL, tmp_path / "pool", master_seed=4, threads=2)
+    for name in ("static_per_seed.csv", "static_summary.csv", "static_group_metrics.csv", "manifest.txt"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_static_experiment_deterministic(tmp_path):

@@ -53,8 +53,8 @@ class GaParams:
     mutation_prob: float = 0.01
     max_generations: int = 300
 
-    def validate(self) -> None:
-        if not (2 <= self.parents <= self.population):
+    def __post_init__(self) -> None:
+        if not 2 <= self.parents <= self.population:
             raise ValueError(f"ga parents={self.parents} must lie in [2, population={self.population}]")
 
 
@@ -262,7 +262,6 @@ def run_ga(
     Each generation's fitness is one utility-cache batch.
     """
     params = params or GaParams()
-    params.validate()
     rng = np.random.default_rng(seed)
     cache = _UtilityCache(inst, ra_cfg)
     I, J = inst.num_users, inst.num_bs

@@ -77,8 +77,6 @@ def generate_topology(cfg: "ScenarioConfig", seed: int) -> Topology:
     """
     rng = np.random.default_rng(seed)
     J, I = cfg.num_bs, cfg.num_users
-    if J < 1 or I < 1:
-        raise ValueError("need at least one BS and one user")
     size = float(cfg.cell_size_m)
 
     n_macro = math.ceil(0.1 * J)

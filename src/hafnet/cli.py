@@ -39,7 +39,6 @@ def _load(args) -> ScenarioConfig:
     # timevary has its own method list, which run_time_varying validates
     if args.methods and args.verb != "timevary":
         cfg = replace(cfg, methods=_methods(args))
-    cfg.validate()
     return cfg
 
 

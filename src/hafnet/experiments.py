@@ -43,13 +43,13 @@ class TimeVaryingConfig:
     iters_per_slot: int = 10
     eta0: float = 0.05  # constant step while tracking
 
-    def validate(self) -> None:
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError("rho must lie in (0, 1]")
+    def __post_init__(self) -> None:
+        if not 0.0 < self.rho <= 1.0:
+            raise ValueError(f"timevary rho={self.rho} must lie in (0, 1]")
         if self.num_slots < 1 or self.iters_per_slot < 1:
-            raise ValueError("num_slots and iters_per_slot must be >= 1")
-        if self.eta0 <= 0.0:
-            raise ValueError(f"timevary eta0={self.eta0} must be positive")
+            raise ValueError("timevary num_slots and iters_per_slot must be >= 1")
+        if not 0.0 < self.eta0 < math.inf:
+            raise ValueError(f"timevary eta0={self.eta0} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -81,32 +81,22 @@ class ScenarioConfig:
     timevary: TimeVaryingConfig = field(default_factory=TimeVaryingConfig)
     ga: GaParams = field(default_factory=GaParams)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         """Reject inconsistent mixes; range-check deployment fields unless forced."""
         if len(self.alpha_ratios) != 4:
             raise ValueError("alpha_ratios needs one entry per group")
-        if abs(sum(self.alpha_ratios) - 1.0) > 1e-9:
-            raise ValueError("alpha_ratios must sum to 1")
-        if any(r < 0 for r in self.alpha_ratios):
+        if not all(r >= 0.0 for r in self.alpha_ratios):
             raise ValueError("alpha_ratios must be non-negative")
-        if self.num_seeds < 1:
-            raise ValueError("num_seeds must be >= 1")
-        if not self.methods:
-            raise ValueError("methods must name at least one method")
-        for m in self.methods:
-            if m not in available_methods():
-                raise ValueError(f"unknown method {m!r}")
-        p = self.pricing
-        if p.eta_schedule not in ("diminishing", "constant"):
-            raise ValueError(f"unknown eta_schedule {p.eta_schedule!r}")
-        if p.total_iters < 1:
-            raise ValueError(f"pricing total_iters={p.total_iters} must be >= 1")
-        if p.eta0 <= 0.0:
-            raise ValueError(f"pricing eta0={p.eta0} must be positive")
-        if not (0.0 < p.mu_min <= p.mu_max):
-            raise ValueError(f"pricing mu_min={p.mu_min} must be positive and at most mu_max={p.mu_max}")
-        self.timevary.validate()
-        self.ga.validate()
+        if not abs(sum(self.alpha_ratios) - 1.0) <= 1e-9:
+            raise ValueError("alpha_ratios must sum to 1")
+        if min(self.num_seeds, self.num_bs, self.num_users) < 1:
+            raise ValueError("num_seeds, num_bs and num_users must each be >= 1")
+        _check_methods(self.methods, available_methods())
+        if self.num_bs > 1 and not self.cluster_centers:  # ceil(J/10) < J macros once J > 1: small cells exist
+            raise ValueError("cluster_centers must name a center for the small cells")
         if self.force:
             return
         # deployment fields are pinned to the reference ranges unless forced
@@ -147,8 +137,6 @@ def sample_alphas(cfg: ScenarioConfig, seed: int) -> AlphaProfile:
     uniformly inside the group interval. Deterministic given (cfg, seed)."""
     rng = np.random.default_rng(seed)
     p = np.asarray(cfg.alpha_ratios, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("alpha_ratios must sum to 1")
     groups = rng.choice(4, size=cfg.num_users, p=p)
     lo = np.array([GROUP_INTERVALS[Group(k)][0] for k in range(4)])
     hi = np.array([GROUP_INTERVALS[Group(k)][1] for k in range(4)])
@@ -183,6 +171,17 @@ _PRICING = ("proposed",) + tuple(baselines.RULES)
 
 def available_methods() -> Tuple[str, ...]:
     return _PRICING + ("max_sinr", "random", "two_rs", "ga", "brute_force")
+
+
+def _check_methods(methods: Sequence[str], allowed: Sequence[str]) -> None:
+    """Reject an empty method list, a name outside allowed and a repeated name."""
+    if not methods:
+        raise ValueError("methods must name at least one method")
+    for k, m in enumerate(methods):
+        if m not in allowed:
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(allowed)}")
+        if m in methods[:k]:
+            raise ValueError(f"method {m!r} is named twice")
 
 
 def _run_pricing(
@@ -399,11 +398,8 @@ def run_time_varying(
     end-of-slot association.
     """
     tv = cfg.timevary
-    tv.validate()
     methods = tuple(methods) if methods is not None else _TV_METHODS
-    for m in methods:
-        if m not in _TV_METHODS + _PRICING + ("max_sinr", "random"):
-            raise ValueError(f"method {m!r} not supported in time-varying mode")
+    _check_methods(methods, _TV_METHODS + _PRICING + ("max_sinr", "random"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -543,6 +539,4 @@ def load_config(path) -> ScenarioConfig:
             except ValueError:
                 raise ValueError(f"malformed config value [{section}] {key} = {raw!r}") from None
         values[section] = replace(template, **vals)
-    cfg = replace(values.pop("scenario"), **values)
-    cfg.validate()
-    return cfg
+    return replace(values.pop("scenario"), **values)

@@ -44,12 +44,20 @@ class PricingConfig:
     mu_min: float = 1e-8
     mu_max: float = 1e12
 
+    def __post_init__(self) -> None:
+        if self.eta_schedule not in ("diminishing", "constant"):
+            raise ValueError(f"unknown eta_schedule {self.eta_schedule!r}")
+        if self.total_iters < 1:
+            raise ValueError(f"pricing total_iters={self.total_iters} must be >= 1")
+        if not 0.0 < self.eta0 < math.inf:
+            raise ValueError(f"pricing eta0={self.eta0} must be positive and finite")
+        if not (0.0 < self.mu_min <= self.mu_max < math.inf and 0.0 < self.mu_init < math.inf):
+            raise ValueError(f"pricing needs 0 < mu_min <= mu_max < inf and 0 < mu_init < inf: {self}")
+
     def eta_at(self, t: int) -> float:
         if self.eta_schedule == "constant":
             return self.eta0
-        if self.eta_schedule == "diminishing":
-            return self.eta0 / math.sqrt(t)
-        raise ValueError(f"unknown eta schedule {self.eta_schedule!r}")
+        return self.eta0 / math.sqrt(t)
 
 
 @dataclass(frozen=True)
@@ -248,8 +256,6 @@ def iterate(
     """
     cfg = cfg or PricingConfig()
     T = int(cfg.total_iters)
-    if T < 1:
-        raise ValueError("total_iters must be >= 1")
     J = inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)

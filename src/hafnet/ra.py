@@ -35,6 +35,10 @@ class LambdaSearchConfig:
     # Newton: tolerance on log(lam); bisection: relative bracket width.
     bisect_tol: float = 1e-10
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.bisect_tol < np.inf:
+            raise ValueError(f"ra bisect_tol={self.bisect_tol} must be non-negative and finite")
+
 
 class EmptyBSError(ValueError):
     """Raised when a multiplier is requested for a BS with no users."""
@@ -44,7 +48,7 @@ _DEFAULT = LambdaSearchConfig()
 
 
 def _bs_terms(inst: NetworkInstance, assoc: Association, j: int) -> Tuple[List[float], List[float]]:
-    """Python-float gains and exponents of BS j's users (hot-path friendly)."""
+    """Python-float gains and exponents of BS j's users, for the scalar references."""
     users = np.flatnonzero(np.asarray(assoc.bs_of_user) == j)
     if users.size == 0:
         raise EmptyBSError(f"BS {j} has no associated users")

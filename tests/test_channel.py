@@ -33,7 +33,7 @@ def test_topology_shapes_and_power_tiers():
 def test_indoor_prob_zero_and_one():
     from dataclasses import replace
 
-    topo0 = ch.generate_topology(replace(CFG, indoor_prob=0.0), 5)
+    topo0 = ch.generate_topology(replace(CFG, indoor_prob=0.0, force=True), 5)
     assert not topo0.indoor.any()
     topo1 = ch.generate_topology(replace(CFG, indoor_prob=1.0, force=True), 5)
     assert topo1.indoor.all()

@@ -238,6 +238,58 @@ def test_validate_rejects_bad_ratios_and_methods():
     replace(ex.ScenarioConfig(), num_users=900, force=True).validate()
 
 
+@pytest.mark.parametrize(
+    "section, line, field_name",
+    [
+        ("scenario", "cluster_centers = ", "cluster_centers"),  # else ZeroDivisionError in generate_topology
+        ("pricing", "eta0 = nan", "eta0"),  # else the whole run, then a refused non-finite CSV value
+        ("pricing", "mu_init = nan", "mu_init"),  # else best_dual = nan
+        ("pricing", "mu_init = 0", "mu_init"),
+        ("ra", "bisect_tol = nan", "bisect_tol"),  # else ArithmeticError at the first allocation
+    ],
+)
+def test_load_config_rejects_values_that_would_fail_late(tmp_path, section, line, field_name):
+    path = tmp_path / "late.ini"
+    path.write_text(f"[{section}]\n{line}\n")
+    with pytest.raises(ValueError, match=field_name):
+        ex.load_config(path)
+
+
+@pytest.mark.parametrize(
+    "build, field_name",
+    [
+        (lambda: PricingConfig(mu_min=5, mu_max=1), "mu_min"),
+        (lambda: PricingConfig(eta0=-0.5), "eta0"),
+        (lambda: PricingConfig(mu_init=float("nan")), "mu_init"),
+        (lambda: ex.TimeVaryingConfig(rho=0), "rho"),
+        (lambda: GaParams(parents=1), "parents"),
+        (lambda: LambdaSearchConfig(bisect_tol=float("nan")), "bisect_tol"),
+        (lambda: replace(ex.ScenarioConfig(), num_users=500), "num_users"),
+    ],
+    ids=["mu_min>mu_max", "eta0<0", "mu_init=nan", "rho=0", "parents=1", "bisect_tol=nan", "num_users=500"],
+)
+def test_configs_check_their_fields_when_built(build, field_name):
+    # the library path: no load_config, no explicit validate()
+    with pytest.raises(ValueError, match=field_name):
+        build()
+
+
+def test_user_sweep_checks_each_user_count(tmp_path):
+    cfg = ex.ScenarioConfig(num_seeds=1, methods=("max_sinr",))
+    with pytest.raises(ValueError, match="num_users"):
+        ex.run_user_sweep(cfg, [500], tmp_path)
+
+
+def test_duplicate_method_names_are_rejected(tmp_path):
+    # a repeated name would get two summary rows over the pooled seeds, or in
+    # time-varying mode two entries sharing one warm-start state
+    with pytest.raises(ValueError, match="'max_sinr' is named twice"):
+        replace(SMALL, methods=("max_sinr", "max_sinr"))
+    cfg = replace(SMALL, num_seeds=1, timevary=ex.TimeVaryingConfig(num_slots=2, iters_per_slot=2))
+    with pytest.raises(ValueError, match="'proposed' is named twice"):
+        ex.run_time_varying(cfg, tmp_path, methods=("proposed", "frozen", "proposed"))
+
+
 def test_static_experiment_rows_and_files(tmp_path):
     out = tmp_path / "static"
     res = ex.run_static_experiment(SMALL, out, master_seed=0)

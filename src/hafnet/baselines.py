@@ -56,6 +56,10 @@ class GaParams:
     def __post_init__(self) -> None:
         if not 2 <= self.parents <= self.population:
             raise ValueError(f"ga parents={self.parents} must lie in [2, population={self.population}]")
+        if not 0.0 <= self.mutation_prob <= 1.0:
+            raise ValueError(f"ga mutation_prob={self.mutation_prob} must lie in [0, 1]")
+        if not self.max_generations >= 0:
+            raise ValueError(f"ga max_generations={self.max_generations} must be >= 0")
 
 
 # 2RS takes a move only when its gain exceeds this share of the utilities it
@@ -65,6 +69,11 @@ _GAIN_RTOL = 1e-12
 # Subsets or candidates per brute-force batch; bounds its memory on the
 # largest instances it accepts.
 _BATCH = 4096
+
+# Search caps: brute force refuses more than _MAX_CANDIDATES associations,
+# and full-mode 2RS stops after _MAX_PASSES passes.
+_MAX_CANDIDATES = 1_000_000
+_MAX_PASSES = 50
 
 
 class InstanceTooLargeError(ValueError):
@@ -160,7 +169,6 @@ def run_pricing_baseline(
     cfg: Optional[PricingConfig] = None,
     ra_cfg=None,
     mu0: Optional[np.ndarray] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, Allocation, RunTrace]:
     """The pricing loop with the named baseline's own scores and price update.
 
@@ -168,7 +176,7 @@ def run_pricing_baseline(
     (valid for any positive price vector); no gap certificate is attached
     because the bound construction is specific to the proposed update.
     """
-    return pricing.iterate(inst, RULES[name], cfg, ra_cfg, mu0, x0)
+    return pricing.iterate(inst, RULES[name], cfg, ra_cfg, mu0)
 
 
 # ----------------------------------------------------------------- search ---
@@ -201,7 +209,6 @@ class _UtilityCache:
 def run_2rs(
     inst: NetworkInstance,
     start: Association,
-    max_passes: int = 50,
     adaptive: bool = False,
     ra_cfg=None,
 ) -> Tuple[Association, Allocation]:
@@ -210,7 +217,7 @@ def run_2rs(
     A move changes one user's BS (association matrices at Hamming distance 2).
     Moves are tried user by user, target BS by target BS; one batch per user
     solves its old BS without it and every other BS with it. Full mode repeats
-    passes until a complete pass finds no improving move or max_passes is
+    passes until a complete pass finds no improving move or _MAX_PASSES is
     hit; adaptive mode applies exactly one improving move.
     """
     cache = _UtilityCache(inst, ra_cfg)
@@ -220,7 +227,7 @@ def run_2rs(
     sets = bs[None, :] == all_bs[:, None]  # sets[j, i]: BS j serves user i
     utils = cache.utilities(all_bs, sets)
 
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         improved = False
         for i in range(I):
             a = bs[i]
@@ -315,17 +322,16 @@ def _subset_table(inst: NetworkInstance, ra_cfg=None) -> np.ndarray:
 def brute_force(
     inst: NetworkInstance,
     ra_cfg=None,
-    max_candidates: int = 1_000_000,
 ) -> Tuple[Association, Allocation, float]:
     """Exhaustive search over all J^I associations (small instances only).
 
     Ties keep the first maximum in lexicographic enumeration order. Raises
-    InstanceTooLargeError when J^I exceeds max_candidates.
+    InstanceTooLargeError when J^I exceeds _MAX_CANDIDATES.
     """
     I, J = inst.num_users, inst.num_bs
     n_cand = J**I
-    if n_cand > max_candidates:
-        raise InstanceTooLargeError(f"{J}^{I} = {n_cand} associations exceed the {max_candidates} cap")
+    if n_cand > _MAX_CANDIDATES:
+        raise InstanceTooLargeError(f"{J}^{I} = {n_cand} associations exceed the {_MAX_CANDIDATES} cap")
     if J == 1:
         assoc, alloc = _finish(inst, np.zeros(I, dtype=int), ra_cfg)
         return assoc, alloc, haf_objective(inst, assoc, alloc)

@@ -5,7 +5,8 @@ Verbs:
   sweep     static comparison repeated over a range of user counts.
   timevary  slotted tracking over Gauss-Markov fading.
   converge  single-run primal/dual trace of the pricing method.
-  oracle    small-instance certificate check against exhaustive search.
+  oracle    small-instance certificate check against exhaustive search,
+            run as a static comparison of proposed and brute_force.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import baselines, experiments, pricing
-from .core import haf_objective
+from . import experiments, pricing
 from .experiments import ScenarioConfig, load_config
 
 
@@ -93,22 +93,16 @@ def main(argv=None) -> int:
 
     if args.verb == "oracle":
         small = replace(cfg, num_users=min(cfg.num_users, args.max_users),
-                        num_bs=min(cfg.num_bs, args.max_bs), force=True)
-        rows = []
-        sound = 0
-        for k in range(args.instances):
-            inst, _, _ = experiments.build_instance(small, args.seed, k)
-            assoc, alloc, trace = pricing.solve(inst, small.pricing, small.ra)
-            _, _, best = baselines.brute_force(inst, small.ra)
-            primal = haf_objective(inst, assoc, alloc)
-            cert = trace.certificate
-            ok = cert.empirical_gap <= cert.theorem2_bound + 1e-6 and trace.best_dual >= best - 1e-6
-            sound += ok
-            rows.append([k, primal, best, trace.best_dual, cert.empirical_gap, cert.theorem2_bound, int(ok)])
-        header = ["instance", "primal_haf", "brute_force_haf", "best_dual",
-                  "empirical_gap", "theorem2_bound", "certificate_ok"]
-        experiments.write_tables(out, {"oracle.csv": (header, rows)})
-        print(f"{sound}/{args.instances} certificates sound; wrote {out / 'oracle.csv'}")
+                        num_bs=min(cfg.num_bs, args.max_bs), num_seeds=args.instances,
+                        methods=("proposed", "brute_force"), force=True)
+        res = experiments.run_static_experiment(small, out, master_seed=args.seed, threads=args.threads)
+        optimum = {r["seed"]: r["haf"] for r in res["rows"] if r["method"] == "brute_force"}
+        # sound: the gap bound covers the gap and the dual bounds the true optimum
+        sound = sum(
+            r["empirical_gap"] <= r["theorem2_bound"] + 1e-6 and r["best_dual"] >= optimum[r["seed"]] - 1e-6
+            for r in res["rows"] if r["method"] == "proposed"
+        )
+        print(f"{sound}/{args.instances} certificates sound; wrote {len(res['files'])} files to {out}")
         return 0 if sound == args.instances else 1
 
     return 2

@@ -190,11 +190,10 @@ def _run_pricing(
     cfg: PricingConfig,
     ra_cfg: LambdaSearchConfig,
     mu0: Optional[np.ndarray] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, object, pricing.RunTrace]:
     if name == "proposed":
-        return pricing.solve(inst, cfg, ra_cfg, mu0=mu0, x0=x0)
-    return baselines.run_pricing_baseline(inst, name, cfg, ra_cfg, mu0=mu0, x0=x0)
+        return pricing.solve(inst, cfg, ra_cfg, mu0=mu0)
+    return baselines.run_pricing_baseline(inst, name, cfg, ra_cfg, mu0=mu0)
 
 
 def run_method(
@@ -391,11 +390,12 @@ def run_time_varying(
     """Slotted operation over a Gauss-Markov fading process.
 
     Adaptive methods carry state across slots: the pricing methods warm-start
-    their prices and run iters_per_slot iterations with a constant step; the
-    local search applies one improving move per slot. The frozen reference
-    keeps the association adaptive pricing reached at the end of slot 1 and
-    only re-solves the bandwidth split. Per-slot HAF is evaluated at the
-    end-of-slot association.
+    from their prices alone, so each slot starts at the association those
+    prices induce on the new channels, and run iters_per_slot iterations with
+    a constant step; the local search applies one improving move per slot.
+    The frozen reference keeps the association adaptive pricing reached at
+    the end of slot 1 and only re-solves the bandwidth split. Per-slot HAF is
+    evaluated at the end-of-slot association.
     """
     tv = cfg.timevary
     methods = tuple(methods) if methods is not None else _TV_METHODS
@@ -418,9 +418,8 @@ def run_time_varying(
             for m in methods:
                 st = state[m]
                 if m in _PRICING:
-                    _, _, trace = _run_pricing(m, inst, slot_cfg, cfg.ra, mu0=st.get("mu"), x0=st.get("x"))
-                    assoc = trace.assoc_final
-                    st["mu"], st["x"] = trace.mu_final, assoc.bs_of_user
+                    _, _, trace = _run_pricing(m, inst, slot_cfg, cfg.ra, mu0=st.get("mu"))
+                    st["mu"], assoc = trace.mu_final, trace.assoc_final
                     alloc = ra.allocate(inst, assoc, cfg.ra)
                 elif m == "frozen":
                     if "x" not in st:

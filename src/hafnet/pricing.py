@@ -243,12 +243,12 @@ def iterate(
     cfg: Optional[PricingConfig] = None,
     ra_cfg: Optional[ra.LambdaSearchConfig] = None,
     mu0: Optional[np.ndarray] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, Allocation, RunTrace]:
     """The two-stage loop of every pricing method: returns the best primal
     iterate (the first on ties) and a trace with no certificate. The recorded
-    dual is g(mu), a valid bound at any positive prices. mu0/x0 warm-start a
-    continuation.
+    dual is g(mu), a valid bound at any positive prices. mu0 warm-starts a
+    continuation; cold or warm, every iterate evaluates the association its
+    prices induce.
 
     Each iteration passes the previous (association, allocation) to
     ra.allocate, which returns that allocation when the association has not
@@ -259,7 +259,7 @@ def iterate(
     J = inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
-    assoc = rule.associate(inst, mu) if x0 is None else Association(np.asarray(x0, dtype=int).copy())
+    assoc = rule.associate(inst, mu)
 
     primal = np.empty(T)
     dual = np.empty(T)
@@ -319,19 +319,18 @@ def solve(
     cfg: Optional[PricingConfig] = None,
     ra_cfg: Optional[ra.LambdaSearchConfig] = None,
     mu0: Optional[np.ndarray] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, Allocation, RunTrace]:
     """Run the pricing loop with the proposed rule and return the best primal
     iterate.
 
     With the default uniform price init the first association is max-SINR.
-    mu0/x0 warm-start a continuation (time-varying operation). The returned
+    mu0 warm-starts a continuation (time-varying operation). The returned
     trace carries per-iteration primal/dual values and a GapCertificate.
     """
     # built per call from the module attributes, so a wrapper installed on
     # them (the perfbench tracer) sees every association and gradient
     rule = PricingRule(associate=associate, direction=price_gradient)
-    assoc, alloc, trace = iterate(inst, rule, cfg, ra_cfg, mu0, x0)
+    assoc, alloc, trace = iterate(inst, rule, cfg, ra_cfg, mu0)
     trace.certificate = _certificate(inst, trace, ra_cfg)
     return assoc, alloc, trace
 

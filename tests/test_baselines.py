@@ -90,7 +90,8 @@ def test_pricing_baseline_traces_stay_finite():
 
 def test_final_prices_and_association_continue_the_run_exactly():
     # with a constant step, k iterations then k more warm-started from
-    # (mu_final, assoc_final) replay one run of 2k iterations
+    # mu_final replay one run of 2k iterations: the second run starts at
+    # the association mu_final induces, which is assoc_final
     rng = np.random.default_rng(8)
     inst = random_instance(rng, 12, 3)
     cfg = PricingConfig(total_iters=20, eta0=0.2, eta_schedule="constant")
@@ -101,7 +102,7 @@ def test_final_prices_and_association_continue_the_run_exactly():
     for name, run in runs.items():
         _, _, full = run(cfg)
         _, _, first = run(half)
-        _, _, second = run(half, mu0=first.mu_final, x0=first.assoc_final.bs_of_user)
+        _, _, second = run(half, mu0=first.mu_final)
         assert np.array_equal(np.concatenate([first.primal, second.primal]), full.primal), name
         assert np.array_equal(np.concatenate([first.mu, second.mu]), full.mu), name
         assert np.array_equal(second.assoc_final.bs_of_user, full.assoc_final.bs_of_user), name

@@ -42,3 +42,29 @@ def test_converge_writes_a_manifest(small_ini, tmp_path):
     assert (out / "manifest.txt").read_text() == "convergence.csv\nmanifest.txt\n"
     with open(out / "convergence.csv") as f:
         assert len(list(csv.DictReader(f))) == 500
+
+
+def _oracle(tmp_path):
+    out = tmp_path / "oracle"
+    argv = ["oracle", "--instances", "3", "--max-users", "4", "--max-bs", "2", "--out", str(out)]
+    return cli.main(argv), out
+
+
+def test_oracle_writes_the_static_tables_and_passes_sound_certificates(tmp_path):
+    code, out = _oracle(tmp_path)
+    assert code == 0
+    assert (out / "manifest.txt").read_text().split() == [
+        "manifest.txt", "static_group_metrics.csv", "static_per_seed.csv", "static_summary.csv"
+    ]
+    with open(out / "static_per_seed.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["seed"], r["method"]) for r in rows] == [
+        (str(s), m) for s in range(3) for m in ("proposed", "brute_force")
+    ]
+
+
+def test_oracle_exits_1_when_a_certificate_is_unsound(tmp_path, monkeypatch):
+    # negative control: a bound below every non-negative gap fails each seed
+    monkeypatch.setattr("hafnet.pricing.theorem2_bound", lambda *args: -1.0)
+    code, _ = _oracle(tmp_path)
+    assert code == 1

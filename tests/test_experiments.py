@@ -246,6 +246,9 @@ def test_validate_rejects_bad_ratios_and_methods():
         ("pricing", "mu_init = nan", "mu_init"),  # else best_dual = nan
         ("pricing", "mu_init = 0", "mu_init"),
         ("ra", "bisect_tol = nan", "bisect_tol"),  # else ArithmeticError at the first allocation
+        ("ga", "mutation_prob = nan", "mutation_prob"),  # else mutation silently off
+        ("ga", "mutation_prob = -1", "mutation_prob"),
+        ("ga", "max_generations = -3", "max_generations"),
     ],
 )
 def test_load_config_rejects_values_that_would_fail_late(tmp_path, section, line, field_name):
@@ -263,10 +266,17 @@ def test_load_config_rejects_values_that_would_fail_late(tmp_path, section, line
         (lambda: PricingConfig(mu_init=float("nan")), "mu_init"),
         (lambda: ex.TimeVaryingConfig(rho=0), "rho"),
         (lambda: GaParams(parents=1), "parents"),
+        (lambda: GaParams(mutation_prob=float("nan")), "mutation_prob"),
+        (lambda: GaParams(mutation_prob=-1.0), "mutation_prob"),
+        (lambda: GaParams(mutation_prob=1.5), "mutation_prob"),
+        (lambda: GaParams(max_generations=-3), "max_generations"),
         (lambda: LambdaSearchConfig(bisect_tol=float("nan")), "bisect_tol"),
         (lambda: replace(ex.ScenarioConfig(), num_users=500), "num_users"),
     ],
-    ids=["mu_min>mu_max", "eta0<0", "mu_init=nan", "rho=0", "parents=1", "bisect_tol=nan", "num_users=500"],
+    ids=[
+        "mu_min>mu_max", "eta0<0", "mu_init=nan", "rho=0", "parents=1", "mutation_prob=nan",
+        "mutation_prob<0", "mutation_prob>1", "max_generations<0", "bisect_tol=nan", "num_users=500",
+    ],
 )
 def test_configs_check_their_fields_when_built(build, field_name):
     # the library path: no load_config, no explicit validate()

@@ -49,28 +49,31 @@ def test_price_gradient_is_one_minus_load():
     assert g[1] == pytest.approx(1.0, rel=1e-12)  # empty BS: full step up
 
 
-def _one_step(inst, x0, mu0, eta):
-    """Prices after one iteration of the loop from (mu0, x0) with step eta."""
+def _one_step(inst, mu0, eta):
+    """Prices after one iteration of the loop from mu0 with step eta; the
+    iteration evaluates the association mu0 induces."""
     cfg = PricingConfig(total_iters=1, eta0=eta, eta_schedule="constant")
-    return solve(inst, cfg, mu0=np.array(mu0), x0=np.array(x0))[2].mu_final
+    return solve(inst, cfg, mu0=np.array(mu0))[2].mu_final
 
 
 def test_one_step_empty_bs_decays_and_floors():
     inst = make_instance([[4.0, 1.0]], [0.5])
-    mu = _one_step(inst, [0], [1.0, 1.0], 0.1)
+    # at equal prices the user takes BS0 (4/1 > 1/1)
+    mu = _one_step(inst, [1.0, 1.0], 0.1)
     # BS1 empty: mu' = 1 - 0.1*1 = 0.9
     assert mu[1] == pytest.approx(0.9, rel=1e-12)
     # BS0 overloaded: mu' = 1 - 0.1*(-3) = 1.3
     assert mu[0] == pytest.approx(1.3, rel=1e-12)
-    # floor applies
-    lo = _one_step(inst, [0], [1.0, 1e-8], 1.0)
+    # floor applies: BS0's price at the floor keeps the user there, and
+    # the empty BS1 steps from 1 to 0, below the floor
+    lo = _one_step(inst, [1e-8, 1.0], 1.0)
     assert lo[1] == PricingConfig().mu_min
 
 
 def test_one_step_fixed_point_at_kkt_price():
     # single user gamma=4 alpha=0.5: load(mu)=4 mu^-2 equals 1 at mu=2
     inst = make_instance([[4.0]], [0.5])
-    mu = _one_step(inst, [0], [2.0], 0.5)
+    mu = _one_step(inst, [2.0], 0.5)
     assert mu[0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -244,14 +247,14 @@ def _plain_dual(inst, mu):
     return total
 
 
-def _cold_loop(inst, rule, cfg, mu0=None, x0=None):
+def _cold_loop(inst, rule, cfg, mu0=None):
     """The pricing loop with nothing reused: a cold allocate, objective and
     dual every iteration. Returns the best primal decision, the per-iteration
     primal, dual and prices, and the final prices."""
     J = inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
-    assoc = rule.associate(inst, mu) if x0 is None else Association(np.asarray(x0).copy())
+    assoc = rule.associate(inst, mu)
     primal, dual, mus = [], [], []
     best = None
     for t in range(1, cfg.total_iters + 1):
@@ -267,10 +270,10 @@ def _cold_loop(inst, rule, cfg, mu0=None, x0=None):
     return best[0], best[1], np.array(primal), np.array(dual), np.array(mus), mu
 
 
-def _run(name, inst, cfg, mu0=None, x0=None):
+def _run(name, inst, cfg, mu0=None):
     if name == "proposed":
-        return solve(inst, cfg, mu0=mu0, x0=x0)
-    return baselines.run_pricing_baseline(inst, name, cfg, mu0=mu0, x0=x0)
+        return solve(inst, cfg, mu0=mu0)
+    return baselines.run_pricing_baseline(inst, name, cfg, mu0=mu0)
 
 
 def _rule(name):
@@ -282,22 +285,21 @@ def _exactness_cases():
     cases = []
     for n_users, n_bs in ((12, 3), (25, 4)):
         inst = random_instance(rng, n_users, n_bs)
-        cases.append((inst, PricingConfig(total_iters=80, eta0=0.5), None, None))
-        # a warm start whose association is not the one its prices induce
+        cases.append((inst, PricingConfig(total_iters=80, eta0=0.5), None))
+        # a warm start from prices away from the uniform init
         mu0 = rng.uniform(0.5, 3.0, size=n_bs)
-        x0 = (associate(inst, mu0).bs_of_user + 1) % n_bs
-        cases.append((inst, PricingConfig(total_iters=40, eta0=0.05, eta_schedule="constant"), mu0, x0))
+        cases.append((inst, PricingConfig(total_iters=40, eta0=0.05, eta_schedule="constant"), mu0))
         # one iteration: the best dual iterate is that warm start
-        cases.append((inst, PricingConfig(total_iters=1), mu0, x0))
+        cases.append((inst, PricingConfig(total_iters=1), mu0))
     return cases
 
 
 @pytest.mark.parametrize("name", list(_PRICING))
 def test_reuse_matches_the_cold_loop_bit_for_bit(name):
     reused = 0
-    for inst, cfg, mu0, x0 in _exactness_cases():
-        assoc, alloc, trace = _run(name, inst, cfg, mu0, x0)
-        r_assoc, r_alloc, primal, dual, mus, mu_final = _cold_loop(inst, _rule(name), cfg, mu0, x0)
+    for inst, cfg, mu0 in _exactness_cases():
+        assoc, alloc, trace = _run(name, inst, cfg, mu0)
+        r_assoc, r_alloc, primal, dual, mus, mu_final = _cold_loop(inst, _rule(name), cfg, mu0)
         assert np.array_equal(trace.primal, primal)
         assert np.array_equal(trace.dual, dual)
         assert np.array_equal(trace.mu, mus)
@@ -345,20 +347,23 @@ def _edge_instance(I, J, rng):
     return NetworkInstance.from_gamma(gamma, AlphaProfile(alpha=alpha, group=np.minimum(group, 3)))
 
 
-@st.composite
-def _priced_instances(draw):
-    """An edge instance and prices anywhere in [mu_min, mu_max], often at
-    the ends."""
-    I = draw(st.integers(1, 10))
-    J = draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    inst = _edge_instance(I, J, rng)
+def _prices(J):
+    """J prices anywhere in [mu_min, mu_max], often at the ends."""
     price = st.one_of(
         st.sampled_from([_MU_MIN, _MU_MAX]),
         st.floats(np.log10(_MU_MIN), np.log10(_MU_MAX)).map(lambda e: 10.0**e),
     )
-    mu = np.array(draw(st.lists(price, min_size=J, max_size=J)))
-    return inst, mu, rng
+    return st.lists(price, min_size=J, max_size=J).map(np.array)
+
+
+@st.composite
+def _priced_instances(draw):
+    """An edge instance and prices anywhere in [mu_min, mu_max]."""
+    I = draw(st.integers(1, 10))
+    J = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = _edge_instance(I, J, rng)
+    return inst, draw(_prices(J)), rng
 
 
 @settings(max_examples=200, deadline=None)
@@ -383,7 +388,8 @@ def test_dual_bounds_every_optimally_split_association(case):
 
 @st.composite
 def _short_runs(draw):
-    """An edge instance and a short cold-start pricing config."""
+    """An edge instance, a short pricing config and a start: None (cold) or
+    warm-start prices anywhere in [mu_min, mu_max]."""
     I = draw(st.integers(1, 10))
     J = draw(st.integers(1, 5))
     inst = _edge_instance(I, J, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
@@ -392,20 +398,19 @@ def _short_runs(draw):
         eta0=draw(st.floats(1e-3, 2.0)),
         eta_schedule=draw(st.sampled_from(["diminishing", "constant"])),
     )
-    return inst, cfg
+    return inst, cfg, draw(st.none() | _prices(J))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_short_runs())
 def test_certificate_bound_covers_the_empirical_gap(case):
-    # cold starts only: a warm start whose x0 is not associate(mu0) scores an
-    # association in the certificate that the loop never evaluated. The slack
-    # scales with both values the gap differences: one user at gamma 1.5e-6
-    # and alpha 2.96 has a primal near -1.4e11 and a dual near -1.1e4, and its
-    # bound, equal to the gap in exact arithmetic, rounds 2.4e-4 below it.
-    inst, cfg = case
+    # The slack scales with both values the gap differences: one user at
+    # gamma 1.5e-6 and alpha 2.96 has a primal near -1.4e11 and a dual near
+    # -1.1e4, and its bound, equal to the gap in exact arithmetic, rounds
+    # 2.4e-4 below it.
+    inst, cfg, mu0 = case
     with np.errstate(all="raise"):
-        _, _, trace = solve(inst, cfg)
+        _, _, trace = solve(inst, cfg, mu0=mu0)
     cert = trace.certificate
     slack = 1e-9 * (1.0 + abs(trace.best_dual) + abs(trace.best_primal))
     assert cert.empirical_gap <= cert.theorem2_bound + slack

@@ -34,9 +34,8 @@ mu_j <- mu_j - eta (exp(mu_j - 1) - K_j), reaches a mean HAF of 12.7 against
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -99,13 +98,6 @@ def run_max_sinr(inst: NetworkInstance, ra_cfg=None) -> Tuple[Association, Alloc
 # ---------------------------------------------------------------- pricing ---
 
 
-def _signed_pow(x: float, p: float) -> float:
-    # real sign-preserving power; matches the plain power at integer p
-    if x == 0.0:
-        return 0.0
-    return math.copysign(abs(x) ** p, x)
-
-
 def _rule(score: Callable, direction: Callable, pick: Callable = np.argmax) -> PricingRule:
     """The rule whose users take the pick (argmax or argmin) of their score row."""
 
@@ -135,8 +127,10 @@ def _alpha_fair(a: float) -> PricingRule:
         js = np.asarray(assoc.bs_of_user, dtype=int)
         gh = inst.gamma[np.arange(inst.num_users), js] ** e
         sums = np.bincount(js, weights=gh, minlength=inst.num_bs)
-        supply = np.array([_signed_pow(e * m, 1.0 / (a - 1.0)) for m in mu])
-        return -supply + sums
+        # the sign-preserving power of x = e mu, never 0 as mu > 0 and a != 1;
+        # float_power rounds as the scalar pow does, which `**` need not
+        x = e * mu
+        return -np.copysign(np.float_power(np.abs(x), 1.0 / (a - 1.0)), x) + sums
 
     return _rule(score, direction)
 
@@ -192,7 +186,7 @@ class _UtilityCache:
         self.ra_cfg = ra_cfg
         self._memo: Dict[Tuple[int, bytes], float] = {}
 
-    def utilities(self, bs: np.ndarray, members: np.ndarray) -> List[float]:
+    def utilities(self, bs: np.ndarray, members: np.ndarray) -> np.ndarray:
         """Utility of serving the users where members[p] is true from BS bs[p]."""
         keys = [(j, row.tobytes()) for j, row in zip(bs.tolist(), members)]
         misses: Dict[Tuple[int, bytes], int] = {}
@@ -203,7 +197,7 @@ class _UtilityCache:
             rows = list(misses.values())
             vals, _ = ra.subset_utilities(self.inst, bs[rows], members[rows], self.ra_cfg)
             self._memo.update(zip(misses, vals.tolist()))
-        return [self._memo[key] for key in keys]
+        return np.array([self._memo[key] for key in keys])
 
 
 def run_2rs(
@@ -215,10 +209,11 @@ def run_2rs(
     """First-improvement local search over single-user reassignments.
 
     A move changes one user's BS (association matrices at Hamming distance 2).
-    Moves are tried user by user, target BS by target BS; one batch per user
-    solves its old BS without it and every other BS with it. Full mode repeats
-    passes until a complete pass finds no improving move or _MAX_PASSES is
-    hit; adaptive mode applies exactly one improving move.
+    Users are tried in order; one batch per user solves its old BS without it
+    and every other BS with it, and the user moves to the lowest-indexed BS
+    whose gain clears the rounding test. Full mode repeats passes until a
+    complete pass finds no improving move or _MAX_PASSES is hit; adaptive
+    mode applies exactly one improving move.
     """
     cache = _UtilityCache(inst, ra_cfg)
     bs = np.asarray(start.bs_of_user, dtype=int).copy()
@@ -235,22 +230,18 @@ def run_2rs(
             moved[:, i] = True
             moved[a, i] = False
             u = cache.utilities(all_bs, moved)
-            for b in range(J):
-                if b == a:
-                    continue
-                delta = u[a] + u[b] - utils[a] - utils[b]
-                # a gain must clear the rounding of the four utilities it
-                # differences (the first test is the cheap necessary one)
-                if delta > _GAIN_RTOL and delta > _GAIN_RTOL * (
-                    1.0 + abs(u[a]) + abs(u[b]) + abs(utils[a]) + abs(utils[b])
-                ):
-                    bs[i] = b
-                    sets[a, i], sets[b, i] = False, True
-                    utils[a], utils[b] = u[a], u[b]
-                    improved = True
-                    if adaptive:
-                        return _finish(inst, bs, ra_cfg)
-                    break
+            delta = u[a] + u - utils[a] - utils
+            # a gain must clear the rounding of the four utilities it differences
+            ok = delta > _GAIN_RTOL * (1.0 + abs(u[a]) + abs(u) + abs(utils[a]) + abs(utils))
+            ok[a] = False
+            if ok.any():
+                b = int(np.argmax(ok))  # the first improving target BS
+                bs[i] = b
+                sets[a, i], sets[b, i] = False, True
+                utils[a], utils[b] = u[a], u[b]
+                improved = True
+                if adaptive:
+                    return _finish(inst, bs, ra_cfg)
         if not improved:
             break
     return _finish(inst, bs, ra_cfg)
@@ -265,18 +256,20 @@ def run_ga(
     """Genetic search over association vectors; returns the best ever seen.
 
     Elitist: the top `parents` chromosomes survive unchanged, offspring come
-    from uniform crossover of two random parents plus per-gene mutation.
-    Each generation's fitness is one utility-cache batch.
+    from uniform crossover of two distinct random parents plus per-gene
+    mutation, the whole generation drawn in a few array calls. Each
+    generation's fitness is one utility-cache batch.
     """
     params = params or GaParams()
     rng = np.random.default_rng(seed)
     cache = _UtilityCache(inst, ra_cfg)
     I, J = inst.num_users, inst.num_bs
+    k, n = params.parents, params.population - params.parents
     all_bs = np.tile(np.arange(J), params.population)
 
     def fitness_of(pop):
         members = (pop[:, None, :] == np.arange(J)[None, :, None]).reshape(-1, I)
-        return np.array(cache.utilities(all_bs, members)).reshape(-1, J).sum(axis=1)
+        return cache.utilities(all_bs, members).reshape(-1, J).sum(axis=1)
 
     pop = rng.integers(0, J, size=(params.population, I))
     fitness = fitness_of(pop)
@@ -284,17 +277,12 @@ def run_ga(
     best_bs, best_fit = pop[best_idx].copy(), float(fitness[best_idx])
 
     for _ in range(params.max_generations):
-        order = np.argsort(-fitness, kind="stable")
-        elite = pop[order[: params.parents]]
-        children = np.empty((params.population - params.parents, I), dtype=pop.dtype)
-        for c in range(children.shape[0]):
-            pa, pb = rng.choice(params.parents, size=2, replace=False)
-            mask = rng.random(I) < 0.5
-            child = np.where(mask, elite[pa], elite[pb])
-            mut = rng.random(I) < params.mutation_prob
-            if np.any(mut):
-                child[mut] = rng.integers(0, J, size=int(np.count_nonzero(mut)))
-            children[c] = child
+        elite = pop[np.argsort(-fitness, kind="stable")[:k]]
+        pa = rng.integers(0, k, n)
+        pb = (pa + rng.integers(1, k, n)) % k  # a second parent other than pa
+        children = np.where(rng.random((n, I)) < 0.5, elite[pa], elite[pb])
+        mut = rng.random((n, I)) < params.mutation_prob
+        children[mut] = rng.integers(0, J, size=int(np.count_nonzero(mut)))
         pop = np.vstack([elite, children])
         fitness = fitness_of(pop)
         gen_best = int(np.argmax(fitness))

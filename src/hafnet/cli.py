@@ -20,14 +20,17 @@ from . import experiments, pricing
 from .experiments import ScenarioConfig, load_config
 
 
-def _base_parser() -> argparse.ArgumentParser:
+def _flag_parsers():
+    """Parent parsers: the flags every verb takes, --threads and --methods."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="INI scenario file")
     common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument("--out", type=str, default="hafnet_out", help="output directory")
-    common.add_argument("--methods", type=str, default=None, help="comma list overriding the configured methods")
-    common.add_argument("--threads", type=int, default=1, help="worker processes over seeds")
-    return common
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1, help="worker processes over seeds")
+    methods = argparse.ArgumentParser(add_help=False)
+    methods.add_argument("--methods", type=str, default=None, help="comma list overriding the configured methods")
+    return common, threads, methods
 
 
 def _methods(args):
@@ -37,24 +40,24 @@ def _methods(args):
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     # timevary has its own method list, which run_time_varying validates
-    if args.methods and args.verb != "timevary":
+    if args.verb in ("static", "sweep") and args.methods:
         cfg = replace(cfg, methods=_methods(args))
     return cfg
 
 
 def main(argv=None) -> int:
-    common = _base_parser()
+    common, threads, methods = _flag_parsers()
     parser = argparse.ArgumentParser(prog="hafnet", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    sub.add_parser("static", parents=[common])
-    p_sweep = sub.add_parser("sweep", parents=[common])
+    sub.add_parser("static", parents=[common, threads, methods])
+    p_sweep = sub.add_parser("sweep", parents=[common, threads, methods])
     p_sweep.add_argument("--users", type=str, default="40,45,50,55,60",
                          help="comma list of user counts")
-    sub.add_parser("timevary", parents=[common])
+    sub.add_parser("timevary", parents=[common, methods])
     sub.add_parser("converge", parents=[common])
-    p_oracle = sub.add_parser("oracle", parents=[common])
+    p_oracle = sub.add_parser("oracle", parents=[common, threads])
     p_oracle.add_argument("--instances", type=int, default=50)
     p_oracle.add_argument("--max-users", type=int, default=5)
     p_oracle.add_argument("--max-bs", type=int, default=3)

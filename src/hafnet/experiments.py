@@ -365,15 +365,19 @@ def run_user_sweep(
 ) -> dict:
     """Re-run the static experiment at each user count; mean HAF with a
     normal-approximation 95% interval per method."""
+    counts = [int(c) for c in user_counts]
+    if not counts:
+        raise ValueError("user_counts must name at least one count")
+    if len(set(counts)) < len(counts):
+        raise ValueError(f"user_counts {counts} name a count twice")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sweep_rows = []
-    for count in user_counts:
-        cfg_i = replace(cfg, num_users=int(count))
-        rows = _collect_rows(cfg_i, master_seed, threads)
+    for count in counts:
+        rows = _collect_rows(replace(cfg, num_users=count), master_seed, threads)
         for name in cfg.methods:
             n, mean, std = _stats(rows, name, _HAF)
-            sweep_rows.append([int(count), name, n, mean, 1.96 * std / math.sqrt(n) if n else 0.0])
+            sweep_rows.append([count, name, n, mean, 1.96 * std / math.sqrt(n) if n else 0.0])
     header = ["users", "method", "n_seeds", f"{_HAF}_mean", f"{_HAF}_ci95"]
     return {"rows": sweep_rows, "files": write_tables(out, {"sweep.csv": (header, sweep_rows)})}
 

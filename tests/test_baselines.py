@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from hafnet.baselines import (
+    RULES,
     GaParams,
     InstanceTooLargeError,
     brute_force,
@@ -75,6 +78,28 @@ def test_min_latency_argmin_switch():
     inst = make_instance([[4.0, 1.0]], [0.5])
     assoc, _, _ = run_pricing_baseline(inst, "min_latency_argmin", PricingConfig(total_iters=1))
     assert assoc.bs_of_user[0] == 0
+
+
+@pytest.mark.parametrize("name, a", [("af_low", 0.6), ("af_high", 1.6)])
+def test_alpha_fair_direction_matches_the_printed_rule_per_bs(name, a):
+    # the supply (e mu_j)^(1/(a-1)), sign kept, e = (1-a)/a, against the
+    # scalar pow BS by BS; prices reach both clip bounds
+    cfg = PricingConfig()
+    e = (1.0 - a) / a
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        I, J = int(rng.integers(1, 12)), int(rng.integers(2, 7))
+        inst = random_instance(rng, I, J)
+        assoc = Association(rng.integers(0, J, size=I))
+        mu = np.exp(rng.uniform(np.log(cfg.mu_min), np.log(cfg.mu_max), size=J))
+        mu[:2] = cfg.mu_min, cfg.mu_max
+        with np.errstate(all="raise"):
+            got = RULES[name].direction(inst, assoc, mu)
+        gh = inst.gamma[np.arange(I), assoc.bs_of_user] ** e
+        served = np.bincount(assoc.bs_of_user, weights=gh, minlength=J)
+        for j in range(J):
+            supply = math.copysign(abs(e * mu[j]) ** (1.0 / (a - 1.0)), e * mu[j])
+            assert got[j].tobytes() == (-supply + served[j]).tobytes()
 
 
 def test_pricing_baseline_traces_stay_finite():
@@ -187,6 +212,20 @@ def test_ga_zero_generations_is_best_of_population():
     pop = test_rng.integers(0, 3, size=(20, 6))
     vals = [haf_objective(inst, Association(row), allocate(inst, Association(row))) for row in pop]
     assert got == pytest.approx(max(vals), rel=1e-12)
+
+
+def test_ga_without_mutation_keeps_initial_genes_and_the_best_member():
+    # crossover only copies genes position by position, and elitism never
+    # loses the best member of the first population
+    rng = np.random.default_rng(22)
+    params = GaParams(population=6, parents=3, mutation_prob=0.0, max_generations=20)
+    for seed in range(10):
+        inst = random_instance(rng, 8, 3)
+        assoc, alloc = run_ga(inst, params, seed)
+        pop = np.random.default_rng(seed).integers(0, 3, size=(params.population, 8))
+        assert np.all((pop == assoc.bs_of_user).any(axis=0))
+        best = max(haf_objective(inst, Association(row), allocate(inst, Association(row))) for row in pop)
+        assert haf_objective(inst, assoc, alloc) >= best - 1e-9 * abs(best)
 
 
 def test_ga_deterministic_per_seed():

@@ -36,6 +36,19 @@ def test_unknown_method_still_raises(small_ini, tmp_path):
         cli.main(["static", "--config", str(small_ini), "--methods", "proposed,frozen", "--out", out])
 
 
+@pytest.mark.parametrize("verb, flag, value", [
+    ("converge", "--threads", "3"),
+    ("converge", "--methods", "pf"),
+    ("timevary", "--threads", "3"),
+    ("oracle", "--methods", "two_rs"),
+])
+def test_verbs_reject_flags_they_do_not_read(verb, flag, value, small_ini, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--config", str(small_ini), flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_writes_a_manifest(small_ini, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["converge", "--config", str(small_ini), "--out", str(out)]) == 0

@@ -290,6 +290,14 @@ def test_user_sweep_checks_each_user_count(tmp_path):
         ex.run_user_sweep(cfg, [500], tmp_path)
 
 
+@pytest.mark.parametrize("counts, match", [([], "at least one count"), ([8, 10, 8], "twice")])
+def test_user_sweep_rejects_an_empty_or_repeated_user_list(tmp_path, counts, match):
+    # an empty list wrote a header-only sweep.csv, a repeated count its rows twice
+    with pytest.raises(ValueError, match=match):
+        ex.run_user_sweep(SMALL, counts, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_duplicate_method_names_are_rejected(tmp_path):
     # a repeated name would get two summary rows over the pooled seeds, or in
     # time-varying mode two entries sharing one warm-start state

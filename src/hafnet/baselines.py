@@ -176,30 +176,6 @@ def run_pricing_baseline(
 # ----------------------------------------------------------------- search ---
 
 
-class _UtilityCache:
-    """Memoizes the optimal per-BS utility of a user set, keyed by (BS, the
-    set's membership row); each lookup batch solves its misses in one
-    ra.subset_utilities call."""
-
-    def __init__(self, inst: NetworkInstance, ra_cfg=None):
-        self.inst = inst
-        self.ra_cfg = ra_cfg
-        self._memo: Dict[Tuple[int, bytes], float] = {}
-
-    def utilities(self, bs: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """Utility of serving the users where members[p] is true from BS bs[p]."""
-        keys = [(j, row.tobytes()) for j, row in zip(bs.tolist(), members)]
-        misses: Dict[Tuple[int, bytes], int] = {}
-        for p, key in enumerate(keys):
-            if key not in self._memo:
-                misses.setdefault(key, p)
-        if misses:
-            rows = list(misses.values())
-            vals, _ = ra.subset_utilities(self.inst, bs[rows], members[rows], self.ra_cfg)
-            self._memo.update(zip(misses, vals.tolist()))
-        return np.array([self._memo[key] for key in keys])
-
-
 def run_2rs(
     inst: NetworkInstance,
     start: Association,
@@ -215,12 +191,11 @@ def run_2rs(
     complete pass finds no improving move or _MAX_PASSES is hit; adaptive
     mode applies exactly one improving move.
     """
-    cache = _UtilityCache(inst, ra_cfg)
     bs = np.asarray(start.bs_of_user, dtype=int).copy()
     I, J = inst.num_users, inst.num_bs
     all_bs = np.arange(J)
     sets = bs[None, :] == all_bs[:, None]  # sets[j, i]: BS j serves user i
-    utils = cache.utilities(all_bs, sets)
+    utils, _ = ra.subset_utilities(inst, all_bs, sets, ra_cfg)
 
     for _ in range(_MAX_PASSES):
         improved = False
@@ -229,7 +204,7 @@ def run_2rs(
             moved = sets.copy()  # row a: a without i; row b != a: b with i
             moved[:, i] = True
             moved[a, i] = False
-            u = cache.utilities(all_bs, moved)
+            u, _ = ra.subset_utilities(inst, all_bs, moved, ra_cfg)
             delta = u[a] + u - utils[a] - utils
             # a gain must clear the rounding of the four utilities it differences
             ok = delta > _GAIN_RTOL * (1.0 + abs(u[a]) + abs(u) + abs(utils[a]) + abs(utils))
@@ -253,29 +228,33 @@ def run_ga(
     seed: int = 0,
     ra_cfg=None,
 ) -> Tuple[Association, Allocation]:
-    """Genetic search over association vectors; returns the best ever seen.
+    """Genetic search over association vectors; returns the best member of
+    the final generation, which elitism makes the first best ever seen.
 
     Elitist: the top `parents` chromosomes survive unchanged, offspring come
     from uniform crossover of two distinct random parents plus per-gene
-    mutation, the whole generation drawn in a few array calls. Each
-    generation's fitness is one utility-cache batch.
+    mutation, the whole generation drawn in a few array calls. Fitness is
+    memoized per chromosome; each generation solves its unseen chromosomes
+    in one kernel batch.
     """
     params = params or GaParams()
     rng = np.random.default_rng(seed)
-    cache = _UtilityCache(inst, ra_cfg)
     I, J = inst.num_users, inst.num_bs
     k, n = params.parents, params.population - params.parents
-    all_bs = np.tile(np.arange(J), params.population)
+    memo: Dict[bytes, float] = {}
 
     def fitness_of(pop):
-        members = (pop[:, None, :] == np.arange(J)[None, :, None]).reshape(-1, I)
-        return cache.utilities(all_bs, members).reshape(-1, J).sum(axis=1)
+        keys = [row.tobytes() for row in pop]
+        new = {key: row for key, row in zip(keys, pop) if key not in memo}
+        if new:
+            rows = np.array(list(new.values()))
+            members = (rows[:, None, :] == np.arange(J)[None, :, None]).reshape(-1, I)
+            util, _ = ra.subset_utilities(inst, np.tile(np.arange(J), len(rows)), members, ra_cfg)
+            memo.update(zip(new, util.reshape(-1, J).sum(axis=1).tolist()))
+        return np.array([memo[key] for key in keys])
 
     pop = rng.integers(0, J, size=(params.population, I))
     fitness = fitness_of(pop)
-    best_idx = int(np.argmax(fitness))
-    best_bs, best_fit = pop[best_idx].copy(), float(fitness[best_idx])
-
     for _ in range(params.max_generations):
         elite = pop[np.argsort(-fitness, kind="stable")[:k]]
         pa = rng.integers(0, k, n)
@@ -285,12 +264,7 @@ def run_ga(
         children[mut] = rng.integers(0, J, size=int(np.count_nonzero(mut)))
         pop = np.vstack([elite, children])
         fitness = fitness_of(pop)
-        gen_best = int(np.argmax(fitness))
-        if float(fitness[gen_best]) > best_fit:
-            best_fit = float(fitness[gen_best])
-            best_bs = pop[gen_best].copy()
-
-    return _finish(inst, best_bs, ra_cfg)
+    return _finish(inst, pop[np.argmax(fitness)], ra_cfg)
 
 
 def _subset_table(inst: NetworkInstance, ra_cfg=None) -> np.ndarray:

@@ -20,6 +20,13 @@ from . import experiments, pricing
 from .experiments import ScenarioConfig, load_config
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
 def _flag_parsers():
     """Parent parsers: the flags every verb takes, --threads and --methods."""
     common = argparse.ArgumentParser(add_help=False)
@@ -27,7 +34,7 @@ def _flag_parsers():
     common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument("--out", type=str, default="hafnet_out", help="output directory")
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1, help="worker processes over seeds")
+    threads.add_argument("--threads", type=_positive_int, default=1, help="worker processes over seeds")
     methods = argparse.ArgumentParser(add_help=False)
     methods.add_argument("--methods", type=str, default=None, help="comma list overriding the configured methods")
     return common, threads, methods

@@ -67,7 +67,7 @@ class AlphaProfile:
         g = np.asarray(self.group, dtype=int)
         if a.ndim != 1 or g.shape != a.shape:
             raise ValueError("alpha and group must be 1-D arrays of equal length")
-        if np.any(a <= 0):
+        if not np.all(a > 0):  # NaN fails too
             raise ValueError("fairness exponents must be positive")
         if np.any(a == 1.0):
             raise ValueError("alpha == 1 exactly is not a valid profile value")
@@ -116,6 +116,8 @@ class NetworkInstance:
         a = np.asarray(alphas.alpha, dtype=float)
         if a.shape[0] != gamma.shape[0]:
             raise ValueError("alpha profile length must match gamma rows")
+        if not np.all((a > 0) & (a < np.inf)):
+            raise ValueError("fairness exponents must be finite and positive")
         expo = (1.0 - a) / a
         gamma_hat = gamma ** expo[:, None]
         return cls(

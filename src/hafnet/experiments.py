@@ -289,6 +289,8 @@ def _seed_worker(args) -> List[dict]:
 
 
 def _collect_rows(cfg: ScenarioConfig, master_seed: int, threads: int) -> List[dict]:
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be >= 1")
     tasks = [(cfg, master_seed, s) for s in range(cfg.num_seeds)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -133,7 +133,7 @@ class PricingRule:
 
 def associate(inst: NetworkInstance, mu: np.ndarray) -> Association:
     """Each user picks argmax_j gamma_ij / mu_j; ties go to the lowest index."""
-    if np.any(mu <= 0):
+    if not np.all(mu > 0):  # NaN fails too
         raise ValueError("prices must be positive")
     ratios = inst.gamma / mu[None, :]
     return Association(bs_of_user=np.argmax(ratios, axis=1))
@@ -167,7 +167,7 @@ def _dual(inst: NetworkInstance) -> Callable[[np.ndarray], float]:
     coef_gh = (ar / (1.0 - ar))[:, None] * inst.gamma_hat[rest]
 
     def g(m: np.ndarray) -> float:
-        if np.any(m <= 0):
+        if not np.all(m > 0):
             raise ValueError("prices must be positive")
         total = float(np.sum(m))
         if has_pf:
@@ -247,7 +247,8 @@ def iterate(
     """The two-stage loop of every pricing method: returns the best primal
     iterate (the first on ties) and a trace with no certificate. The recorded
     dual is g(mu), a valid bound at any positive prices. mu0 warm-starts a
-    continuation; cold or warm, every iterate evaluates the association its
+    continuation and is clipped to [mu_min, mu_max]; NaN in it raises
+    ValueError. Cold or warm, every iterate evaluates the association its
     prices induce.
 
     Each iteration passes the previous (association, allocation) to
@@ -258,6 +259,8 @@ def iterate(
     T = int(cfg.total_iters)
     J = inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
+    if np.isnan(mu).any():  # clip would keep NaN; other starts clip into range
+        raise ValueError("start prices must not be NaN")
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
     assoc = rule.associate(inst, mu)
 

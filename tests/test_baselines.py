@@ -228,6 +228,44 @@ def test_ga_without_mutation_keeps_initial_genes_and_the_best_member():
         assert haf_objective(inst, assoc, alloc) >= best - 1e-9 * abs(best)
 
 
+def _reference_ga(inst, params, seed):
+    """run_ga's draws with every chromosome scored cold, as the sum of one
+    subset_utilities call over its J sets; keeps the best by strict
+    improvement."""
+    rng = np.random.default_rng(seed)
+    I, J = inst.num_users, inst.num_bs
+    k, n = params.parents, params.population - params.parents
+    pop = rng.integers(0, J, size=(params.population, I))
+    best, best_fit = None, -np.inf
+    for gen in range(params.max_generations + 1):
+        if gen:
+            elite = pop[sorted(range(len(pop)), key=lambda p: -fit[p])[:k]]
+            pa = rng.integers(0, k, n)
+            pb = (pa + rng.integers(1, k, n)) % k
+            children = np.where(rng.random((n, I)) < 0.5, elite[pa], elite[pb])
+            mut = rng.random((n, I)) < params.mutation_prob
+            children[mut] = rng.integers(0, J, size=int(np.count_nonzero(mut)))
+            pop = np.vstack([elite, children])
+        fit = [subset_utilities(inst, np.arange(J), row[None, :] == np.arange(J)[:, None])[0].sum() for row in pop]
+        for row, f in zip(pop, fit):
+            if f > best_fit:
+                best, best_fit = row, f
+    return best
+
+
+@pytest.mark.parametrize("params", [
+    GaParams(max_generations=6),
+    GaParams(population=12, parents=4, mutation_prob=0.3, max_generations=15),
+    GaParams(population=12, parents=4, mutation_prob=0.0, max_generations=15),
+], ids=["default", "high_mutation", "no_mutation"])
+def test_ga_matches_a_cold_reference_loop(params):
+    rng = np.random.default_rng(23)
+    for seed in range(20):
+        inst = random_instance(rng, 7, 3)
+        assoc, _ = run_ga(inst, params, seed)
+        assert np.array_equal(assoc.bs_of_user, _reference_ga(inst, params, seed))
+
+
 def test_ga_deterministic_per_seed():
     rng = np.random.default_rng(9)
     inst = random_instance(rng, 8, 3)

@@ -41,6 +41,9 @@ def test_unknown_method_still_raises(small_ini, tmp_path):
     ("converge", "--methods", "pf"),
     ("timevary", "--threads", "3"),
     ("oracle", "--methods", "two_rs"),
+    ("static", "--threads", "0"),
+    ("sweep", "--threads", "-1"),
+    ("oracle", "--threads", "0"),
 ])
 def test_verbs_reject_flags_they_do_not_read(verb, flag, value, small_ini, tmp_path):
     with pytest.raises(SystemExit) as exc:

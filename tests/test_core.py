@@ -54,6 +54,8 @@ def test_utility_monotone_in_rate():
 def test_profile_validation():
     with pytest.raises(ValueError):
         AlphaProfile(alpha=np.array([0.5, -1.0]), group=np.array([0, 0])).validate()
+    with pytest.raises(ValueError, match="positive"):
+        AlphaProfile(alpha=np.array([0.5, np.nan]), group=np.array([0, 0])).validate()
     with pytest.raises(ValueError):
         AlphaProfile(alpha=np.array([1.0]), group=np.array([1])).validate()
     # outside the group's interval
@@ -104,6 +106,8 @@ def test_gamma_hat_definition():
     inst2 = make_instance([[4.0]], [2.0])
     # exponent (1-2)/2 = -0.5 -> 4^-0.5 = 0.5
     assert inst2.gamma_hat[0, 0] == pytest.approx(0.5, rel=1e-12)
+    # alpha exactly 1, which the proportional-fair branches need: exponent 0
+    assert make_instance([[4.0, 2.0]], [1.0]).gamma_hat.tolist() == [[1.0, 1.0]]
 
 
 def test_from_gamma_rejects_bad_inputs():
@@ -117,3 +121,6 @@ def test_from_gamma_rejects_bad_inputs():
         from hafnet.core import NetworkInstance
 
         NetworkInstance.from_gamma(np.ones((2, 2)), prof, 20e6)
+    for alpha in (np.nan, 0.0, -0.5, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_instance([[1.0], [1.0]], [0.5, alpha])

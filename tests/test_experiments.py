@@ -351,6 +351,15 @@ def test_static_experiment_process_pool_matches_serial(tmp_path):
         assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_experiments_reject_threads_below_one(tmp_path, threads):
+    # both ran serially without a word
+    with pytest.raises(ValueError, match="threads"):
+        ex.run_static_experiment(SMALL, tmp_path / "static", threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        ex.run_user_sweep(SMALL, [8], tmp_path / "sweep", threads=threads)
+
+
 def test_static_experiment_deterministic(tmp_path):
     r1 = ex.run_static_experiment(SMALL, tmp_path / "a", master_seed=9)
     r2 = ex.run_static_experiment(SMALL, tmp_path / "b", master_seed=9)

@@ -38,6 +38,12 @@ def test_associate_rejects_nonpositive_prices():
     inst = make_instance([[1.0, 1.0]], [0.5])
     with pytest.raises(ValueError):
         associate(inst, np.array([1.0, 0.0]))
+    # NaN is not positive either; the dual checks its prices the same way
+    for mu in ([np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="positive"):
+            associate(inst, np.array(mu))
+        with pytest.raises(ValueError, match="positive"):
+            dual_value(inst, np.array(mu))
 
 
 def test_price_gradient_is_one_minus_load():
@@ -151,6 +157,20 @@ def test_solve_warm_start_resumes_from_given_prices():
     expected = Association(np.argmax(inst.gamma / mu0, axis=1))
     p = haf_objective(inst, expected, allocate(inst, expected))
     assert trace.primal[0] == pytest.approx(p, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["proposed", *baselines.RULES])
+def test_a_nan_start_price_is_rejected(name):
+    inst = random_instance(np.random.default_rng(6), 8, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        _run(name, inst, PricingConfig(total_iters=5), np.array([np.nan, 1.0, 1.0]))
+
+
+def test_out_of_range_start_prices_clip():
+    inst = random_instance(np.random.default_rng(6), 8, 4)
+    cfg = PricingConfig(total_iters=1)
+    _, _, trace = solve(inst, cfg, mu0=np.array([-np.inf, -1.0, 0.0, np.inf]))
+    assert trace.mu[0].tolist() == [cfg.mu_min, cfg.mu_min, cfg.mu_min, cfg.mu_max]
 
 
 def test_certificate_bounds_empirical_gap():

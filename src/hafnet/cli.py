@@ -65,9 +65,9 @@ def main(argv=None) -> int:
     sub.add_parser("timevary", parents=[common, methods])
     sub.add_parser("converge", parents=[common])
     p_oracle = sub.add_parser("oracle", parents=[common, threads])
-    p_oracle.add_argument("--instances", type=int, default=50)
-    p_oracle.add_argument("--max-users", type=int, default=5)
-    p_oracle.add_argument("--max-bs", type=int, default=3)
+    p_oracle.add_argument("--instances", type=_positive_int, default=50)
+    p_oracle.add_argument("--max-users", type=_positive_int, default=5)
+    p_oracle.add_argument("--max-bs", type=_positive_int, default=3)
 
     args = parser.parse_args(argv)
     cfg = _load(args)

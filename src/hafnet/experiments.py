@@ -289,8 +289,6 @@ def _seed_worker(args) -> List[dict]:
 
 
 def _collect_rows(cfg: ScenarioConfig, master_seed: int, threads: int) -> List[dict]:
-    if threads < 1:
-        raise ValueError(f"threads={threads} must be >= 1")
     tasks = [(cfg, master_seed, s) for s in range(cfg.num_seeds)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -344,6 +342,8 @@ def run_static_experiment(
     and manifest.txt under out_dir. Fails before any computation if the
     output directory cannot be created or written.
     """
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").touch()  # surface I/O errors before the compute starts
@@ -372,6 +372,8 @@ def run_user_sweep(
         raise ValueError("user_counts must name at least one count")
     if len(set(counts)) < len(counts):
         raise ValueError(f"user_counts {counts} name a count twice")
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sweep_rows = []

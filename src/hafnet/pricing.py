@@ -13,10 +13,12 @@ The dual function
 
     g(mu) = sum_j mu_j + sum_i max_j (alpha_i/(1-alpha_i)) gamma_hat_ij mu_j^((alpha_i-1)/alpha_i)
 
-upper-bounds the HAF value of every feasible decision, so any price vector
-certifies solution quality: the run keeps the best primal iterate and reports
-the gap to the best dual value, together with an analytic bound on that gap
-evaluated at the best-dual prices.
+takes each user's max_j at the BS of stage 2, since the user's term rises with
+gamma_ij / mu_j in every alpha branch (see `_dual`). It upper-bounds the HAF
+value of every feasible decision, so any price vector certifies solution
+quality: the run keeps the best primal iterate and reports the gap to the best
+dual value, together with an analytic bound on that gap evaluated at the
+best-dual prices.
 
 `iterate` is the one two-stage loop. A method enters it as a PricingRule (an
 association rule and a price direction): `solve` runs it with the rule above
@@ -151,32 +153,32 @@ def price_gradient(inst: NetworkInstance, assoc: Association, mu: np.ndarray) ->
 
 
 def _dual(inst: NetworkInstance) -> Callable[[np.ndarray], float]:
-    """g as a function of a price array, with the instance's constants (the
-    alpha == 1 mask, log gamma of those users, coef * gamma_hat and the
-    exponents) computed once. Users with alpha exactly 1 contribute
-    max_j (ln gamma_ij - ln mu_j) - 1 (the proportional-fair form); all
-    others use the closed power form."""
+    """g as a function of a price array, with the instance's constants
+    computed once. Each user's max over j sits at js = argmax_j gamma_ij / mu_j,
+    ties to the lowest index as in `associate`, so g takes one term per user:
+    coef gamma_hat_ij mu_j^e = coef (gamma_ij / mu_j)^(-e) rises with gamma_ij / mu_j
+    (coef > 0, -e > 0 for alpha < 1; both < 0 for alpha > 1), as does the
+    proportional-fair ln gamma_ij - ln mu_j - 1 of users with alpha exactly 1."""
     a = inst.alphas.alpha
     pf = a == 1.0
-    has_pf = bool(np.any(pf))
-    log_gamma = np.log(inst.gamma[pf]) if has_pf else None
     rest = ~pf
-    has_rest = bool(np.any(rest))
+    has_pf = bool(np.any(pf))
+    log_gamma = np.log(inst.gamma[pf])
     ar = a[rest]
-    expo = ((ar - 1.0) / ar)[:, None]
+    expo = (ar - 1.0) / ar
     coef_gh = (ar / (1.0 - ar))[:, None] * inst.gamma_hat[rest]
+    pf_rows, rest_rows = np.arange(log_gamma.shape[0]), np.arange(ar.size)
 
     def g(m: np.ndarray) -> float:
-        if not np.all(m > 0):
+        if not (m > 0).all():  # NaN fails too
             raise ValueError("prices must be positive")
-        total = float(np.sum(m))
+        js = (inst.gamma / m).argmax(axis=1)
+        total = float(m.sum())
         if has_pf:
-            scores = log_gamma - np.log(m)[None, :]
-            total += float(np.sum(np.max(scores, axis=1) - 1.0))
-        if has_rest:
-            terms = coef_gh * m[None, :] ** expo
-            total += float(np.sum(np.max(terms, axis=1)))
-        return total
+            jp = js[pf]
+            total += float((log_gamma[pf_rows, jp] - np.log(m)[jp] - 1.0).sum())
+        jr = js[rest]
+        return total + float((coef_gh[rest_rows, jr] * m[jr] ** expo).sum())
 
     return g
 

@@ -44,6 +44,9 @@ def test_unknown_method_still_raises(small_ini, tmp_path):
     ("static", "--threads", "0"),
     ("sweep", "--threads", "-1"),
     ("oracle", "--threads", "0"),
+    ("oracle", "--instances", "0"),
+    ("oracle", "--max-users", "0"),
+    ("oracle", "--max-bs", "-1"),
 ])
 def test_verbs_reject_flags_they_do_not_read(verb, flag, value, small_ini, tmp_path):
     with pytest.raises(SystemExit) as exc:

@@ -358,6 +358,7 @@ def test_experiments_reject_threads_below_one(tmp_path, threads):
         ex.run_static_experiment(SMALL, tmp_path / "static", threads=threads)
     with pytest.raises(ValueError, match="threads"):
         ex.run_user_sweep(SMALL, [8], tmp_path / "sweep", threads=threads)
+    assert not (tmp_path / "static").exists() and not (tmp_path / "sweep").exists()
 
 
 def test_static_experiment_deterministic(tmp_path):

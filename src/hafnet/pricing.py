@@ -14,7 +14,7 @@ The dual function
     g(mu) = sum_j mu_j + sum_i max_j (alpha_i/(1-alpha_i)) gamma_hat_ij mu_j^((alpha_i-1)/alpha_i)
 
 takes each user's max_j at the BS of stage 2, since the user's term rises with
-gamma_ij / mu_j in every alpha branch (see `_dual`). It upper-bounds the HAF
+gamma_ij / mu_j in every alpha branch (see `dual_value`). It upper-bounds the HAF
 value of every feasible decision, so any price vector certifies solution
 quality: the run keeps the best primal iterate and reports the gap to the best
 dual value, together with an analytic bound on that gap evaluated at the
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -82,7 +82,9 @@ class RunTrace:
     """Per-iteration record of one pricing run (arrays of length T).
 
     grad_norm is ||d|| of the run's price direction (the dual subgradient for
-    the proposed rule). Only the proposed rule attaches a certificate.
+    the proposed rule). dual is g at each row of mu, evaluated after the loop;
+    the best-dual iterate is its first argmin. Only the proposed rule
+    attaches a certificate.
     """
 
     primal: np.ndarray
@@ -96,8 +98,6 @@ class RunTrace:
     # True where the iteration solved its allocation, False where its
     # association equalled the previous one and the allocation was reused
     alloc_solved: Optional[np.ndarray] = None
-    # the (association, allocation) of the best dual iterate, for the certificate
-    best_dual_decision: Optional[Tuple[Association, Allocation]] = None
 
     def __len__(self) -> int:
         return int(self.primal.shape[0])
@@ -152,40 +152,65 @@ def price_gradient(inst: NetworkInstance, assoc: Association, mu: np.ndarray) ->
     return 1.0 - loads
 
 
-def _dual(inst: NetworkInstance) -> Callable[[np.ndarray], float]:
-    """g as a function of a price array, with the instance's constants
-    computed once. Each user's max over j sits at js = argmax_j gamma_ij / mu_j,
-    ties to the lowest index as in `associate`, so g takes one term per user:
+#: Price rows per block of `dual_value`: a block's (rows, users) temporaries
+#: stay small, and each numpy call is shared by the block's rows.
+_DUAL_BLOCK = 64
+
+
+def _maximiser(gcols: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(rows, users) argmax_j gcols[j] / m[:, j], ties to the lowest j as with
+    argmax, found one BS column at a time."""
+    best = gcols[0] / m[:, :1]
+    js = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, m.shape[1]):
+        ratio = gcols[j] / m[:, j : j + 1]
+        js[ratio > best] = j
+        np.maximum(best, ratio, out=best)
+    return js
+
+
+def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray]:
+    """g(mu): an upper bound on the HAF value of every feasible decision.
+    A (J,) price vector gives a float, a (T, J) array g at each row.
+
+    Each user's max over j sits at js = argmax_j gamma_ij / mu_j, ties to the
+    lowest index as in `associate`, so g takes one term per user:
     coef gamma_hat_ij mu_j^e = coef (gamma_ij / mu_j)^(-e) rises with gamma_ij / mu_j
     (coef > 0, -e > 0 for alpha < 1; both < 0 for alpha > 1), as does the
-    proportional-fair ln gamma_ij - ln mu_j - 1 of users with alpha exactly 1."""
+    proportional-fair ln gamma_ij - ln mu_j - 1 of users with alpha exactly 1.
+    The terms are summed as sum mu, then the alpha = 1 users, then the rest.
+
+    Rows go in blocks of _DUAL_BLOCK, and no (rows, users, BSs) array is
+    built. Every array that feeds a power, a log or a row sum is C-contiguous,
+    as a one-row call's arrays are: numpy's vectorised transcendentals and
+    pairwise sums then round each row as that call does, so a table's values
+    equal the one-row values bit for bit.
+    """
+    mu = np.asarray(mu, dtype=float)
+    table = np.ascontiguousarray(mu[None, :] if mu.ndim == 1 else mu)
+    if not (table > 0).all():  # NaN fails too
+        raise ValueError("prices must be positive")
     a = inst.alphas.alpha
     pf = a == 1.0
     rest = ~pf
     has_pf = bool(np.any(pf))
+    gamma_pf, gamma_rest = inst.gamma[pf].T.copy(), inst.gamma[rest].T.copy()  # (J, users)
     log_gamma = np.log(inst.gamma[pf])
     ar = a[rest]
     expo = (ar - 1.0) / ar
     coef_gh = (ar / (1.0 - ar))[:, None] * inst.gamma_hat[rest]
     pf_rows, rest_rows = np.arange(log_gamma.shape[0]), np.arange(ar.size)
-
-    def g(m: np.ndarray) -> float:
-        if not (m > 0).all():  # NaN fails too
-            raise ValueError("prices must be positive")
-        js = (inst.gamma / m).argmax(axis=1)
-        total = float(m.sum())
+    out = np.empty(table.shape[0])
+    for lo in range(0, table.shape[0], _DUAL_BLOCK):
+        m = table[lo : lo + _DUAL_BLOCK]
+        rows = np.arange(m.shape[0])[:, None]
+        total = m.sum(axis=1)
         if has_pf:
-            jp = js[pf]
-            total += float((log_gamma[pf_rows, jp] - np.log(m)[jp] - 1.0).sum())
-        jr = js[rest]
-        return total + float((coef_gh[rest_rows, jr] * m[jr] ** expo).sum())
-
-    return g
-
-
-def dual_value(inst: NetworkInstance, mu: np.ndarray) -> float:
-    """g(mu): an upper bound on the HAF value of every feasible decision."""
-    return _dual(inst)(mu)
+            jp = _maximiser(gamma_pf, m)
+            total += (log_gamma[pf_rows, jp] - np.log(m)[rows, jp] - 1.0).sum(axis=1)
+        jr = _maximiser(gamma_rest, m)
+        out[lo : lo + m.shape[0]] = total + (coef_gh[rest_rows, jr] * m[rows, jr] ** expo).sum(axis=1)
+    return float(out[0]) if mu.ndim == 1 else out
 
 
 def theorem2_bound(
@@ -228,9 +253,13 @@ def theorem2_bound(
 def _certificate(
     inst: NetworkInstance, trace: RunTrace, ra_cfg: Optional[ra.LambdaSearchConfig]
 ) -> GapCertificate:
+    """Certificate at the best-dual prices. The loop keeps no decision for
+    them, so this solves the association they induce with one ra.allocate
+    call; the solve is deterministic, so its multipliers are the ones the
+    loop found at that iterate."""
     mu_star = trace.mu[trace.best_dual_iter].copy()
     assoc = associate(inst, mu_star)
-    alloc = ra.allocate(inst, assoc, ra_cfg, trace.best_dual_decision)
+    alloc = ra.allocate(inst, assoc, ra_cfg)
     return GapCertificate(
         theorem2_bound=theorem2_bound(inst, assoc, mu_star, alloc.lam),
         empirical_gap=trace.best_dual - trace.best_primal,
@@ -248,14 +277,16 @@ def iterate(
 ) -> Tuple[Association, Allocation, RunTrace]:
     """The two-stage loop of every pricing method: returns the best primal
     iterate (the first on ties) and a trace with no certificate. The recorded
-    dual is g(mu), a valid bound at any positive prices. mu0 warm-starts a
-    continuation and is clipped to [mu_min, mu_max]; NaN in it raises
-    ValueError. Cold or warm, every iterate evaluates the association its
-    prices induce.
+    dual is g(mu), a valid bound at any positive prices; nothing in the loop
+    reads it, so it is evaluated after the loop, on all recorded prices in
+    blocks. mu0 warm-starts a continuation and is clipped to [mu_min, mu_max];
+    NaN in it raises ValueError. Cold or warm, every iterate evaluates the
+    association its prices induce.
 
     Each iteration passes the previous (association, allocation) to
     ra.allocate, which returns that allocation when the association has not
-    changed; the primal value is then reused too.
+    changed; the primal value is then reused too. An unchanged association
+    keeps its object, so that test is one identity check.
     """
     cfg = cfg or PricingConfig()
     T = int(cfg.total_iters)
@@ -267,17 +298,13 @@ def iterate(
     assoc = rule.associate(inst, mu)
 
     primal = np.empty(T)
-    dual = np.empty(T)
     mu_snaps = np.empty((T, J))
     changes = np.zeros(T, dtype=int)
     grad_norms = np.empty(T)
     solved = np.zeros(T, dtype=bool)
-    g = _dual(inst)
 
     best_p = -np.inf
     best: Optional[Tuple[Association, Allocation]] = None
-    best_d = np.inf
-    at_best_dual: Optional[Tuple[Association, Allocation]] = None
     prev: Optional[Tuple[Association, Allocation]] = None
     pending_changes = 0
 
@@ -290,31 +317,27 @@ def iterate(
         prev = (assoc, alloc)
         d = rule.direction(inst, assoc, mu)
         primal[k] = p
-        dual[k] = g(mu)
         mu_snaps[k] = mu
         changes[k] = pending_changes
-        grad_norms[k] = float(np.linalg.norm(d))
+        grad_norms[k] = math.sqrt(d.dot(d))
         if best is None or p > best_p:
             best_p = p
             best = prev
-        if dual[k] < best_d:
-            best_d = dual[k]
-            at_best_dual = prev
-        mu = np.clip(mu - cfg.eta_at(t) * d, cfg.mu_min, cfg.mu_max)
+        mu = np.minimum(np.maximum(mu - cfg.eta_at(t) * d, cfg.mu_min), cfg.mu_max)
         nxt = rule.associate(inst, mu)
         pending_changes = int(np.count_nonzero(nxt.bs_of_user != assoc.bs_of_user))
-        assoc = nxt
+        if pending_changes:  # else keep the object, which ra.allocate tests first
+            assoc = nxt
 
     trace = RunTrace(
         primal=primal,
-        dual=dual,
+        dual=dual_value(inst, mu_snaps),
         mu=mu_snaps,
         assoc_changes=changes,
         grad_norm=grad_norms,
         mu_final=mu,
         assoc_final=assoc,
         alloc_solved=solved,
-        best_dual_decision=at_best_dual,
     )
     return best[0], best[1], trace
 

@@ -198,20 +198,23 @@ def allocate(
     on associated pairs.
 
     prev is an (association, allocation) pair this function already returned
-    for the same instance and cfg. If assoc equals prev's association, prev's
-    Allocation object is returned as it is (the solve is deterministic, so a
-    cold solve would give the same arrays); otherwise the split is solved.
+    for the same instance and cfg. If assoc is prev's association object or
+    equals it, prev's Allocation object is returned as it is (the solve is
+    deterministic, so a cold solve would give the same arrays); otherwise the
+    split is solved.
     """
-    if prev is not None and np.array_equal(prev[0].bs_of_user, assoc.bs_of_user):
+    if prev is not None and (prev[0] is assoc or np.array_equal(prev[0].bs_of_user, assoc.bs_of_user)):
         return prev[1]
     cfg = cfg or _DEFAULT
     I, J = inst.num_users, inst.num_bs
     bs = np.asarray(assoc.bs_of_user, dtype=int)
     if bs.shape[0] != I:
         raise ValueError("association length must match the instance")
-    used, seg = np.unique(bs, return_inverse=True)  # used is sorted
-    if used.size and (used[0] < 0 or used[-1] >= J):
+    if I and (bs.min() < 0 or bs.max() >= J):
         raise ValueError("association refers to a BS outside the instance")
+    in_use = np.bincount(bs, minlength=J) > 0
+    used = np.flatnonzero(in_use)
+    seg = (np.cumsum(in_use) - 1)[bs]  # each user's rank among the used BSs
     users = np.arange(I)
     lg = np.log(inst.gamma_hat[users, bs])
     ia = 1.0 / inst.alphas.alpha

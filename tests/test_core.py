@@ -42,6 +42,23 @@ def test_utility_vector_floors_zero_rates():
     assert u[1] == pytest.approx(alpha_utility(RATE_FLOOR, 2.0))
 
 
+def test_utility_vector_without_pf_users_matches_the_masked_path():
+    # With no alpha exactly 1 the utilities come from one power over the
+    # whole array. One alpha-1 user inserted anywhere sends the same rates
+    # through the masked copies; the other users' utilities must not move.
+    rng = np.random.default_rng(61)
+    ranges = np.array([(0.4, 0.6), (0.7, 0.9), (1.8, 2.2), (2.75, 3.25), (0.999, 0.999), (1.001, 1.001)])
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        lo, hi = ranges[rng.integers(0, len(ranges), size=n)].T
+        alpha = lo + rng.random(n) * (hi - lo)
+        rates = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-12.0, 3.0, size=n))
+        k = int(rng.integers(0, n + 1))
+        masked = utility_vector(np.insert(rates, k, 2.0), np.insert(alpha, k, 1.0))
+        assert masked[k] == math.log(2.0)
+        assert utility_vector(rates, alpha).tobytes() == np.delete(masked, k).tobytes()
+
+
 def test_utility_monotone_in_rate():
     rng = np.random.default_rng(0)
     for _ in range(200):

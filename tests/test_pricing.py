@@ -6,6 +6,7 @@ from hafnet import baselines
 from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInstance, haf_objective
 from hafnet.experiments import _PRICING
 from hafnet.pricing import (
+    _DUAL_BLOCK,
     PricingConfig,
     PricingRule,
     associate,
@@ -488,3 +489,65 @@ def test_dual_stays_within_a_few_ulps_of_the_plain_formula_on_near_ties():
         differ += g != plain
         assert abs(g - plain) <= 8 * np.spacing(scale)
     assert differ > 0  # the draws do reach near-ties
+
+
+def _row_dual(inst, mu):
+    """g at one contiguous price row as the loop evaluated it per iteration:
+    each user's term at argmax_j gamma_ij / mu_j, summed as sum mu, then the
+    alpha = 1 users, then the rest."""
+    a = inst.alphas.alpha
+    pf, rest = a == 1.0, a != 1.0
+    js = np.argmax(inst.gamma / mu, axis=1)
+    total = float(mu.sum())
+    if np.any(pf):
+        jp = js[pf]
+        total += float((np.log(inst.gamma[pf])[np.arange(jp.size), jp] - np.log(mu)[jp] - 1.0).sum())
+    ar, jr = a[rest], js[rest]
+    coef_gh = (ar / (1.0 - ar))[:, None] * inst.gamma_hat[rest]
+    return total + float((coef_gh[np.arange(jr.size), jr] * mu[jr] ** ((ar - 1.0) / ar)).sum())
+
+
+@st.composite
+def _price_tables(draw):
+    """An edge instance and a (T, J) price table, T below, at and above the
+    block size. Prices p_j are powers of two and gamma_ij = c_i p_j on about
+    half the columns, so the rows p * 2^s tie ratios exactly between columns
+    whose terms round differently; other rows sit all at mu_min, all at
+    mu_max, or anywhere with ends mixed in. The table may be a strided view
+    or Fortran-ordered."""
+    I = draw(st.integers(1, 10))
+    J = draw(st.integers(1, 5))
+    T = draw(st.sampled_from([1, 2, _DUAL_BLOCK - 1, _DUAL_BLOCK, _DUAL_BLOCK + 1, 2 * _DUAL_BLOCK + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = _edge_instance(I, J, rng)
+    p = 2.0 ** rng.integers(-26, 40, size=J)
+    c = (inst.gamma / p).max(axis=1, keepdims=True)
+    gamma = np.where(rng.random((I, J)) < 0.5, c * p, inst.gamma)
+    inst = NetworkInstance.from_gamma(gamma, inst.alphas)
+    anywhere = np.where(
+        rng.random((T, J)) < 0.3,
+        rng.choice([_MU_MIN, _MU_MAX], size=(T, J)),
+        10.0 ** rng.uniform(np.log10(_MU_MIN), np.log10(_MU_MAX), size=(T, J)),
+    )
+    kind = rng.integers(0, 4, size=(T, 1))
+    tied = p * 2.0 ** rng.integers(-3, 4, size=(T, 1))
+    table = np.select([kind == 0, kind == 1, kind == 2], [tied, _MU_MIN, _MU_MAX], anywhere)
+    layout = draw(st.sampled_from(["c", "strided", "fortran"]))
+    if layout == "strided":
+        table = np.repeat(table, 2, axis=0)[::2]
+    elif layout == "fortran":
+        table = np.asfortranarray(table)
+    return inst, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(_price_tables())
+def test_dual_on_a_price_table_equals_the_row_by_row_dual(case):
+    inst, table = case
+    with np.errstate(all="raise"):
+        got = dual_value(inst, table)
+        per_row = np.array([_row_dual(inst, np.ascontiguousarray(row)) for row in table])
+        one_row_calls = np.array([dual_value(inst, row) for row in table])
+    assert got.shape == (table.shape[0],)
+    assert got.tobytes() == per_row.tobytes()
+    assert one_row_calls.tobytes() == per_row.tobytes()

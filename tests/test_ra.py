@@ -99,8 +99,9 @@ def test_allocate_rejects_empty_bs_solvers():
 
 def test_allocate_validates_association():
     inst = make_instance([[1.0, 2.0]], [0.5])
-    with pytest.raises(ValueError):
-        allocate(inst, Association(np.array([2])))
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="outside the instance"):
+            allocate(inst, Association(np.array([bad])))
     with pytest.raises(ValueError):
         allocate(inst, Association(np.array([0, 1])))
 
@@ -154,7 +155,9 @@ def test_allocate_reuses_prev_only_for_an_equal_association():
     inst = random_instance(rng, 9, 3)
     assoc = Association(np.array([0, 1, 2, 0, 1, 2, 0, 1, 2]))
     alloc = allocate(inst, assoc)
-    # an equal association in a new object returns prev's allocation itself
+    # the same association object, or an equal one in a new object, returns
+    # prev's allocation itself
+    assert allocate(inst, assoc, prev=(assoc, alloc)) is alloc
     same = Association(assoc.bs_of_user.copy())
     assert allocate(inst, same, prev=(assoc, alloc)) is alloc
     # a different association is solved cold, bit for bit
@@ -168,3 +171,16 @@ def test_allocate_reuses_prev_only_for_an_equal_association():
     got = allocate(inst, empty, prev=(assoc, alloc))
     assert np.isnan(got.lam[2]) and np.all(got.y[:, 2] == 0.0)
     assert _same_allocation(got, allocate(inst, empty))
+
+
+def test_allocate_leaves_empty_bss_a_nan_multiplier_and_a_zero_column():
+    rng = np.random.default_rng(37)
+    inst = random_instance(rng, 7, 5)
+    assoc = Association(np.array([3, 1, 3, 3, 1, 1, 3]))
+    alloc = allocate(inst, assoc)
+    for j in (0, 2, 4):
+        assert np.isnan(alloc.lam[j]) and np.all(alloc.y[:, j] == 0.0)
+    for j in (1, 3):
+        users = assoc.users_of(j)
+        assert alloc.lam[j] == pytest.approx(solve_lambda_bisect(inst, assoc, j), rel=1e-9)
+        assert alloc.y[users, j].sum() == pytest.approx(1.0, rel=1e-12)

@@ -178,15 +178,10 @@ def utility_vector(rates: np.ndarray, alphas: np.ndarray, floor: float = RATE_FL
     r = np.maximum(np.asarray(rates, dtype=float), floor)
     a = np.asarray(alphas, dtype=float)
     pf = a == 1.0
-    if not pf.any():  # every profile sample_alphas draws: no masked copies
-        e = 1.0 - a
-        return r ** e / e
-    out = np.empty_like(r)
-    out[pf] = np.log(r[pf])
-    rest = ~pf
-    if np.any(rest):
-        e = 1.0 - a[rest]
-        out[rest] = r[rest] ** e / e
+    e = np.where(pf, 1.0, 1.0 - a)
+    out = r ** e / e
+    if pf.any():
+        out[pf] = np.log(r[pf])
     return out
 
 

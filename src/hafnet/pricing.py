@@ -152,21 +152,9 @@ def price_gradient(inst: NetworkInstance, assoc: Association, mu: np.ndarray) ->
     return 1.0 - loads
 
 
-#: Price rows per block of `dual_value`: a block's (rows, users) temporaries
-#: stay small, and each numpy call is shared by the block's rows.
+#: Price rows per block of `dual_value`: a block's (rows, users, BSs) ratio
+#: table stays small, and each numpy call is shared by the block's rows.
 _DUAL_BLOCK = 64
-
-
-def _maximiser(gcols: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(rows, users) argmax_j gcols[j] / m[:, j], ties to the lowest j as with
-    argmax, found one BS column at a time."""
-    best = gcols[0] / m[:, :1]
-    js = np.zeros(best.shape, dtype=np.intp)
-    for j in range(1, m.shape[1]):
-        ratio = gcols[j] / m[:, j : j + 1]
-        js[ratio > best] = j
-        np.maximum(best, ratio, out=best)
-    return js
 
 
 def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray]:
@@ -180,8 +168,9 @@ def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray
     proportional-fair ln gamma_ij - ln mu_j - 1 of users with alpha exactly 1.
     The terms are summed as sum mu, then the alpha = 1 users, then the rest.
 
-    Rows go in blocks of _DUAL_BLOCK, and no (rows, users, BSs) array is
-    built. Every array that feeds a power, a log or a row sum is C-contiguous,
+    Rows go in blocks of _DUAL_BLOCK, and each block's maximisers come from
+    one argmax over its ratio table, so no (T, users, BSs) array is built.
+    Every array that feeds a power, a log or a row sum is C-contiguous,
     as a one-row call's arrays are: numpy's vectorised transcendentals and
     pairwise sums then round each row as that call does, so a table's values
     equal the one-row values bit for bit.
@@ -194,8 +183,8 @@ def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray
     pf = a == 1.0
     rest = ~pf
     has_pf = bool(np.any(pf))
-    gamma_pf, gamma_rest = inst.gamma[pf].T.copy(), inst.gamma[rest].T.copy()  # (J, users)
-    log_gamma = np.log(inst.gamma[pf])
+    gamma_pf, gamma_rest = inst.gamma[pf], inst.gamma[rest]
+    log_gamma = np.log(gamma_pf)
     ar = a[rest]
     expo = (ar - 1.0) / ar
     coef_gh = (ar / (1.0 - ar))[:, None] * inst.gamma_hat[rest]
@@ -206,9 +195,9 @@ def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray
         rows = np.arange(m.shape[0])[:, None]
         total = m.sum(axis=1)
         if has_pf:
-            jp = _maximiser(gamma_pf, m)
+            jp = np.argmax(gamma_pf / m[:, None, :], axis=2)
             total += (log_gamma[pf_rows, jp] - np.log(m)[rows, jp] - 1.0).sum(axis=1)
-        jr = _maximiser(gamma_rest, m)
+        jr = np.argmax(gamma_rest / m[:, None, :], axis=2)
         out[lo : lo + m.shape[0]] = total + (coef_gh[rest_rows, jr] * m[rows, jr] ** expo).sum(axis=1)
     return float(out[0]) if mu.ndim == 1 else out
 
@@ -379,7 +368,7 @@ def theorem1_check(
     """
     T = len(trace)
     proxy = trace.mu[trace.best_dual_iter]
-    g_star = dual_value(inst, proxy)
+    g_star = trace.best_dual
     G = float(np.max(trace.grad_norm))
     mu1 = trace.mu[0]
     D = float(np.linalg.norm(mu1 - proxy))

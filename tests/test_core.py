@@ -42,10 +42,10 @@ def test_utility_vector_floors_zero_rates():
     assert u[1] == pytest.approx(alpha_utility(RATE_FLOOR, 2.0))
 
 
-def test_utility_vector_without_pf_users_matches_the_masked_path():
-    # With no alpha exactly 1 the utilities come from one power over the
-    # whole array. One alpha-1 user inserted anywhere sends the same rates
-    # through the masked copies; the other users' utilities must not move.
+def test_utility_vector_alpha_one_user_leaves_the_others_bits():
+    # The utilities come from one power over the whole array, and alpha-1
+    # users are overwritten with a log. One alpha-1 user inserted anywhere
+    # shifts the others within that array; their utilities must not move.
     rng = np.random.default_rng(61)
     ranges = np.array([(0.4, 0.6), (0.7, 0.9), (1.8, 2.2), (2.75, 3.25), (0.999, 0.999), (1.001, 1.001)])
     for _ in range(300):

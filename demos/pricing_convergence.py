@@ -40,11 +40,10 @@ def main():
             f"   {trace.dual[k] - trace.primal[k]:6.3f}   {int(trace.assoc_changes[k]):4d}"
         )
     print()
-    cert = trace.certificate
     print(f"best primal {trace.best_primal:.4f} (iter {trace.best_primal_iter + 1}), "
           f"best dual {trace.best_dual:.4f}")
-    print(f"certificate: empirical gap {cert.empirical_gap:.4f} <= "
-          f"analytic bound {cert.theorem2_bound:.4f}")
+    print(f"certificate: empirical gap {trace.empirical_gap:.4f} <= "
+          f"analytic bound {trace.theorem2_bound:.4f}")
     load = alloc.y.sum(axis=0)
     counts = [int((assoc.bs_of_user == j).sum()) for j in range(inst.num_bs)]
     print(f"final association sizes per BS: {counts}, bandwidth loads: "

@@ -36,7 +36,6 @@ from .ra import (
     subset_utilities,
 )
 from .pricing import (
-    GapCertificate,
     PricingConfig,
     RunTrace,
     associate,

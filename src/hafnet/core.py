@@ -169,13 +169,13 @@ def alpha_utility(rate: float, alpha: float) -> float:
     return float(rate ** (1.0 - alpha) / (1.0 - alpha))
 
 
-def utility_vector(rates: np.ndarray, alphas: np.ndarray, floor: float = RATE_FLOOR) -> np.ndarray:
+def utility_vector(rates: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Vector alpha-fair utilities with the rate floor applied.
 
-    Rates below `floor` contribute u(floor), so all-zero allocations score
-    finitely instead of raising.
+    Rates below RATE_FLOOR contribute u(RATE_FLOOR), so all-zero allocations
+    score finitely instead of raising.
     """
-    r = np.maximum(np.asarray(rates, dtype=float), floor)
+    r = np.maximum(np.asarray(rates, dtype=float), RATE_FLOOR)
     a = np.asarray(alphas, dtype=float)
     pf = a == 1.0
     e = np.where(pf, 1.0, 1.0 - a)

@@ -62,29 +62,14 @@ class PricingConfig:
         return self.eta0 / math.sqrt(t)
 
 
-@dataclass(frozen=True)
-class GapCertificate:
-    """Duality-gap certificate at the best dual iterate.
-
-    empirical_gap = best dual - best primal (>= 0 up to solver tolerance);
-    theorem2_bound is the analytic gap bound at lambda_star = best-dual prices
-    and lambda_hat = allocation multipliers of the induced association.
-    """
-
-    theorem2_bound: float
-    empirical_gap: float
-    lambda_star: np.ndarray
-    lambda_hat: np.ndarray
-
-
 @dataclass
 class RunTrace:
     """Per-iteration record of one pricing run (arrays of length T).
 
     grad_norm is ||d|| of the run's price direction (the dual subgradient for
     the proposed rule). dual is g at each row of mu, evaluated after the loop;
-    the best-dual iterate is its first argmin. Only the proposed rule
-    attaches a certificate.
+    the best-dual iterate is its first argmin. The run's certificate is
+    empirical_gap against theorem2_bound, which only the proposed rule sets.
     """
 
     primal: np.ndarray
@@ -94,10 +79,7 @@ class RunTrace:
     grad_norm: np.ndarray
     mu_final: np.ndarray  # prices after the last update (warm-start handle)
     assoc_final: Optional[Association] = None  # the association mu_final induces
-    certificate: Optional[GapCertificate] = None
-    # True where the iteration solved its allocation, False where its
-    # association equalled the previous one and the allocation was reused
-    alloc_solved: Optional[np.ndarray] = None
+    theorem2_bound: Optional[float] = None  # the analytic gap bound at the best-dual prices
 
     def __len__(self) -> int:
         return int(self.primal.shape[0])
@@ -118,9 +100,23 @@ class RunTrace:
     def best_dual_iter(self) -> int:
         return int(np.argmin(self.dual))
 
-    def weak_duality_ok(self, tol: float = 1e-6) -> bool:
-        """dual >= primal - tol*(1+|dual|) at every iteration."""
-        slack = self.dual - self.primal + tol * (1.0 + np.abs(self.dual))
+    @property
+    def empirical_gap(self) -> float:
+        """best dual - best primal (>= 0 up to solver tolerance)."""
+        return self.best_dual - self.best_primal
+
+    @property
+    def alloc_solved(self) -> np.ndarray:
+        """True where the iteration solved its allocation: the first one and
+        every one whose association changed; the others reused the previous
+        allocation."""
+        solved = self.assoc_changes != 0
+        solved[:1] = True
+        return solved
+
+    def weak_duality_ok(self) -> bool:
+        """dual >= primal - 1e-6*(1+|dual|) at every iteration."""
+        slack = self.dual - self.primal + 1e-6 * (1.0 + np.abs(self.dual))
         return bool(np.all(slack >= 0.0))
 
 
@@ -241,20 +237,14 @@ def theorem2_bound(
 
 def _certificate(
     inst: NetworkInstance, trace: RunTrace, ra_cfg: Optional[ra.LambdaSearchConfig]
-) -> GapCertificate:
-    """Certificate at the best-dual prices. The loop keeps no decision for
+) -> float:
+    """theorem2_bound at the best-dual prices. The loop keeps no decision for
     them, so this solves the association they induce with one ra.allocate
     call; the solve is deterministic, so its multipliers are the ones the
     loop found at that iterate."""
-    mu_star = trace.mu[trace.best_dual_iter].copy()
+    mu_star = trace.mu[trace.best_dual_iter]
     assoc = associate(inst, mu_star)
-    alloc = ra.allocate(inst, assoc, ra_cfg)
-    return GapCertificate(
-        theorem2_bound=theorem2_bound(inst, assoc, mu_star, alloc.lam),
-        empirical_gap=trace.best_dual - trace.best_primal,
-        lambda_star=mu_star,
-        lambda_hat=np.where(np.isfinite(alloc.lam), alloc.lam, 0.0),
-    )
+    return theorem2_bound(inst, assoc, mu_star, ra.allocate(inst, assoc, ra_cfg).lam)
 
 
 def iterate(
@@ -265,7 +255,7 @@ def iterate(
     mu0: Optional[np.ndarray] = None,
 ) -> Tuple[Association, Allocation, RunTrace]:
     """The two-stage loop of every pricing method: returns the best primal
-    iterate (the first on ties) and a trace with no certificate. The recorded
+    iterate (the first on ties) and a trace with no theorem2_bound. The recorded
     dual is g(mu), a valid bound at any positive prices; nothing in the loop
     reads it, so it is evaluated after the loop, on all recorded prices in
     blocks. mu0 warm-starts a continuation and is clipped to [mu_min, mu_max];
@@ -290,7 +280,6 @@ def iterate(
     mu_snaps = np.empty((T, J))
     changes = np.zeros(T, dtype=int)
     grad_norms = np.empty(T)
-    solved = np.zeros(T, dtype=bool)
 
     best_p = -np.inf
     best: Optional[Tuple[Association, Allocation]] = None
@@ -302,7 +291,6 @@ def iterate(
         alloc = ra.allocate(inst, assoc, ra_cfg, prev)
         if prev is None or alloc is not prev[1]:
             p = haf_objective(inst, assoc, alloc)
-            solved[k] = True
         prev = (assoc, alloc)
         d = rule.direction(inst, assoc, mu)
         primal[k] = p
@@ -326,7 +314,6 @@ def iterate(
         grad_norm=grad_norms,
         mu_final=mu,
         assoc_final=assoc,
-        alloc_solved=solved,
     )
     return best[0], best[1], trace
 
@@ -342,13 +329,13 @@ def solve(
 
     With the default uniform price init the first association is max-SINR.
     mu0 warm-starts a continuation (time-varying operation). The returned
-    trace carries per-iteration primal/dual values and a GapCertificate.
+    trace carries per-iteration primal/dual values and theorem2_bound.
     """
     # built per call from the module attributes, so a wrapper installed on
     # them (the perfbench tracer) sees every association and gradient
     rule = PricingRule(associate=associate, direction=price_gradient)
     assoc, alloc, trace = iterate(inst, rule, cfg, ra_cfg, mu0)
-    trace.certificate = _certificate(inst, trace, ra_cfg)
+    trace.theorem2_bound = _certificate(inst, trace, ra_cfg)
     return assoc, alloc, trace
 
 
@@ -357,14 +344,13 @@ def theorem1_check(
     trace: RunTrace,
     cfg: Optional[PricingConfig] = None,
     ra_cfg: Optional[ra.LambdaSearchConfig] = None,
-    tol: float = 1e-6,
 ) -> bool:
     """Calibrated convergence-rate check against a finished run's trace.
 
     The best dual iterate of `trace` stands in for the dual optimum and the
     largest observed subgradient norm for the Lipschitz constant G. A second
     pass is run with the constant step ||mu1 - mu*|| / (G sqrt(T)); the check
-    holds if its best dual gap obeys  min_t g(mu_t) - g(mu*) <= G ||mu1 - mu*||^2 / sqrt(T) + tol.
+    holds if its best dual gap obeys  min_t g(mu_t) - g(mu*) <= G ||mu1 - mu*||^2 / sqrt(T) + 1e-6.
     """
     T = len(trace)
     proxy = trace.mu[trace.best_dual_iter]
@@ -379,4 +365,4 @@ def theorem1_check(
     cfg2 = replace(base, total_iters=T, eta0=eta, eta_schedule="constant")
     _, _, second = solve(inst, cfg2, ra_cfg, mu0=mu1.copy())
     lhs = second.best_dual - g_star
-    return lhs <= G * D * D / math.sqrt(T) + tol
+    return lhs <= G * D * D / math.sqrt(T) + 1e-6

@@ -207,8 +207,7 @@ def test_c05_brute_force_optimality():
         inst, _, _ = build_instance(cfg, master_seed=5, seed_index=k)
         _, _, trace = pricing.solve(inst, pcfg, cfg.ra)
         _, _, best = brute_force(inst, ra_cfg=exact)
-        cert = trace.certificate
-        excess = best - cert.theorem2_bound - 1e-6 - trace.best_primal
+        excess = best - trace.theorem2_bound - 1e-6 - trace.best_primal
         worst_excess = max(worst_excess, excess)
         if excess > 0:
             certificate_ok = False

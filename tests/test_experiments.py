@@ -401,8 +401,9 @@ def test_convergence_trace_empty(tmp_path):
     empty = RunTrace(
         primal=np.zeros(0), dual=np.zeros(0), mu=np.zeros((0, 2)),
         assoc_changes=np.zeros(0, dtype=int), grad_norm=np.zeros(0),
-        mu_final=np.ones(2), certificate=None,
+        mu_final=np.ones(2),
     )
+    assert empty.alloc_solved.shape == (0,)
     path = ex.emit_convergence_trace(empty, tmp_path / "empty.csv")
     lines = path.read_text().splitlines()
     assert lines == ["iter,primal_haf,dual_value,gap"]

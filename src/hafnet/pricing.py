@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +76,7 @@ class RunTrace:
     dual: np.ndarray
     mu: np.ndarray  # (T, J) prices *before* the iteration's update
     assoc_changes: np.ndarray
+    assoc_id: np.ndarray  # (T,) the iteration's association, as its rank by first visit
     grad_norm: np.ndarray
     mu_final: np.ndarray  # prices after the last update (warm-start handle)
     assoc_final: Optional[Association] = None  # the association mu_final induces
@@ -107,11 +108,10 @@ class RunTrace:
 
     @property
     def alloc_solved(self) -> np.ndarray:
-        """True where the iteration solved its allocation: the first one and
-        every one whose association changed; the others reused the previous
-        allocation."""
-        solved = self.assoc_changes != 0
-        solved[:1] = True
+        """True where the iteration solved its allocation: the first visit of
+        each association; the others reused the allocation of that visit."""
+        solved = np.zeros(len(self), dtype=bool)
+        solved[np.unique(self.assoc_id, return_index=True)[1]] = True
         return solved
 
     def weak_duality_ok(self) -> bool:
@@ -247,6 +247,23 @@ def _certificate(
     return theorem2_bound(inst, assoc, mu_star, ra.allocate(inst, assoc, ra_cfg).lam)
 
 
+class _Visit(NamedTuple):
+    """`iterate`'s table entry for an association's first visit. It keeps
+    each user's fraction at its BS, not the dense (I, J) y."""
+
+    y_user: np.ndarray  # (I,): y[i, bs_of_user[i]]
+    lam: np.ndarray
+    primal: float
+    rank: int  # the association's rank by first visit
+
+    def allocation(self, users: np.ndarray, bs: np.ndarray, num_bs: int) -> Allocation:
+        """The first visit's allocation: ra.allocate's scatter of the same
+        values into zeros, so the same bits."""
+        y = np.zeros((users.shape[0], num_bs))
+        y[users, bs] = self.y_user
+        return Allocation(y=y, lam=self.lam)
+
+
 def iterate(
     inst: NetworkInstance,
     rule: PricingRule,
@@ -262,14 +279,19 @@ def iterate(
     NaN in it raises ValueError. Cold or warm, every iterate evaluates the
     association its prices induce.
 
-    Each iteration passes the previous (association, allocation) to
-    ra.allocate, which returns that allocation when the association has not
-    changed; the primal value is then reused too. An unchanged association
-    keeps its object, so that test is one identity check.
+    Each association is solved and scored once per run. A table keyed on the
+    association's bytes (BS indices in the narrowest unsigned type) holds
+    each first visit compactly (see _Visit); a later visit takes its
+    allocation and primal value from there, and cannot become the best
+    iterate, which moves only on a strictly larger primal.
+    Every iteration still makes one ra.allocate call: it passes the previous
+    iteration's pair when the association is unchanged (an unchanged
+    association keeps its object, so that test is one identity check), the
+    table's pair on a revisit, and nothing on a first visit, which solves.
     """
     cfg = cfg or PricingConfig()
     T = int(cfg.total_iters)
-    J = inst.num_bs
+    I, J = inst.num_users, inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     if np.isnan(mu).any():  # clip would keep NaN; other starts clip into range
         raise ValueError("start prices must not be NaN")
@@ -279,8 +301,12 @@ def iterate(
     primal = np.empty(T)
     mu_snaps = np.empty((T, J))
     changes = np.zeros(T, dtype=int)
+    assoc_id = np.empty(T, dtype=int)
     grad_norms = np.empty(T)
 
+    users = np.arange(I)
+    key_type = np.min_scalar_type(J - 1)  # the narrowest BS index: one byte per user up to 256 BSs
+    table: Dict[bytes, _Visit] = {}
     best_p = -np.inf
     best: Optional[Tuple[Association, Allocation]] = None
     prev: Optional[Tuple[Association, Allocation]] = None
@@ -288,14 +314,24 @@ def iterate(
 
     for t in range(1, T + 1):
         k = t - 1
+        if prev is None or assoc is not prev[0]:  # the first iteration or a changed association
+            key = assoc.bs_of_user.astype(key_type).tobytes()
+            visit = table.get(key)
+            if visit is None:
+                prev = None
+            else:
+                p = visit.primal
+                prev = (assoc, visit.allocation(users, assoc.bs_of_user, J))
         alloc = ra.allocate(inst, assoc, ra_cfg, prev)
-        if prev is None or alloc is not prev[1]:
+        if prev is None:  # a first visit: score it and add it to the table
             p = haf_objective(inst, assoc, alloc)
+            visit = table[key] = _Visit(alloc.y[users, assoc.bs_of_user], alloc.lam, p, len(table))
         prev = (assoc, alloc)
         d = rule.direction(inst, assoc, mu)
         primal[k] = p
         mu_snaps[k] = mu
         changes[k] = pending_changes
+        assoc_id[k] = visit.rank
         grad_norms[k] = math.sqrt(d.dot(d))
         if best is None or p > best_p:
             best_p = p
@@ -311,6 +347,7 @@ def iterate(
         dual=dual_value(inst, mu_snaps),
         mu=mu_snaps,
         assoc_changes=changes,
+        assoc_id=assoc_id,
         grad_norm=grad_norms,
         mu_final=mu,
         assoc_final=assoc,

@@ -197,11 +197,12 @@ def allocate(
     multiplier and a zero column. y_ij = gamma_hat_ij * lam_j^(-1/alpha_i)
     on associated pairs.
 
-    prev is an (association, allocation) pair this function already returned
-    for the same instance and cfg. If assoc is prev's association object or
-    equals it, prev's Allocation object is returned as it is (the solve is
-    deterministic, so a cold solve would give the same arrays); otherwise the
-    split is solved.
+    prev is an (association, allocation) pair for the same instance and cfg
+    whose allocation is this function's result for that association, or a
+    bit-identical copy of it, not necessarily the object it returned. If
+    assoc is prev's association object or equals it, prev's Allocation
+    object is returned as it is (the solve is deterministic, so a cold solve
+    would give the same arrays); otherwise the split is solved.
     """
     if prev is not None and (prev[0] is assoc or np.array_equal(prev[0].bs_of_user, assoc.bs_of_user)):
         return prev[1]

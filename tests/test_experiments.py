@@ -400,7 +400,7 @@ def test_convergence_trace_empty(tmp_path):
 
     empty = RunTrace(
         primal=np.zeros(0), dual=np.zeros(0), mu=np.zeros((0, 2)),
-        assoc_changes=np.zeros(0, dtype=int), grad_norm=np.zeros(0),
+        assoc_changes=np.zeros(0, dtype=int), assoc_id=np.zeros(0, dtype=int), grad_norm=np.zeros(0),
         mu_final=np.ones(2),
     )
     assert empty.alloc_solved.shape == (0,)

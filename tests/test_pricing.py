@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hafnet import baselines
+from hafnet import baselines, pricing, ra
 from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInstance, haf_objective
 from hafnet.experiments import _PRICING
 from hafnet.pricing import (
@@ -311,12 +313,34 @@ def _exactness_cases():
         cases.append((inst, PricingConfig(total_iters=40, eta0=0.05, eta_schedule="constant"), mu0))
         # one iteration: the best dual iterate is that warm start
         cases.append((inst, PricingConfig(total_iters=1), mu0))
+    # wide gains and a constant step: every rule returns to an association
+    # it left more than one iteration before
+    rng = np.random.default_rng(14)
+    inst = random_instance(rng, 6, 3, 0.01, 100.0)
+    mu0 = rng.uniform(0.3, 3.0, size=3)
+    cases.append((inst, PricingConfig(total_iters=40, eta0=0.7, eta_schedule="constant"), mu0))
     return cases
 
 
+def _revisits(trace):
+    """Iterations that return to an association visited before, but not in
+    the iteration just before."""
+    ids = trace.assoc_id
+    return int(np.count_nonzero((ids[1:] != ids[:-1]) & ~trace.alloc_solved[1:]))
+
+
 @pytest.mark.parametrize("name", list(_PRICING))
-def test_reuse_matches_the_cold_loop_bit_for_bit(name):
-    reused = 0
+def test_reuse_matches_the_cold_loop_bit_for_bit(name, monkeypatch):
+    def checked(inst, assoc, cfg=None, prev=None):
+        # a pair handed over holds the kernel's result for its association
+        if prev is not None:
+            cold = allocate(inst, prev[0], cfg)
+            assert np.array_equal(prev[1].y, cold.y)
+            assert np.array_equal(prev[1].lam, cold.lam, equal_nan=True)
+        return allocate(inst, assoc, cfg, prev)
+
+    monkeypatch.setattr("hafnet.ra.allocate", checked)
+    revisits = 0
     for inst, cfg, mu0 in _exactness_cases():
         assoc, alloc, trace = _run(name, inst, cfg, mu0)
         r_assoc, r_alloc, primal, dual, mus, mu_final = _cold_loop(inst, _rule(name), cfg, mu0)
@@ -327,7 +351,7 @@ def test_reuse_matches_the_cold_loop_bit_for_bit(name):
         assert np.array_equal(assoc.bs_of_user, r_assoc.bs_of_user)
         assert np.array_equal(alloc.y, r_alloc.y)
         assert np.array_equal(alloc.lam, r_alloc.lam, equal_nan=True)
-        reused += int(np.count_nonzero(~trace.alloc_solved))
+        revisits += _revisits(trace)
         assert trace.empirical_gap == float(np.min(dual)) - float(np.max(primal))
         if name == "proposed":
             mu_star = mus[int(np.argmin(dual))]
@@ -336,13 +360,13 @@ def test_reuse_matches_the_cold_loop_bit_for_bit(name):
             assert trace.theorem2_bound == theorem2_bound(inst, a_star, mu_star, lam)
         else:
             assert trace.theorem2_bound is None
-    assert reused > 0  # the cases exercise the reuse path
+    assert revisits > 0  # the cases take allocations from the table, not only from the last iteration
 
 
 @pytest.mark.parametrize("name", list(_PRICING))
 def test_alloc_solved_counts_association_changes(name, monkeypatch):
-    # the loop scores each allocation it solves once, with haf_objective;
-    # a reused allocation keeps its score
+    # the loop scores each association once, at its first visit, with
+    # haf_objective; a later visit keeps that score
     calls = []
 
     def counted(*args):
@@ -356,10 +380,80 @@ def test_alloc_solved_counts_association_changes(name, monkeypatch):
         mu0 = None if k % 2 == 0 else rng.uniform(0.5, 3.0, size=inst.num_bs)
         calls.clear()
         _, _, trace = _run(name, inst, PricingConfig(total_iters=60, eta0=0.5), mu0)
+        # assoc_id ranks each iteration's association (the one its prices
+        # induce) by first visit
+        ranks = {}
+        for t, mu in enumerate(trace.mu):
+            key = _rule(name).associate(inst, mu).bs_of_user.tobytes()
+            assert trace.assoc_id[t] == ranks.setdefault(key, len(ranks))
         assert trace.alloc_solved.dtype == bool and trace.alloc_solved.shape == (60,)
         assert trace.alloc_solved[0]
-        assert trace.alloc_solved.sum() == 1 + np.count_nonzero(trace.assoc_changes[1:])
-        assert trace.alloc_solved.sum() == len(calls)
+        assert trace.alloc_solved.sum() == len(np.unique(trace.assoc_id)) == len(calls)
+
+
+@pytest.mark.parametrize("name", list(_PRICING))
+def test_each_association_is_solved_once_per_run(name, monkeypatch):
+    # Newton runs once per distinct association (plus once for solve's
+    # certificate), yet ra.allocate is still called once per iteration
+    # (plus once for the certificate)
+    newton, allocs = [], []
+    orig_newton, orig_allocate = ra._newton, ra.allocate
+
+    def counted_newton(*args):
+        newton.append(1)
+        return orig_newton(*args)
+
+    def counted_allocate(*args, **kwargs):
+        allocs.append(1)
+        return orig_allocate(*args, **kwargs)
+
+    monkeypatch.setattr(ra, "_newton", counted_newton)
+    monkeypatch.setattr(ra, "allocate", counted_allocate)
+    certificate = int(name == "proposed")
+    rng = np.random.default_rng(47)
+    for k in range(8):
+        inst = random_instance(rng, int(rng.integers(3, 30)), int(rng.integers(2, 6)))
+        mu0 = None if k % 2 == 0 else rng.uniform(0.3, 3.0, size=inst.num_bs)
+        cfg = PricingConfig(total_iters=int(rng.integers(1, 80)), eta0=float(rng.uniform(0.05, 2.0)))
+        newton.clear()
+        allocs.clear()
+        _, _, trace = _run(name, inst, cfg, mu0)
+        assert len(newton) == len(np.unique(trace.assoc_id)) + certificate
+        assert len(allocs) == cfg.total_iters + certificate
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(_PRICING)), st.data())
+def test_iterate_matches_the_cold_loop_on_random_runs(name, data):
+    # pf's direction exp(mu - 1) squares past the float range, so its norm
+    # overflows, once a price passes about 355; its starts stay below that
+    inst, cfg, mu0 = data.draw(_short_runs(hi=1e2 if name == "pf" else _MU_MAX))
+    with np.errstate(all="raise"):
+        assoc, alloc, trace = _run(name, inst, cfg, mu0)
+        r_assoc, r_alloc, primal, dual, mus, _ = _cold_loop(inst, _rule(name), cfg, mu0)
+    assert np.array_equal(trace.primal, primal)
+    assert np.array_equal(trace.dual, dual)
+    assert np.array_equal(trace.mu, mus)
+    assert np.array_equal(alloc.y, r_alloc.y)
+    assert np.array_equal(alloc.lam, r_alloc.lam, equal_nan=True)
+
+
+def test_table_keeps_no_dense_allocation_per_association(monkeypatch):
+    # 40 iterations at 1000 x 60 with a large step visit about 40
+    # associations; a table of dense (I, J) allocations would hold about 40
+    # y's. The blocked dual after the loop builds (rows, I, J) ratio tables
+    # of its own, so it is stubbed out to measure the loop alone.
+    inst = random_instance(np.random.default_rng(53), 1000, 60)
+    cfg = PricingConfig(total_iters=40, eta0=50.0)
+    monkeypatch.setattr(pricing, "dual_value", lambda inst, mu: np.zeros(mu.shape[0]))
+    tracemalloc.start()
+    try:
+        _, _, trace = solve(inst, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(trace.assoc_id)) >= 30  # the association keeps changing
+    assert peak < 10 * inst.num_users * inst.num_bs * 8
 
 
 # -------------------------------------------------- dual property tests ---
@@ -379,11 +473,11 @@ def _edge_instance(I, J, rng):
     return NetworkInstance.from_gamma(gamma, AlphaProfile(alpha=alpha, group=np.minimum(group, 3)))
 
 
-def _prices(J):
-    """J prices anywhere in [mu_min, mu_max], often at the ends."""
+def _prices(J, hi=_MU_MAX):
+    """J prices anywhere in [mu_min, hi], often at the ends."""
     price = st.one_of(
-        st.sampled_from([_MU_MIN, _MU_MAX]),
-        st.floats(np.log10(_MU_MIN), np.log10(_MU_MAX)).map(lambda e: 10.0**e),
+        st.sampled_from([_MU_MIN, hi]),
+        st.floats(np.log10(_MU_MIN), np.log10(hi)).map(lambda e: 10.0**e),
     )
     return st.lists(price, min_size=J, max_size=J).map(np.array)
 
@@ -419,9 +513,9 @@ def test_dual_bounds_every_optimally_split_association(case):
 
 
 @st.composite
-def _short_runs(draw):
+def _short_runs(draw, hi=_MU_MAX):
     """An edge instance, a short pricing config and a start: None (cold) or
-    warm-start prices anywhere in [mu_min, mu_max]."""
+    warm-start prices anywhere in [mu_min, hi]."""
     I = draw(st.integers(1, 10))
     J = draw(st.integers(1, 5))
     inst = _edge_instance(I, J, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
@@ -430,7 +524,7 @@ def _short_runs(draw):
         eta0=draw(st.floats(1e-3, 2.0)),
         eta_schedule=draw(st.sampled_from(["diminishing", "constant"])),
     )
-    return inst, cfg, draw(st.none() | _prices(J))
+    return inst, cfg, draw(st.none() | _prices(J, hi))
 
 
 @settings(max_examples=100, deadline=None)

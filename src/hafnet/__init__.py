@@ -10,7 +10,6 @@ from .core import (
     Group,
     NetworkInstance,
     RATE_FLOOR,
-    alpha_utility,
     haf_objective,
     rates_of,
     utility_vector,
@@ -20,19 +19,14 @@ from .channel import (
     Topology,
     evolve_fading,
     generate_topology,
-    link_gain_db,
     make_fading,
     make_instance,
     spectral_efficiency,
 )
 from .ra import (
-    EmptyBSError,
     LambdaSearchConfig,
     allocate,
     bs_optimal_utility,
-    kkt_residual,
-    solve_lambda_bisect,
-    solve_lambda_digit,
     subset_utilities,
 )
 from .pricing import (
@@ -61,7 +55,6 @@ from .experiments import (
     LOW_RATIOS,
     ScenarioConfig,
     TimeVaryingConfig,
-    bootstrap_mean_lower,
     build_instance,
     child_seed,
     emit_convergence_trace,

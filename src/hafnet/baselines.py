@@ -34,6 +34,7 @@ mu_j <- mu_j - eta (exp(mu_j - 1) - K_j), reaches a mean HAF of 12.7 against
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -111,9 +112,15 @@ def _pf_score(inst, mu):
     return mu[None, :] * inst.gamma
 
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def _pf_direction(inst, assoc, mu):
     counts = np.bincount(np.asarray(assoc.bs_of_user, dtype=int), minlength=inst.num_bs)
-    return np.exp(np.minimum(mu - 1.0, 709.0)) - counts.astype(float)
+    # exp(mu - 1) is capped at sqrt(float max / J) / e, so the J squared
+    # components sum below the float max and the loop's norm of d stays finite
+    cap = 0.5 * (_LOG_MAX - math.log(inst.num_bs)) - 1.0
+    return np.exp(np.minimum(mu - 1.0, cap)) - counts.astype(float)
 
 
 def _alpha_fair(a: float) -> PricingRule:

@@ -31,8 +31,8 @@ _PL0_CONST = 32.4
 class Topology:
     """A frozen large-scale realization: geometry, powers, shadowing.
 
-    Everything link_gain_db / spectral_efficiency need is copied in at
-    generation time, so the channel functions take no config argument.
+    Everything spectral_efficiency needs is copied in at generation time,
+    so the channel functions take no config argument.
     """
 
     bs_positions: np.ndarray  # (J, 2) meters
@@ -164,11 +164,6 @@ def _gain_db_matrix(topo: Topology, h: np.ndarray) -> np.ndarray:
     mag = np.maximum(np.abs(h), 1e-15)
     gain = -path_db - topo.shadow_db - topo.indoor_loss_db * topo.indoor[:, None]
     return gain + 20.0 * np.log10(mag)
-
-
-def link_gain_db(topo: Topology, i: int, j: int, h: FadingState) -> float:
-    """Gain of the (user i, BS j) link in dB under fading state h."""
-    return float(_gain_db_matrix(topo, h.h)[i, j])
 
 
 def spectral_efficiency(topo: Topology, h: FadingState) -> np.ndarray:

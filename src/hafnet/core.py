@@ -138,9 +138,6 @@ class Association:
     def num_users(self) -> int:
         return int(self.bs_of_user.shape[0])
 
-    def users_of(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.bs_of_user == j)
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -152,21 +149,6 @@ class Allocation:
 
     y: np.ndarray
     lam: np.ndarray
-
-
-def alpha_utility(rate: float, alpha: float) -> float:
-    """Alpha-fair utility of a single positive rate.
-
-    u_alpha(r) = r**(1-alpha) / (1-alpha) for alpha != 1, ln(r) at alpha = 1
-    (the proportional-fair limit). Raises ValueError on non-positive rate.
-    """
-    rate = float(rate)
-    alpha = float(alpha)
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
-    if alpha == 1.0:
-        return float(np.log(rate))
-    return float(rate ** (1.0 - alpha) / (1.0 - alpha))
 
 
 def utility_vector(rates: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -463,16 +463,6 @@ def emit_convergence_trace(trace: pricing.RunTrace, path) -> Path:
     return write_tables(path.parent, {path.name: (["iter", "primal_haf", "dual_value", "gap"], rows)})[0]
 
 
-def bootstrap_mean_lower(diffs: np.ndarray) -> float:
-    """One-sided 95% lower confidence bound on the mean via percentile
-    bootstrap: 2000 resamples drawn from a generator seeded with 0."""
-    diffs = np.asarray(diffs, dtype=float)
-    rng = np.random.default_rng(0)
-    idx = rng.integers(0, diffs.size, size=(2000, diffs.size))
-    means = diffs[idx].mean(axis=1)
-    return float(np.quantile(means, 1.0 - 0.95))
-
-
 # ------------------------------------------------------------ config file ---
 # Keys are the dataclass field names. Each nested dataclass of ScenarioConfig
 # gets the section named after its field; the other fields go in [scenario].

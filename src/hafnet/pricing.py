@@ -276,8 +276,8 @@ def iterate(
     dual is g(mu), a valid bound at any positive prices; nothing in the loop
     reads it, so it is evaluated after the loop, on all recorded prices in
     blocks. mu0 warm-starts a continuation and is clipped to [mu_min, mu_max];
-    NaN in it raises ValueError. Cold or warm, every iterate evaluates the
-    association its prices induce.
+    a shape other than (J,) or NaN in it raises ValueError. Cold or warm,
+    every iterate evaluates the association its prices induce.
 
     Each association is solved and scored once per run. A table keyed on the
     association's bytes (BS indices in the narrowest unsigned type) holds
@@ -293,6 +293,8 @@ def iterate(
     T = int(cfg.total_iters)
     I, J = inst.num_users, inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
+    if mu.shape != (J,):
+        raise ValueError(f"start prices have shape {mu.shape}, not ({J},)")
     if np.isnan(mu).any():  # clip would keep NaN; other starts clip into range
         raise ValueError("start prices must not be NaN")
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)

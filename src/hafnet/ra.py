@@ -9,18 +9,17 @@ scalar root-find per BS: find lam > 0 with
 after which y_ij = gamma_hat_ij * lam^(-1/alpha_i). The left side is strictly
 decreasing in lam (+inf at 0+, -> 0 at inf), so the root is unique.
 
-Production solves go through one segmented Newton kernel on s = log lam,
-which solves many root-finds at once: `allocate` passes every BS of an
+Every solve goes through one segmented Newton kernel on s = log lam, which
+solves many root-finds at once: `allocate` passes every BS of an
 association, and `subset_utilities` passes many (BS, user set) pairs for the
-search baselines. A decimal digit search (the printed method) and a
-bracketing bisection are kept as scalar references that the tests compare
-the kernel against; nothing in production calls them.
+search baselines. The scalar references the tests compare it against (the
+printed decimal digit search and a brentq root-find) live with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,10 +28,12 @@ from .core import Allocation, Association, NetworkInstance, utility_vector
 
 @dataclass(frozen=True)
 class LambdaSearchConfig:
+    # The digit-search schedule. Only the tests' digit-search reference reads
+    # these; they stay so that saved INI files keep loading.
     initial_step: float = 1e3
     outer_iters: int = 12
     inner_iters: int = 10
-    # Newton: tolerance on log(lam); bisection: relative bracket width.
+    # The Newton kernel's tolerance on log(lam).
     bisect_tol: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -40,118 +41,7 @@ class LambdaSearchConfig:
             raise ValueError(f"ra bisect_tol={self.bisect_tol} must be non-negative and finite")
 
 
-class EmptyBSError(ValueError):
-    """Raised when a multiplier is requested for a BS with no users."""
-
-
 _DEFAULT = LambdaSearchConfig()
-
-
-def _bs_terms(inst: NetworkInstance, assoc: Association, j: int) -> Tuple[List[float], List[float]]:
-    """Python-float gains and exponents of BS j's users, for the scalar references."""
-    users = np.flatnonzero(np.asarray(assoc.bs_of_user) == j)
-    if users.size == 0:
-        raise EmptyBSError(f"BS {j} has no associated users")
-    gh = inst.gamma_hat[users, j].tolist()
-    inv_alpha = (1.0 / inst.alphas.alpha[users]).tolist()
-    return gh, inv_alpha
-
-
-def _load(gh: Sequence[float], inv_alpha: Sequence[float], lam: float) -> float:
-    s = 0.0
-    for g, a in zip(gh, inv_alpha):
-        s += g * lam ** (-a)
-    return s
-
-
-def kkt_residual(inst: NetworkInstance, assoc: Association, j: int, lam: float) -> float:
-    """sum_i gamma_hat_ij lam^(-1/alpha_i) - 1 over BS j's users.
-
-    Zero at the optimal multiplier; strictly decreasing in lam.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    gh, ia = _bs_terms(inst, assoc, j)
-    return _load(gh, ia, float(lam)) - 1.0
-
-
-def _digit_search(gh: Sequence[float], inv_alpha: Sequence[float], cfg: LambdaSearchConfig) -> float:
-    """Decimal digit search for the multiplier.
-
-    Starts at lam = 0 with a coarse step; keeps adding the step while the
-    load stays above 1, retracting and shrinking the step tenfold on each
-    overshoot; after every inner sweep one extra step is probed. Every probe
-    (the extra one included) is subject to the same retract-and-shrink rule,
-    so lam never ends above the root; an unconditional trailing add would park
-    lam one coarse step past the root with no way back down.
-    """
-    lam = 0.0
-    step = float(cfg.initial_step)
-
-    def probe() -> None:
-        nonlocal lam, step
-        lam += step
-        if 1.0 > _load(gh, inv_alpha, lam):
-            lam -= step
-            step /= 10.0
-
-    for _ in range(cfg.outer_iters):
-        for _ in range(cfg.inner_iters):
-            probe()
-        probe()
-    return lam
-
-
-def _bisect(gh: Sequence[float], inv_alpha: Sequence[float], tol: float) -> float:
-    """Bracket the root by doubling/halving from lam = 1, then bisect."""
-    r0 = _load(gh, inv_alpha, 1.0) - 1.0
-    if r0 == 0.0:
-        return 1.0
-    if r0 > 0.0:  # load too high -> root above 1
-        lo, hi = 1.0, 2.0
-        for _ in range(400):
-            if _load(gh, inv_alpha, hi) - 1.0 <= 0.0:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise ArithmeticError("failed to bracket multiplier from above")
-    else:
-        lo, hi = 0.5, 1.0
-        for _ in range(400):
-            if _load(gh, inv_alpha, lo) - 1.0 >= 0.0:
-                break
-            lo, hi = lo * 0.5, lo
-        else:
-            raise ArithmeticError("failed to bracket multiplier from below")
-    mid = 0.5 * (lo + hi)
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * mid or mid == lo or mid == hi:
-            break
-        if _load(gh, inv_alpha, mid) - 1.0 >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
-def solve_lambda_digit(
-    inst: NetworkInstance, assoc: Association, j: int, cfg: Optional[LambdaSearchConfig] = None
-) -> float:
-    """Digit-search multiplier for BS j. Raises EmptyBSError if j is empty."""
-    cfg = cfg or _DEFAULT
-    gh, ia = _bs_terms(inst, assoc, j)
-    return _digit_search(gh, ia, cfg)
-
-
-def solve_lambda_bisect(
-    inst: NetworkInstance, assoc: Association, j: int, cfg: Optional[LambdaSearchConfig] = None
-) -> float:
-    """Bisection multiplier for BS j, |kkt_residual| <= ~1e-8 at return."""
-    cfg = cfg or _DEFAULT
-    gh, ia = _bs_terms(inst, assoc, j)
-    return _bisect(gh, ia, cfg.bisect_tol)
-
 
 # Newton steps: 5-8 suffice from the start point; the cap catches NaNs.
 _NEWTON_MAX_STEPS = 100

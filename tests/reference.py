@@ -1,0 +1,131 @@
+"""Scalar references that the tests compare the production code against.
+
+Nothing in `hafnet` calls these. The allocation references solve one BS's
+KKT equation
+
+    sum_{i in I_j} gamma_hat_ij * lam^(-1/alpha_i)  =  1
+
+on Python floats: `solve_lambda_digit` by the printed decimal digit search,
+`solve_lambda_brentq` by scipy's brentq in s = log lam. `kkt_residual`
+measures how far a multiplier is from the root.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+from scipy.optimize import brentq
+
+from hafnet.core import Association, NetworkInstance
+from hafnet.ra import LambdaSearchConfig
+
+
+class EmptyBSError(ValueError):
+    """Raised when a multiplier is requested for a BS with no users."""
+
+
+def _bs_terms(inst: NetworkInstance, assoc: Association, j: int) -> Tuple[List[float], List[float]]:
+    """Python-float gains and exponents of BS j's users."""
+    users = np.flatnonzero(np.asarray(assoc.bs_of_user) == j)
+    if users.size == 0:
+        raise EmptyBSError(f"BS {j} has no associated users")
+    gh = inst.gamma_hat[users, j].tolist()
+    inv_alpha = (1.0 / inst.alphas.alpha[users]).tolist()
+    return gh, inv_alpha
+
+
+def _load(gh: Sequence[float], inv_alpha: Sequence[float], lam: float) -> float:
+    s = 0.0
+    for g, a in zip(gh, inv_alpha):
+        s += g * lam ** (-a)
+    return s
+
+
+def kkt_residual(inst: NetworkInstance, assoc: Association, j: int, lam: float) -> float:
+    """sum_i gamma_hat_ij lam^(-1/alpha_i) - 1 over BS j's users.
+
+    Zero at the optimal multiplier; strictly decreasing in lam.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    gh, ia = _bs_terms(inst, assoc, j)
+    return _load(gh, ia, float(lam)) - 1.0
+
+
+def _digit_search(gh: Sequence[float], inv_alpha: Sequence[float], cfg: LambdaSearchConfig) -> float:
+    """Decimal digit search for the multiplier.
+
+    Starts at lam = 0 with a coarse step; keeps adding the step while the
+    load stays above 1, retracting and shrinking the step tenfold on each
+    overshoot; after every inner sweep one extra step is probed. Every probe
+    (the extra one included) is subject to the same retract-and-shrink rule,
+    so lam never ends above the root; an unconditional trailing add would park
+    lam one coarse step past the root with no way back down.
+    """
+    lam = 0.0
+    step = float(cfg.initial_step)
+
+    def probe() -> None:
+        nonlocal lam, step
+        lam += step
+        if 1.0 > _load(gh, inv_alpha, lam):
+            lam -= step
+            step /= 10.0
+
+    for _ in range(cfg.outer_iters):
+        for _ in range(cfg.inner_iters):
+            probe()
+        probe()
+    return lam
+
+
+def solve_lambda_digit(
+    inst: NetworkInstance, assoc: Association, j: int, cfg: Optional[LambdaSearchConfig] = None
+) -> float:
+    """Digit-search multiplier for BS j, on the schedule of cfg's digit fields.
+    Raises EmptyBSError if j is empty."""
+    gh, ia = _bs_terms(inst, assoc, j)
+    return _digit_search(gh, ia, cfg or LambdaSearchConfig())
+
+
+def solve_lambda_brentq(inst: NetworkInstance, assoc: Association, j: int) -> float:
+    """Multiplier for BS j by brentq on load(s) - 1, s = log lam, to a few ulps.
+
+    The bracket is closed-form. At s = max_k (lg_k - 1) / ia_k one term is e,
+    so the load is above 1; at s = max_k (lg_k + ln n + 1) / ia_k each of the
+    n terms is at most 1 / (e n), so the load is below 1. No term in between
+    exceeds e, so none overflows. Raises EmptyBSError if j is empty.
+    """
+    gh, ia = _bs_terms(inst, assoc, j)
+    lg, ia = np.log(gh), np.array(ia)
+    lo = float(np.max((lg - 1.0) / ia))
+    hi = float(np.max((lg + math.log(lg.size) + 1.0) / ia))
+    s = brentq(lambda s: float(np.exp(lg - s * ia).sum()) - 1.0, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return math.exp(s)
+
+
+def alpha_utility(rate: float, alpha: float) -> float:
+    """Alpha-fair utility of a single positive rate.
+
+    u_alpha(r) = r**(1-alpha) / (1-alpha) for alpha != 1, ln(r) at alpha = 1
+    (the proportional-fair limit). Raises ValueError on non-positive rate.
+    """
+    rate = float(rate)
+    alpha = float(alpha)
+    if rate <= 0.0:
+        raise ValueError("rate must be positive")
+    if alpha == 1.0:
+        return float(np.log(rate))
+    return float(rate ** (1.0 - alpha) / (1.0 - alpha))
+
+
+def bootstrap_mean_lower(diffs: np.ndarray) -> float:
+    """One-sided 95% lower confidence bound on the mean via percentile
+    bootstrap: 2000 resamples drawn from a generator seeded with 0."""
+    diffs = np.asarray(diffs, dtype=float)
+    rng = np.random.default_rng(0)
+    idx = rng.integers(0, diffs.size, size=(2000, diffs.size))
+    means = diffs[idx].mean(axis=1)
+    return float(np.quantile(means, 1.0 - 0.95))

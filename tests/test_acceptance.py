@@ -21,20 +21,17 @@ from hafnet import (
     PricingConfig,
     TimeVaryingConfig,
     allocate,
-    bootstrap_mean_lower,
     brute_force,
     build_instance,
     high_fairness_config,
-    kkt_residual,
     low_fairness_config,
     run_static_experiment,
     run_time_varying,
     save_config,
-    solve_lambda_bisect,
-    solve_lambda_digit,
     theorem1_check,
 )
 from hafnet import pricing
+from reference import bootstrap_mean_lower, kkt_residual, solve_lambda_brentq, solve_lambda_digit
 
 PRICING_BASELINES = ("pf", "af_low", "af_high", "min_latency")
 ALL_METHODS = ("proposed", "max_sinr", "random") + PRICING_BASELINES
@@ -116,8 +113,8 @@ def test_c02_solver_agreement(subproblems):
     for inst in subproblems:
         assoc = Association(np.zeros(inst.num_users, dtype=int))
         lam_d = solve_lambda_digit(inst, assoc, 0)
-        lam_b = solve_lambda_bisect(inst, assoc, 0)
-        worst = max(worst, abs(lam_d - lam_b) / lam_b)
+        lam_r = solve_lambda_brentq(inst, assoc, 0)
+        worst = max(worst, abs(lam_d - lam_r) / lam_r)
     ok = worst <= 1e-5
     line = _verdict("C2 solver agreement", ok, f"worst relative disagreement {worst:.2e}")
     assert ok, line
@@ -134,7 +131,7 @@ def test_c03_closed_forms():
         if abs(alpha - 1.0) < 0.05:
             continue
         inst = make_instance([[gamma]], [alpha])
-        lam = solve_lambda_bisect(inst, Association(np.array([0])), 0)
+        lam = solve_lambda_brentq(inst, Association(np.array([0])), 0)
         worst_single = max(worst_single, abs(lam - gamma ** (1.0 - alpha)) / gamma ** (1.0 - alpha))
 
     # equal alpha: y_i = gamma_hat_i / sum(gamma_hat)

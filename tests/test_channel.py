@@ -65,31 +65,36 @@ def _unit_fading(n_users=1, n_bs=1):
                           rng=np.random.default_rng(0))
 
 
+def _gain_db(topo):
+    """Gain of the (user 0, BS 0) link in dB under unit fading."""
+    return ch._gain_db_matrix(topo, _unit_fading().h)[0, 0]
+
+
 def test_link_gain_reference_point():
     # 1 m, 2 GHz, |h|=1, no shadow/indoor: -(32.4 + 20log10(2)) = -38.42 dB
     topo = _bare_topology(dist=1.0)
-    g = ch.link_gain_db(topo, 0, 0, _unit_fading())
+    g = _gain_db(topo)
     assert g == pytest.approx(-(32.4 + 20 * np.log10(2.0)), abs=1e-9)
 
 
 def test_link_gain_indoor_is_20db():
     topo = _bare_topology()
-    gain_out = ch.link_gain_db(topo, 0, 0, _unit_fading())
+    gain_out = _gain_db(topo)
     indoor = np.array([True])
     topo_in = ch.Topology(**{**topo.__dict__, "indoor": indoor})
-    gain_in = ch.link_gain_db(topo_in, 0, 0, _unit_fading())
+    gain_in = _gain_db(topo_in)
     assert gain_out - gain_in == pytest.approx(20.0, abs=1e-9)
 
 
 def test_link_gain_distance_doubling_macro():
-    g1 = ch.link_gain_db(_bare_topology(dist=2.0), 0, 0, _unit_fading())
-    g2 = ch.link_gain_db(_bare_topology(dist=4.0), 0, 0, _unit_fading())
+    g1 = _gain_db(_bare_topology(dist=2.0))
+    g2 = _gain_db(_bare_topology(dist=4.0))
     assert g1 - g2 == pytest.approx(10 * 3.76 * np.log10(2.0), abs=1e-9)
 
 
 def test_link_gain_distance_floor():
-    gnear = ch.link_gain_db(_bare_topology(dist=0.01), 0, 0, _unit_fading())
-    g1m = ch.link_gain_db(_bare_topology(dist=1.0), 0, 0, _unit_fading())
+    gnear = _gain_db(_bare_topology(dist=0.01))
+    g1m = _gain_db(_bare_topology(dist=1.0))
     assert gnear == pytest.approx(g1m, abs=1e-9)
 
 

@@ -8,12 +8,12 @@ from hafnet.core import (
     Allocation,
     Association,
     RATE_FLOOR,
-    alpha_utility,
     haf_objective,
     rates_of,
     utility_vector,
 )
 from conftest import make_instance, make_profile
+from reference import alpha_utility
 
 
 def test_alpha_utility_power_branch():

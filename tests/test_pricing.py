@@ -169,6 +169,15 @@ def test_a_nan_start_price_is_rejected(name):
         _run(name, inst, PricingConfig(total_iters=5), np.array([np.nan, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("length", [1, 4])
+@pytest.mark.parametrize("name", list(_PRICING))
+def test_a_start_price_of_the_wrong_length_is_rejected(name, length):
+    # a length-1 start would otherwise broadcast into a uniform start
+    inst = random_instance(np.random.default_rng(6), 8, 3)
+    with pytest.raises(ValueError, match=rf"shape \({length},\), not \(3,\)"):
+        _run(name, inst, PricingConfig(total_iters=5), np.ones(length))
+
+
 def test_out_of_range_start_prices_clip():
     inst = random_instance(np.random.default_rng(6), 8, 4)
     cfg = PricingConfig(total_iters=1)
@@ -425,9 +434,7 @@ def test_each_association_is_solved_once_per_run(name, monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(_PRICING)), st.data())
 def test_iterate_matches_the_cold_loop_on_random_runs(name, data):
-    # pf's direction exp(mu - 1) squares past the float range, so its norm
-    # overflows, once a price passes about 355; its starts stay below that
-    inst, cfg, mu0 = data.draw(_short_runs(hi=1e2 if name == "pf" else _MU_MAX))
+    inst, cfg, mu0 = data.draw(_short_runs())
     with np.errstate(all="raise"):
         assoc, alloc, trace = _run(name, inst, cfg, mu0)
         r_assoc, r_alloc, primal, dual, mus, _ = _cold_loop(inst, _rule(name), cfg, mu0)
@@ -473,11 +480,11 @@ def _edge_instance(I, J, rng):
     return NetworkInstance.from_gamma(gamma, AlphaProfile(alpha=alpha, group=np.minimum(group, 3)))
 
 
-def _prices(J, hi=_MU_MAX):
-    """J prices anywhere in [mu_min, hi], often at the ends."""
+def _prices(J):
+    """J prices anywhere in [mu_min, mu_max], often at the ends."""
     price = st.one_of(
-        st.sampled_from([_MU_MIN, hi]),
-        st.floats(np.log10(_MU_MIN), np.log10(hi)).map(lambda e: 10.0**e),
+        st.sampled_from([_MU_MIN, _MU_MAX]),
+        st.floats(np.log10(_MU_MIN), np.log10(_MU_MAX)).map(lambda e: 10.0**e),
     )
     return st.lists(price, min_size=J, max_size=J).map(np.array)
 
@@ -513,9 +520,9 @@ def test_dual_bounds_every_optimally_split_association(case):
 
 
 @st.composite
-def _short_runs(draw, hi=_MU_MAX):
+def _short_runs(draw):
     """An edge instance, a short pricing config and a start: None (cold) or
-    warm-start prices anywhere in [mu_min, hi]."""
+    warm-start prices anywhere in [mu_min, mu_max]."""
     I = draw(st.integers(1, 10))
     J = draw(st.integers(1, 5))
     inst = _edge_instance(I, J, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
@@ -524,7 +531,7 @@ def _short_runs(draw, hi=_MU_MAX):
         eta0=draw(st.floats(1e-3, 2.0)),
         eta_schedule=draw(st.sampled_from(["diminishing", "constant"])),
     )
-    return inst, cfg, draw(st.none() | _prices(J, hi))
+    return inst, cfg, draw(st.none() | _prices(J))
 
 
 @settings(max_examples=100, deadline=None)

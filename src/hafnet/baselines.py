@@ -66,8 +66,8 @@ class GaParams:
 # differences: well above their rounding, far below any gain worth a move.
 _GAIN_RTOL = 1e-12
 
-# Subsets or candidates per brute-force batch; bounds its memory on the
-# largest instances it accepts.
+# Subsets or candidates per brute-force batch, and user sets per 2RS block
+# (at most _BATCH // J users, J sets each); bounds their memory.
 _BATCH = 4096
 
 # Search caps: brute force refuses more than _MAX_CANDIDATES associations,
@@ -192,38 +192,66 @@ def run_2rs(
     """First-improvement local search over single-user reassignments.
 
     A move changes one user's BS (association matrices at Hamming distance 2).
-    Users are tried in order; one batch per user solves its old BS without it
-    and every other BS with it, and the user moves to the lowest-indexed BS
-    whose gain clears the rounding test. Full mode repeats passes until a
-    complete pass finds no improving move or _MAX_PASSES is hit; adaptive
-    mode applies exactly one improving move.
+    Users are tried in order, and the first user with an improving move
+    moves to the lowest-indexed BS whose gain clears the rounding test. Each
+    kernel call scores a block of consecutive users, J sets per user: the
+    user's old BS without it and every other BS with it. The block starts at
+    one user after each move and doubles after each block with no move, up
+    to _BATCH // J users; the first call also scores the start sets. The
+    result is that of scoring one user at a time: a set's utility does not
+    depend on the rest of its batch, and the users before the first move in
+    a block are scored against the same sets as they would be alone.
+    Full mode repeats passes until a complete pass finds no improving move
+    or _MAX_PASSES is hit; adaptive mode applies exactly one improving move.
+    A start whose shape is not (I,) or that names a BS outside [0, J)
+    raises ValueError.
     """
-    bs = np.asarray(start.bs_of_user, dtype=int).copy()
+    bs = np.array(start.bs_of_user, dtype=int)
     I, J = inst.num_users, inst.num_bs
+    if bs.shape != (I,):
+        raise ValueError(f"2RS start has shape {bs.shape}, not ({I},)")
+    if I and (bs.min() < 0 or bs.max() >= J):
+        raise ValueError(f"2RS start refers to a BS outside [0, {J})")
     all_bs = np.arange(J)
     sets = bs[None, :] == all_bs[:, None]  # sets[j, i]: BS j serves user i
-    utils, _ = ra.subset_utilities(inst, all_bs, sets, ra_cfg)
+    utils, block = None, 1
 
     for _ in range(_MAX_PASSES):
         improved = False
-        for i in range(I):
-            a = bs[i]
-            moved = sets.copy()  # row a: a without i; row b != a: b with i
-            moved[:, i] = True
-            moved[a, i] = False
-            u, _ = ra.subset_utilities(inst, all_bs, moved, ra_cfg)
-            delta = u[a] + u - utils[a] - utils
+        i = 0
+        while i < I:
+            users = np.arange(i, min(i + block, I))
+            k = np.arange(users.size)
+            a = bs[users]
+            # moved[k, a[k]]: BS a[k] without users[k]; moved[k, b]: BS b with it
+            moved = np.repeat(sets[None], users.size, axis=0)
+            moved[k, :, users] = True
+            moved[k, a, users] = False
+            if utils is None:  # the start sets ride in the first call
+                moved = np.concatenate([sets[None], moved])
+            u, _ = ra.subset_utilities(inst, np.tile(all_bs, len(moved)), moved.reshape(-1, I), ra_cfg)
+            u = u.reshape(-1, J)
+            if utils is None:
+                utils, u = u[0], u[1:]
+            ua, ta = u[k, a][:, None], utils[a][:, None]
+            delta = ua + u - ta - utils
             # a gain must clear the rounding of the four utilities it differences
-            ok = delta > _GAIN_RTOL * (1.0 + abs(u[a]) + abs(u) + abs(utils[a]) + abs(utils))
-            ok[a] = False
-            if ok.any():
-                b = int(np.argmax(ok))  # the first improving target BS
-                bs[i] = b
-                sets[a, i], sets[b, i] = False, True
-                utils[a], utils[b] = u[a], u[b]
-                improved = True
-                if adaptive:
-                    return _finish(inst, bs, ra_cfg)
+            ok = delta > _GAIN_RTOL * (1.0 + abs(ua) + abs(u) + abs(ta) + abs(utils))
+            ok[k, a] = False
+            hits = np.flatnonzero(ok.any(axis=1))
+            if not hits.size:
+                i += users.size
+                block = min(2 * block, max(1, _BATCH // J))
+                continue
+            h = hits[0]  # the first user with an improving move
+            user, old, b = users[h], a[h], int(np.argmax(ok[h]))  # b: the first improving target BS
+            bs[user] = b
+            sets[old, user], sets[b, user] = False, True
+            utils[old], utils[b] = u[h, old], u[h, b]
+            if adaptive:
+                return _finish(inst, bs, ra_cfg)
+            improved = True
+            i, block = user + 1, 1
         if not improved:
             break
     return _finish(inst, bs, ra_cfg)

@@ -403,7 +403,8 @@ def run_time_varying(
     a constant step; the local search applies one improving move per slot.
     The frozen reference keeps the association adaptive pricing reached at
     the end of slot 1 and only re-solves the bandwidth split. Per-slot HAF is
-    evaluated at the end-of-slot association.
+    evaluated at the end-of-slot association; when that is the association of
+    the slot's pricing run's best iterate, the row reuses the run's allocation.
     """
     tv = cfg.timevary
     methods = tuple(methods) if methods is not None else _TV_METHODS
@@ -426,15 +427,16 @@ def run_time_varying(
             for m in methods:
                 st = state[m]
                 if m in _PRICING:
-                    _, _, trace = _run_pricing(m, inst, slot_cfg, cfg.ra, mu0=st.get("mu"))
+                    b_assoc, b_alloc, trace = _run_pricing(m, inst, slot_cfg, cfg.ra, mu0=st.get("mu"))
                     st["mu"], assoc = trace.mu_final, trace.assoc_final
-                    alloc = ra.allocate(inst, assoc, cfg.ra)
+                    alloc = ra.allocate(inst, assoc, cfg.ra, prev=(b_assoc, b_alloc))
                 elif m == "frozen":
+                    prev = None
                     if "x" not in st:
-                        _, _, trace = pricing.solve(inst, slot_cfg, cfg.ra)
-                        st["x"] = trace.assoc_final.bs_of_user
+                        b_assoc, b_alloc, trace = pricing.solve(inst, slot_cfg, cfg.ra)
+                        st["x"], prev = trace.assoc_final.bs_of_user, (b_assoc, b_alloc)
                     assoc = Association(st["x"])
-                    alloc = ra.allocate(inst, assoc, cfg.ra)
+                    alloc = ra.allocate(inst, assoc, cfg.ra, prev=prev)
                 elif m == "two_rs":
                     if "x" not in st:
                         st["x"] = np.argmax(inst.gamma, axis=1)

@@ -135,7 +135,9 @@ def subset_utilities(
     members = np.asarray(members, dtype=bool)
     P = bs.shape[0]
     pair, users = np.nonzero(members)
-    used, seg = np.unique(pair, return_inverse=True)
+    in_use = members.any(axis=1)
+    used = np.flatnonzero(in_use)
+    seg = (np.cumsum(in_use) - 1)[pair]  # each term's rank among the non-empty pairs
     js = bs[pair]
     lg = np.log(inst.gamma_hat[users, js])
     alpha = inst.alphas.alpha[users]

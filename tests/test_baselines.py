@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hafnet import ra
 from hafnet.baselines import (
     RULES,
     GaParams,
@@ -183,6 +184,17 @@ def test_2rs_refuses_a_gain_made_of_rounding():
     for adaptive in (True, False):
         assoc, _ = run_2rs(inst, start, adaptive=adaptive)
         assert np.array_equal(assoc.bs_of_user, start.bs_of_user)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("start", [[0, 1], [0, -1, 1], [0, 2, 1]], ids=["short", "negative", "past_last_bs"])
+def test_2rs_rejects_a_bad_start_before_any_solve(start, adaptive, monkeypatch):
+    inst = make_instance([[4.0, 1.0], [1.0, 4.0], [2.0, 2.0]], [0.5, 0.5, 0.5])
+    calls = []
+    monkeypatch.setattr(ra, "_newton", lambda *args: calls.append(1))
+    with pytest.raises(ValueError, match="2RS start"):
+        run_2rs(inst, Association(np.array(start)), adaptive=adaptive)
+    assert calls == []
 
 
 def test_2rs_result_is_single_move_local_optimum():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hafnet.experiments as ex
-from hafnet import channel
+from hafnet import channel, ra
 from hafnet.baselines import GaParams
 from hafnet.core import Association, Group, haf_objective
 from hafnet.pricing import PricingConfig, solve
@@ -443,9 +443,12 @@ def test_time_varying_rows_layout(tmp_path):
     assert len(csv_lines) == 1 + len(rows)
 
 
+TV_ALL = ("proposed", "frozen", "two_rs", "pf", "af_low", "af_high", "min_latency",
+          "min_latency_argmin", "max_sinr", "random")
+
+
 def test_time_varying_every_method(tmp_path):
-    methods = ("proposed", "frozen", "two_rs", "pf", "af_low", "af_high", "min_latency",
-               "min_latency_argmin", "max_sinr", "random")
+    methods = TV_ALL
     tv = ex.TimeVaryingConfig(rho=0.9, num_slots=4, iters_per_slot=3)
     cfg = replace(SMALL, num_seeds=1, timevary=tv)
     res = ex.run_time_varying(cfg, tmp_path / "tv3", master_seed=7, methods=methods)
@@ -462,6 +465,21 @@ def test_time_varying_every_method(tmp_path):
         expected = haf_objective(inst, best, allocate(inst, best, cfg.ra))
         (got,) = [r[3] for r in rows if r[1] == slot and r[2] == "max_sinr"]
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_time_varying_rows_do_not_depend_on_reuse(tmp_path, monkeypatch):
+    # every row must be what a cold solve of its association gives
+    tv = ex.TimeVaryingConfig(rho=0.9, num_slots=6, iters_per_slot=4)
+    cfg = replace(SMALL, num_seeds=2, timevary=tv)
+
+    def bits(out):
+        rows = ex.run_time_varying(cfg, tmp_path / out, master_seed=3, methods=TV_ALL)["rows"]
+        return [(s, slot, m, float(haf).hex()) for s, slot, m, haf in rows]
+
+    reused = bits("reused")
+    allocate = ra.allocate
+    monkeypatch.setattr(ra, "allocate", lambda inst, assoc, cfg=None, prev=None: allocate(inst, assoc, cfg))
+    assert bits("cold") == reused
 
 
 def test_user_sweep_rows(tmp_path):

@@ -5,13 +5,16 @@ KKT equation; the batched search paths against per-pair loops kept here.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hafnet import baselines, ra
 from hafnet.baselines import _subset_table, brute_force, run_2rs
 from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInstance
+from hafnet.experiments import build_instance, low_fairness_config
 from hafnet.ra import LambdaSearchConfig, allocate, bs_optimal_utility, subset_utilities
 from conftest import random_instance
 from reference import kkt_residual, solve_lambda_brentq
@@ -161,3 +164,51 @@ def test_2rs_matches_per_move_reference(I, J, adaptive, seed):
     start = rng.integers(0, J, size=I)
     assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
     assert assoc.bs_of_user.tolist() == _reference_2rs(inst, start, adaptive).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 20), st.integers(2, 4), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
+def test_2rs_across_capped_blocks_matches_per_move_reference(I, J, batch, adaptive, seed):
+    # a small _BATCH caps each block at max(1, _BATCH // J) users, so scans
+    # span several blocks and reach the cap
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, I, J)
+    start = rng.integers(0, J, size=I)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_BATCH", batch)
+        assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
+    assert assoc.bs_of_user.tolist() == _reference_2rs(inst, start, adaptive).tolist()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_2rs_matches_per_move_reference_at_40x6(seed, adaptive):
+    inst, _, _ = build_instance(low_fairness_config(), 3, seed)  # the experiments' 40x6 shape
+    start = np.argmax(inst.gamma, axis=1)
+    assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
+    assert assoc.bs_of_user.tolist() == _reference_2rs(inst, start, adaptive).tolist()
+
+
+@pytest.mark.parametrize(
+    "I, batch, scans",
+    [(I, 4096, math.ceil(math.log2(I + 1))) for I in (1, 2, 3, 7, 8, 40)]
+    + [(40, 12, 12), (7, 2, 7)],  # caps of 4 users (1 + 2 + 10 * 4) and 1 user
+)
+def test_2rs_scan_doubles_its_block_up_to_the_cap(I, batch, scans, monkeypatch):
+    # from a local optimum, adaptive 2RS scores blocks of 1, 2, 4, ... users,
+    # at most _BATCH // J each, to find no move, then makes the _finish solve
+    rng = np.random.default_rng(I)
+    inst = random_instance(rng, I, 3)
+    local_opt, _ = run_2rs(inst, Association(rng.integers(0, 3, size=I)))
+    calls = []
+    newton = ra._newton
+
+    def counted_newton(*args):
+        calls.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(ra, "_newton", counted_newton)
+    monkeypatch.setattr(baselines, "_BATCH", batch)
+    assoc, _ = run_2rs(inst, local_opt, adaptive=True)
+    assert np.array_equal(assoc.bs_of_user, local_opt.bs_of_user)
+    assert len(calls) == scans + 1

@@ -80,6 +80,16 @@ class InstanceTooLargeError(ValueError):
     """Raised when brute force would enumerate too many associations."""
 
 
+def check_brute_force_size(num_users: int, num_bs: int) -> None:
+    """Raise InstanceTooLargeError when num_bs ** num_users exceeds
+    _MAX_CANDIDATES, before brute force or a config naming it runs."""
+    n_cand = num_bs**num_users
+    if n_cand > _MAX_CANDIDATES:
+        raise InstanceTooLargeError(
+            f"brute_force: {num_bs}^{num_users} = {n_cand} associations exceed the {_MAX_CANDIDATES} cap"
+        )
+
+
 def _finish(inst, bs, ra_cfg) -> Tuple[Association, Allocation]:
     assoc = Association(bs_of_user=np.asarray(bs, dtype=int))
     return assoc, ra.allocate(inst, assoc, ra_cfg)
@@ -326,9 +336,8 @@ def brute_force(
     InstanceTooLargeError when J^I exceeds _MAX_CANDIDATES.
     """
     I, J = inst.num_users, inst.num_bs
+    check_brute_force_size(I, J)
     n_cand = J**I
-    if n_cand > _MAX_CANDIDATES:
-        raise InstanceTooLargeError(f"{J}^{I} = {n_cand} associations exceed the {_MAX_CANDIDATES} cap")
     if J == 1:
         assoc, alloc = _finish(inst, np.zeros(I, dtype=int), ra_cfg)
         return assoc, alloc, haf_objective(inst, assoc, alloc)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import experiments, pricing
+from . import baselines, experiments, pricing
 from .experiments import ScenarioConfig, load_config
 
 
@@ -25,6 +25,10 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not >= 1")
     return value
+
+
+def _user_counts(text: str) -> list:
+    return [_positive_int(u) for u in text.split(",") if u.strip()]
 
 
 def _flag_parsers():
@@ -60,7 +64,7 @@ def main(argv=None) -> int:
 
     sub.add_parser("static", parents=[common, threads, methods])
     p_sweep = sub.add_parser("sweep", parents=[common, threads, methods])
-    p_sweep.add_argument("--users", type=str, default="40,45,50,55,60",
+    p_sweep.add_argument("--users", type=_user_counts, default="40,45,50,55,60",
                          help="comma list of user counts")
     sub.add_parser("timevary", parents=[common, methods])
     sub.add_parser("converge", parents=[common])
@@ -81,9 +85,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "sweep":
-        counts = [int(u) for u in args.users.split(",") if u.strip()]
-        res = experiments.run_user_sweep(cfg, counts, out, master_seed=args.seed, threads=args.threads)
-        print(f"wrote sweep over users {counts} to {out}")
+        res = experiments.run_user_sweep(cfg, args.users, out, master_seed=args.seed, threads=args.threads)
+        print(f"wrote sweep over users {args.users} to {out}")
         return 0
 
     if args.verb == "timevary":
@@ -101,9 +104,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "oracle":
-        small = replace(cfg, num_users=min(cfg.num_users, args.max_users),
-                        num_bs=min(cfg.num_bs, args.max_bs), num_seeds=args.instances,
-                        methods=("proposed", "brute_force"), force=True)
+        try:
+            small = replace(cfg, num_users=min(cfg.num_users, args.max_users),
+                            num_bs=min(cfg.num_bs, args.max_bs), num_seeds=args.instances,
+                            methods=("proposed", "brute_force"), force=True)
+        except baselines.InstanceTooLargeError as err:  # exit 1 means an unsound certificate
+            parser.error(str(err))
         res = experiments.run_static_experiment(small, out, master_seed=args.seed, threads=args.threads)
         optimum = {r["seed"]: r["haf"] for r in res["rows"] if r["method"] == "brute_force"}
         # sound: the gap bound covers the gap and the dual bounds the true optimum

@@ -49,8 +49,8 @@ GROUP_INTERVALS: Dict[Group, tuple] = {
 class AlphaProfile:
     """Per-user fairness exponents and their group labels.
 
-    alpha: shape (I,), positive. Exactly 1.0 is reserved for the log branch
-        of proportional-fair scoring and is rejected by validate().
+    alpha: shape (I,), each inside its group's interval; no interval holds 1,
+        which the objective, the dual and the certificate exclude.
     group: shape (I,), integer Group codes.
     """
 
@@ -69,8 +69,6 @@ class AlphaProfile:
             raise ValueError("alpha and group must be 1-D arrays of equal length")
         if not np.all(a > 0):  # NaN fails too
             raise ValueError("fairness exponents must be positive")
-        if np.any(a == 1.0):
-            raise ValueError("alpha == 1 exactly is not a valid profile value")
         for gi in np.unique(g):
             lo, hi = GROUP_INTERVALS[Group(int(gi))]
             sel = a[g == gi]
@@ -107,7 +105,8 @@ class NetworkInstance:
         alphas: AlphaProfile,
         bandwidth_hz: float = 20e6,
     ) -> "NetworkInstance":
-        """Build an instance, computing gamma_hat from gamma and alphas."""
+        """Build an instance, computing gamma_hat from gamma and alphas.
+        Raises ValueError unless every alpha is finite, positive and not 1."""
         gamma = np.asarray(gamma, dtype=float)
         if gamma.ndim != 2:
             raise ValueError("gamma must be an I x J matrix")
@@ -116,8 +115,8 @@ class NetworkInstance:
         a = np.asarray(alphas.alpha, dtype=float)
         if a.shape[0] != gamma.shape[0]:
             raise ValueError("alpha profile length must match gamma rows")
-        if not np.all((a > 0) & (a < np.inf)):
-            raise ValueError("fairness exponents must be finite and positive")
+        if not np.all((a > 0) & (a < np.inf) & (a != 1.0)):
+            raise ValueError("fairness exponents must be finite and positive, and not 1")
         expo = (1.0 - a) / a
         gamma_hat = gamma ** expo[:, None]
         return cls(
@@ -152,19 +151,15 @@ class Allocation:
 
 
 def utility_vector(rates: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Vector alpha-fair utilities with the rate floor applied.
+    """Vector alpha-fair utilities r ** (1 - alpha) / (1 - alpha) with the
+    rate floor applied.
 
     Rates below RATE_FLOOR contribute u(RATE_FLOOR), so all-zero allocations
     score finitely instead of raising.
     """
     r = np.maximum(np.asarray(rates, dtype=float), RATE_FLOOR)
-    a = np.asarray(alphas, dtype=float)
-    pf = a == 1.0
-    e = np.where(pf, 1.0, 1.0 - a)
-    out = r ** e / e
-    if pf.any():
-        out[pf] = np.log(r[pf])
-    return out
+    e = 1.0 - np.asarray(alphas, dtype=float)
+    return r ** e / e
 
 
 def rates_of(inst: NetworkInstance, assoc: Association, alloc: Allocation) -> np.ndarray:

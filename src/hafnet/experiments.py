@@ -95,6 +95,8 @@ class ScenarioConfig:
         if min(self.num_seeds, self.num_bs, self.num_users) < 1:
             raise ValueError("num_seeds, num_bs and num_users must each be >= 1")
         _check_methods(self.methods, available_methods())
+        if "brute_force" in self.methods:
+            baselines.check_brute_force_size(self.num_users, self.num_bs)
         if self.num_bs > 1 and not self.cluster_centers:  # ceil(J/10) < J macros once J > 1: small cells exist
             raise ValueError("cluster_centers must name a center for the small cells")
         if self.force:
@@ -408,7 +410,7 @@ def run_time_varying(
     """
     tv = cfg.timevary
     methods = tuple(methods) if methods is not None else _TV_METHODS
-    _check_methods(methods, _TV_METHODS + _PRICING + ("max_sinr", "random"))
+    _check_methods(methods, _PRICING + ("frozen", "two_rs", "max_sinr", "random"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -514,10 +516,14 @@ def save_config(cfg: ScenarioConfig, path) -> Path:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse an INI scenario file. Unknown sections or keys and malformed
-    values raise ValueError naming the offending key."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Parse an INI scenario file, reading values literally (no % interpolation).
+    Unknown sections or keys and malformed values raise ValueError naming the
+    offending key; a malformed file raises ValueError too."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:  # a duplicate key or section, a line outside any section
+        raise ValueError(f"malformed config file: {err}") from None
     if not read:
         raise FileNotFoundError(path)
     defaults = _sections(ScenarioConfig())

@@ -13,12 +13,12 @@ The dual function
 
     g(mu) = sum_j mu_j + sum_i max_j (alpha_i/(1-alpha_i)) gamma_hat_ij mu_j^((alpha_i-1)/alpha_i)
 
-takes each user's max_j at the BS of stage 2, since the user's term rises with
-gamma_ij / mu_j in every alpha branch (see `dual_value`). It upper-bounds the HAF
-value of every feasible decision, so any price vector certifies solution
-quality: the run keeps the best primal iterate and reports the gap to the best
-dual value, together with an analytic bound on that gap evaluated at the
-best-dual prices.
+for alpha_i != 1, which NetworkInstance requires. It takes each user's max_j
+at the BS of stage 2, since the user's term rises with gamma_ij / mu_j (see
+`dual_value`). It upper-bounds the HAF value of every feasible decision, so
+any price vector certifies solution quality: the run keeps the best primal
+iterate and reports the gap to the best dual value, together with an analytic
+bound on that gap evaluated at the best-dual prices.
 
 `iterate` is the one two-stage loop. A method enters it as a PricingRule (an
 association rule and a price direction): `solve` runs it with the rule above
@@ -160,13 +160,12 @@ def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray
     Each user's max over j sits at js = argmax_j gamma_ij / mu_j, ties to the
     lowest index as in `associate`, so g takes one term per user:
     coef gamma_hat_ij mu_j^e = coef (gamma_ij / mu_j)^(-e) rises with gamma_ij / mu_j
-    (coef > 0, -e > 0 for alpha < 1; both < 0 for alpha > 1), as does the
-    proportional-fair ln gamma_ij - ln mu_j - 1 of users with alpha exactly 1.
-    The terms are summed as sum mu, then the alpha = 1 users, then the rest.
+    (coef > 0, -e > 0 for alpha < 1; both < 0 for alpha > 1). g is sum mu
+    plus the sum of these terms.
 
     Rows go in blocks of _DUAL_BLOCK, and each block's maximisers come from
     one argmax over its ratio table, so no (T, users, BSs) array is built.
-    Every array that feeds a power, a log or a row sum is C-contiguous,
+    Every array that feeds a power or a row sum is C-contiguous,
     as a one-row call's arrays are: numpy's vectorised transcendentals and
     pairwise sums then round each row as that call does, so a table's values
     equal the one-row values bit for bit.
@@ -176,25 +175,15 @@ def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray
     if not (table > 0).all():  # NaN fails too
         raise ValueError("prices must be positive")
     a = inst.alphas.alpha
-    pf = a == 1.0
-    rest = ~pf
-    has_pf = bool(np.any(pf))
-    gamma_pf, gamma_rest = inst.gamma[pf], inst.gamma[rest]
-    log_gamma = np.log(gamma_pf)
-    ar = a[rest]
-    expo = (ar - 1.0) / ar
-    coef_gh = (ar / (1.0 - ar))[:, None] * inst.gamma_hat[rest]
-    pf_rows, rest_rows = np.arange(log_gamma.shape[0]), np.arange(ar.size)
+    expo = (a - 1.0) / a
+    coef_gh = (a / (1.0 - a))[:, None] * inst.gamma_hat
+    users = np.arange(a.size)
     out = np.empty(table.shape[0])
     for lo in range(0, table.shape[0], _DUAL_BLOCK):
         m = table[lo : lo + _DUAL_BLOCK]
         rows = np.arange(m.shape[0])[:, None]
-        total = m.sum(axis=1)
-        if has_pf:
-            jp = np.argmax(gamma_pf / m[:, None, :], axis=2)
-            total += (log_gamma[pf_rows, jp] - np.log(m)[rows, jp] - 1.0).sum(axis=1)
-        jr = np.argmax(gamma_rest / m[:, None, :], axis=2)
-        out[lo : lo + m.shape[0]] = total + (coef_gh[rest_rows, jr] * m[rows, jr] ** expo).sum(axis=1)
+        js = np.argmax(inst.gamma / m[:, None, :], axis=2)
+        out[lo : lo + m.shape[0]] = m.sum(axis=1) + (coef_gh[users, js] * m[rows, js] ** expo).sum(axis=1)
     return float(out[0]) if mu.ndim == 1 else out
 
 
@@ -222,17 +211,9 @@ def theorem2_bound(
     ls_u, lh_u = lambda_star[js], lh[js]
     if np.any(lh_u <= 0):
         raise ValueError("lambda_hat must be positive on associated BSs")
-    total = float(np.sum(lambda_star - lh))
-    pf = a == 1.0
-    if np.any(pf):
-        total += float(np.sum(np.log(lh_u[pf]) - np.log(ls_u[pf])))
-    rest = ~pf
-    if np.any(rest):
-        ar = a[rest]
-        e = (ar - 1.0) / ar
-        coef = ar * gh[rest] / (1.0 - ar)
-        total += float(np.sum(coef * (ls_u[rest] ** e - lh_u[rest] ** e)))
-    return total
+    e = (a - 1.0) / a
+    coef = a * gh / (1.0 - a)
+    return float(np.sum(lambda_star - lh)) + float(np.sum(coef * (ls_u ** e - lh_u ** e)))
 
 
 def _certificate(

@@ -30,8 +30,10 @@ def test_timevary_takes_its_own_methods(small_ini, tmp_path):
 
 def test_unknown_method_still_raises(small_ini, tmp_path):
     out = str(tmp_path / "out")
-    with pytest.raises(ValueError, match="bogus"):
+    with pytest.raises(ValueError, match="bogus") as exc:
         cli.main(["timevary", "--config", str(small_ini), "--methods", "proposed,bogus", "--out", out])
+    allowed = str(exc.value).split("choose from ")[1].split(", ")
+    assert len(allowed) == len(set(allowed))  # each method named once
     with pytest.raises(ValueError, match="frozen"):
         cli.main(["static", "--config", str(small_ini), "--methods", "proposed,frozen", "--out", out])
 
@@ -47,6 +49,7 @@ def test_unknown_method_still_raises(small_ini, tmp_path):
     ("oracle", "--instances", "0"),
     ("oracle", "--max-users", "0"),
     ("oracle", "--max-bs", "-1"),
+    ("sweep", "--users", "40,abc"),
 ])
 def test_verbs_reject_flags_they_do_not_read(verb, flag, value, small_ini, tmp_path):
     with pytest.raises(SystemExit) as exc:
@@ -80,6 +83,19 @@ def test_oracle_writes_the_static_tables_and_passes_sound_certificates(tmp_path)
     assert [(r["seed"], r["method"]) for r in rows] == [
         (str(s), m) for s in range(3) for m in ("proposed", "brute_force")
     ]
+
+
+def test_oracle_exits_2_before_any_solve_when_brute_force_is_too_large(tmp_path, monkeypatch):
+    # 3^13 associations exceed the brute-force cap; exit 1 would read as an unsound certificate
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the size check")
+
+    monkeypatch.setattr("hafnet.pricing.solve", no_solve)
+    out = tmp_path / "oracle"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--instances", "1", "--max-users", "13", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_oracle_exits_1_when_a_certificate_is_unsound(tmp_path, monkeypatch):

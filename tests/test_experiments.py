@@ -183,6 +183,16 @@ def test_load_config_rejects_malformed_value(tmp_path):
         path.write_text(f"[{section}]\n{line}\n")
         with pytest.raises(ValueError, match=key):
             ex.load_config(path)
+    # malformed files, which configparser rejects with errors of its own
+    for text, match in (
+        ("[scenario]\nnum_users = 40\nnum_users = 41\n", "num_users"),
+        ("[scenario]\nnum_users = 40\n[pricing]\n[scenario]\n", "scenario"),
+        ("num_users = 40\n", "section header"),
+        ("[scenario]\nnum_users = 4%(x)s\n", "num_users"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            ex.load_config(path)
 
 
 def test_load_config_missing_file():
@@ -272,10 +282,12 @@ def test_load_config_rejects_values_that_would_fail_late(tmp_path, section, line
         (lambda: GaParams(max_generations=-3), "max_generations"),
         (lambda: LambdaSearchConfig(bisect_tol=float("nan")), "bisect_tol"),
         (lambda: replace(ex.ScenarioConfig(), num_users=500), "num_users"),
+        (lambda: replace(SMALL, num_users=13, num_bs=3, methods=("proposed", "brute_force")), "brute_force"),
     ],
     ids=[
         "mu_min>mu_max", "eta0<0", "mu_init=nan", "rho=0", "parents=1", "mutation_prob=nan",
         "mutation_prob<0", "mutation_prob>1", "max_generations<0", "bisect_tol=nan", "num_users=500",
+        "brute_force>cap",
     ],
 )
 def test_configs_check_their_fields_when_built(build, field_name):

@@ -95,17 +95,6 @@ def test_dual_value_single_link():
     assert dual_value(inst, np.array([2.0])) == pytest.approx(4.0, rel=1e-12)
 
 
-def test_dual_value_alpha_one_branch():
-    # PF user: per-user term max_j(ln gamma - ln mu) - 1; constructed unvalidated
-    gamma = np.array([[np.e]])
-    prof = AlphaProfile(alpha=np.array([1.0]), group=np.array([1]))
-    inst = NetworkInstance.from_gamma(gamma, prof, 20e6)
-    # g = mu + (ln gamma - ln mu - 1); at mu=1, gamma=e: 1 + (1 - 0 - 1) = 1
-    assert dual_value(inst, np.array([1.0])) == pytest.approx(1.0, rel=1e-12)
-    # at mu=e: e + (1 - 1 - 1) = e - 1
-    assert dual_value(inst, np.array([np.e])) == pytest.approx(np.e - 1.0, rel=1e-12)
-
-
 def test_dual_dominates_primal_random_sweep():
     rng = np.random.default_rng(21)
     for _ in range(40):
@@ -465,14 +454,14 @@ def test_table_keeps_no_dense_allocation_per_association(monkeypatch):
 
 # -------------------------------------------------- dual property tests ---
 
-_ALPHA_RANGES = tuple(GROUP_INTERVALS.values()) + ((1.0, 1.0), (0.999, 0.999), (1.001, 1.001))
+_ALPHA_RANGES = tuple(GROUP_INTERVALS.values()) + ((0.999, 0.999), (1.001, 1.001))
 _MU_MIN, _MU_MAX = PricingConfig().mu_min, PricingConfig().mu_max
 
 
 def _edge_instance(I, J, rng):
-    """An instance with alphas from every group interval plus 1.0 (built
-    without validation), 0.999 and 1.001, and gammas log-uniform down to the
-    1e-6 floor."""
+    """An instance with alphas from every group interval plus 0.999 and 1.001
+    (built without validation), and gammas log-uniform down to the 1e-6
+    floor."""
     gamma = 10.0 ** rng.uniform(-6.0, 2.0, size=(I, J))
     group = rng.integers(0, len(_ALPHA_RANGES), size=I)
     lo, hi = np.array(_ALPHA_RANGES).T

@@ -26,7 +26,9 @@ from .channel import (
 from .ra import (
     LambdaSearchConfig,
     allocate,
+    assemble,
     bs_optimal_utility,
+    subset_solve,
     subset_utilities,
 )
 from .pricing import (

@@ -211,6 +211,9 @@ def run_2rs(
     result is that of scoring one user at a time: a set's utility does not
     depend on the rest of its batch, and the users before the first move in
     a block are scored against the same sets as they would be alone.
+    Each BS's log multiplier is kept beside its utility, so the returned
+    allocation is assembled from the scored sets, not solved again; it
+    equals ra.allocate of the returned association bit for bit.
     Full mode repeats passes until a complete pass finds no improving move
     or _MAX_PASSES is hit; adaptive mode applies exactly one improving move.
     A start whose shape is not (I,) or that names a BS outside [0, J)
@@ -225,6 +228,7 @@ def run_2rs(
     all_bs = np.arange(J)
     sets = bs[None, :] == all_bs[:, None]  # sets[j, i]: BS j serves user i
     utils, block = None, 1
+    logs = np.full(J, np.nan)  # each set's log multiplier, beside utils
 
     for _ in range(_MAX_PASSES):
         improved = False
@@ -239,10 +243,10 @@ def run_2rs(
             moved[k, a, users] = False
             if utils is None:  # the start sets ride in the first call
                 moved = np.concatenate([sets[None], moved])
-            u, _ = ra.subset_utilities(inst, np.tile(all_bs, len(moved)), moved.reshape(-1, I), ra_cfg)
-            u = u.reshape(-1, J)
+            u, s = ra.subset_solve(inst, np.tile(all_bs, len(moved)), moved.reshape(-1, I), ra_cfg)
+            u, s = u.reshape(-1, J), s.reshape(-1, J)
             if utils is None:
-                utils, u = u[0], u[1:]
+                utils, u, logs, s = u[0], u[1:], s[0], s[1:]
             ua, ta = u[k, a][:, None], utils[a][:, None]
             delta = ua + u - ta - utils
             # a gain must clear the rounding of the four utilities it differences
@@ -258,13 +262,14 @@ def run_2rs(
             bs[user] = b
             sets[old, user], sets[b, user] = False, True
             utils[old], utils[b] = u[h, old], u[h, b]
+            logs[old], logs[b] = s[h, old], s[h, b]
             if adaptive:
-                return _finish(inst, bs, ra_cfg)
+                return Association(bs_of_user=bs), ra.assemble(inst, bs, logs)
             improved = True
             i, block = user + 1, 1
         if not improved:
             break
-    return _finish(inst, bs, ra_cfg)
+    return Association(bs_of_user=bs), ra.assemble(inst, bs, logs)
 
 
 def run_ga(
@@ -279,8 +284,8 @@ def run_ga(
     Elitist: the top `parents` chromosomes survive unchanged, offspring come
     from uniform crossover of two distinct random parents plus per-gene
     mutation, the whole generation drawn in a few array calls. Fitness is
-    memoized per chromosome; each generation solves its unseen chromosomes
-    in one kernel batch.
+    memoized per chromosome; the elite keep theirs, and each generation
+    solves its unseen children in one kernel batch.
     """
     params = params or GaParams()
     rng = np.random.default_rng(seed)
@@ -288,27 +293,28 @@ def run_ga(
     k, n = params.parents, params.population - params.parents
     memo: Dict[bytes, float] = {}
 
-    def fitness_of(pop):
-        keys = [row.tobytes() for row in pop]
-        new = {key: row for key, row in zip(keys, pop) if key not in memo}
+    def fitness_of(rows):
+        keys = rows.view((np.void, rows.dtype.itemsize * I)).ravel().tolist()  # one bytes key per row
+        new = {key: row for key, row in zip(keys, rows) if key not in memo}
         if new:
-            rows = np.array(list(new.values()))
-            members = (rows[:, None, :] == np.arange(J)[None, :, None]).reshape(-1, I)
-            util, _ = ra.subset_utilities(inst, np.tile(np.arange(J), len(rows)), members, ra_cfg)
+            fresh = np.array(list(new.values()))
+            members = (fresh[:, None, :] == np.arange(J)[None, :, None]).reshape(-1, I)
+            util, _ = ra.subset_solve(inst, np.tile(np.arange(J), len(fresh)), members, ra_cfg)
             memo.update(zip(new, util.reshape(-1, J).sum(axis=1).tolist()))
         return np.array([memo[key] for key in keys])
 
     pop = rng.integers(0, J, size=(params.population, I))
     fitness = fitness_of(pop)
     for _ in range(params.max_generations):
-        elite = pop[np.argsort(-fitness, kind="stable")[:k]]
+        order = np.argsort(-fitness, kind="stable")[:k]
+        elite = pop[order]
         pa = rng.integers(0, k, n)
         pb = (pa + rng.integers(1, k, n)) % k  # a second parent other than pa
         children = np.where(rng.random((n, I)) < 0.5, elite[pa], elite[pb])
         mut = rng.random((n, I)) < params.mutation_prob
         children[mut] = rng.integers(0, J, size=int(np.count_nonzero(mut)))
         pop = np.vstack([elite, children])
-        fitness = fitness_of(pop)
+        fitness = np.concatenate([fitness[order], fitness_of(children)])
     return _finish(inst, pop[np.argmax(fitness)], ra_cfg)
 
 
@@ -321,7 +327,7 @@ def _subset_table(inst: NetworkInstance, ra_cfg=None) -> np.ndarray:
     for lo in range(0, 2**I, _BATCH):
         subsets = np.arange(lo, min(lo + _BATCH, 2**I))
         members = (subsets[:, None] & bit) > 0
-        util, _ = ra.subset_utilities(inst, np.repeat(np.arange(J), subsets.size), np.tile(members, (J, 1)), ra_cfg)
+        util, _ = ra.subset_solve(inst, np.repeat(np.arange(J), subsets.size), np.tile(members, (J, 1)), ra_cfg)
         table[:, subsets] = util.reshape(J, subsets.size)
     return table
 

@@ -13,8 +13,9 @@ negligible); macro interference is always counted.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -27,12 +28,15 @@ if TYPE_CHECKING:  # only for annotations; avoids a circular import
 _PL0_CONST = 32.4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """A frozen large-scale realization: geometry, powers, shadowing.
 
     Everything spectral_efficiency needs is copied in at generation time,
-    so the channel functions take no config argument.
+    so the channel functions take no config argument. spectral_efficiency
+    computes the terms that hold for every fading slot once per topology
+    object (which compares by identity), so its arrays must not change
+    after its first use.
     """
 
     bs_positions: np.ndarray  # (J, 2) meters
@@ -155,15 +159,35 @@ def evolve_fading(state: FadingState) -> FadingState:
     return FadingState(h=h, rho=state.rho, rng=state.rng)
 
 
+#: Each topology's slot-invariant terms (see _invariant_terms), kept while the
+#: topology lives.
+_INVARIANT: "weakref.WeakKeyDictionary[Topology, Tuple[np.ndarray, np.ndarray]]" = weakref.WeakKeyDictionary()
+
+
+def _invariant_terms(topo: Topology) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms that hold for every fading slot, computed on first use:
+    the (I, J) link gain in dB without fading (path loss + shadowing +
+    indoor), and the (J, J) mask of BSs k that interfere with a user served
+    by BS j, which drops small cells of another cluster than j's."""
+    terms = _INVARIANT.get(topo)
+    if terms is None:
+        d = np.linalg.norm(topo.user_positions[:, None, :] - topo.bs_positions[None, :, :], axis=2)
+        d = np.maximum(d, 1.0)  # model not valid below the 1 m reference
+        pl0 = _PL0_CONST + 20.0 * np.log10(topo.carrier_ghz)
+        path_db = pl0 + 10.0 * topo.pathloss_exp[None, :] * np.log10(d)
+        large_db = -path_db - topo.shadow_db - topo.indoor_loss_db * topo.indoor[:, None]
+        small = ~topo.is_macro
+        mask = np.ones((topo.num_bs, topo.num_bs))
+        mask[small[:, None] & small[None, :] & (topo.cluster_of[:, None] != topo.cluster_of[None, :])] = 0.0
+        np.fill_diagonal(mask, 0.0)
+        terms = _INVARIANT[topo] = (large_db, mask)
+    return terms
+
+
 def _gain_db_matrix(topo: Topology, h: np.ndarray) -> np.ndarray:
     """Total link gain in dB: path loss + shadowing + indoor + fast fading."""
-    d = np.linalg.norm(topo.user_positions[:, None, :] - topo.bs_positions[None, :, :], axis=2)
-    d = np.maximum(d, 1.0)  # model not valid below the 1 m reference
-    pl0 = _PL0_CONST + 20.0 * np.log10(topo.carrier_ghz)
-    path_db = pl0 + 10.0 * topo.pathloss_exp[None, :] * np.log10(d)
     mag = np.maximum(np.abs(h), 1e-15)
-    gain = -path_db - topo.shadow_db - topo.indoor_loss_db * topo.indoor[:, None]
-    return gain + 20.0 * np.log10(mag)
+    return _invariant_terms(topo)[0] + 20.0 * np.log10(mag)
 
 
 def spectral_efficiency(topo: Topology, h: FadingState) -> np.ndarray:
@@ -176,16 +200,7 @@ def spectral_efficiency(topo: Topology, h: FadingState) -> np.ndarray:
     gain_db = _gain_db_matrix(topo, h.h)
     rx_mw = 10.0 ** ((gain_db + topo.bs_power_dbm[None, :]) / 10.0)
     noise_mw = 10.0 ** ((topo.noise_dbm_per_hz + 10.0 * math.log10(topo.bandwidth_hz)) / 10.0)
-
-    J = topo.num_bs
-    small = ~topo.is_macro
-    mask = np.ones((J, J))
-    # interference from k while served by j; cross-cluster small pairs drop out
-    cross = small[:, None] & small[None, :] & (topo.cluster_of[:, None] != topo.cluster_of[None, :])
-    mask[cross] = 0.0
-    np.fill_diagonal(mask, 0.0)
-
-    interference = rx_mw @ mask.T
+    interference = rx_mw @ _invariant_terms(topo)[1].T  # from k while served by j
     sinr = rx_mw / (interference + noise_mw)
     gamma = np.log2(1.0 + sinr)
     return np.maximum(gamma, topo.gamma_min)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import baselines, experiments, pricing
+from . import experiments, pricing
 from .experiments import ScenarioConfig, load_config
 
 
@@ -48,11 +48,20 @@ def _methods(args):
     return tuple(m.strip() for m in args.methods.split(",") if m.strip())
 
 
-def _load(args) -> ScenarioConfig:
+def _config(args) -> ScenarioConfig:
+    """The verb's config, built with every check the library makes before a
+    run; a config it rejects raises ValueError before anything is written."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    # timevary has its own method list, which run_time_varying validates
     if args.verb in ("static", "sweep") and args.methods:
         cfg = replace(cfg, methods=_methods(args))
+    if args.verb == "sweep":
+        experiments.sweep_configs(cfg, args.users)
+    elif args.verb == "timevary" and args.methods:  # its own method list
+        experiments.timevary_methods(_methods(args))
+    elif args.verb == "oracle":
+        cfg = replace(cfg, num_users=min(cfg.num_users, args.max_users),
+                      num_bs=min(cfg.num_bs, args.max_bs), num_seeds=args.instances,
+                      methods=("proposed", "brute_force"), force=True)
     return cfg
 
 
@@ -74,7 +83,10 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--max-bs", type=_positive_int, default=3)
 
     args = parser.parse_args(argv)
-    cfg = _load(args)
+    try:
+        cfg = _config(args)
+    except ValueError as err:  # exit 2 as for a flag argparse rejects; oracle's 1 means an unsound certificate
+        parser.error(str(err))
     out = Path(args.out)
 
     if args.verb == "static":
@@ -104,13 +116,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "oracle":
-        try:
-            small = replace(cfg, num_users=min(cfg.num_users, args.max_users),
-                            num_bs=min(cfg.num_bs, args.max_bs), num_seeds=args.instances,
-                            methods=("proposed", "brute_force"), force=True)
-        except baselines.InstanceTooLargeError as err:  # exit 1 means an unsound certificate
-            parser.error(str(err))
-        res = experiments.run_static_experiment(small, out, master_seed=args.seed, threads=args.threads)
+        res = experiments.run_static_experiment(cfg, out, master_seed=args.seed, threads=args.threads)
         optimum = {r["seed"]: r["haf"] for r in res["rows"] if r["method"] == "brute_force"}
         # sound: the gap bound covers the gap and the dual bounds the true optimum
         sound = sum(

@@ -360,6 +360,17 @@ def run_static_experiment(
     return {"rows": rows, "summary": summary, "files": files}
 
 
+def sweep_configs(cfg: ScenarioConfig, user_counts: Sequence[int]) -> List[ScenarioConfig]:
+    """cfg at each user count. Raises ValueError for an empty or repeated
+    count, or for a count that cfg's checks reject."""
+    counts = [int(c) for c in user_counts]
+    if not counts:
+        raise ValueError("user_counts must name at least one count")
+    if len(set(counts)) < len(counts):
+        raise ValueError(f"user_counts {counts} name a count twice")
+    return [replace(cfg, num_users=count) for count in counts]
+
+
 def run_user_sweep(
     cfg: ScenarioConfig,
     user_counts: Sequence[int],
@@ -368,27 +379,31 @@ def run_user_sweep(
     threads: int = 1,
 ) -> dict:
     """Re-run the static experiment at each user count; mean HAF with a
-    normal-approximation 95% interval per method."""
-    counts = [int(c) for c in user_counts]
-    if not counts:
-        raise ValueError("user_counts must name at least one count")
-    if len(set(counts)) < len(counts):
-        raise ValueError(f"user_counts {counts} name a count twice")
+    normal-approximation 95% interval per method. Every count's config is
+    built (see sweep_configs) before anything runs or is written."""
+    configs = sweep_configs(cfg, user_counts)
     if threads < 1:
         raise ValueError(f"threads={threads} must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sweep_rows = []
-    for count in counts:
-        rows = _collect_rows(replace(cfg, num_users=count), master_seed, threads)
+    for sweep_cfg in configs:
+        rows = _collect_rows(sweep_cfg, master_seed, threads)
         for name in cfg.methods:
             n, mean, std = _stats(rows, name, _HAF)
-            sweep_rows.append([count, name, n, mean, 1.96 * std / math.sqrt(n) if n else 0.0])
+            sweep_rows.append([sweep_cfg.num_users, name, n, mean, 1.96 * std / math.sqrt(n) if n else 0.0])
     header = ["users", "method", "n_seeds", f"{_HAF}_mean", f"{_HAF}_ci95"]
     return {"rows": sweep_rows, "files": write_tables(out, {"sweep.csv": (header, sweep_rows)})}
 
 
 _TV_METHODS = ("proposed", "frozen", "two_rs")
+
+
+def timevary_methods(methods: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
+    """The slotted run's methods: the default list, or methods once checked."""
+    methods = tuple(methods) if methods is not None else _TV_METHODS
+    _check_methods(methods, _PRICING + ("frozen", "two_rs", "max_sinr", "random"))
+    return methods
 
 
 def run_time_varying(
@@ -409,8 +424,7 @@ def run_time_varying(
     the slot's pricing run's best iterate, the row reuses the run's allocation.
     """
     tv = cfg.timevary
-    methods = tuple(methods) if methods is not None else _TV_METHODS
-    _check_methods(methods, _PRICING + ("frozen", "two_rs", "max_sinr", "random"))
+    methods = timevary_methods(methods)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -68,8 +68,9 @@ class RunTrace:
 
     grad_norm is ||d|| of the run's price direction (the dual subgradient for
     the proposed rule). dual is g at each row of mu, evaluated after the loop;
-    the best-dual iterate is its first argmin. The run's certificate is
-    empirical_gap against theorem2_bound, which only the proposed rule sets.
+    the best-dual iterate is its first argmin, and best_dual_decision keeps
+    its association and allocation. The run's certificate is empirical_gap
+    against theorem2_bound, which only the proposed rule sets.
     """
 
     primal: np.ndarray
@@ -80,6 +81,7 @@ class RunTrace:
     grad_norm: np.ndarray
     mu_final: np.ndarray  # prices after the last update (warm-start handle)
     assoc_final: Optional[Association] = None  # the association mu_final induces
+    best_dual_decision: Optional[Tuple[Association, Allocation]] = None  # of the best-dual iterate
     theorem2_bound: Optional[float] = None  # the analytic gap bound at the best-dual prices
 
     def __len__(self) -> int:
@@ -219,13 +221,13 @@ def theorem2_bound(
 def _certificate(
     inst: NetworkInstance, trace: RunTrace, ra_cfg: Optional[ra.LambdaSearchConfig]
 ) -> float:
-    """theorem2_bound at the best-dual prices. The loop keeps no decision for
-    them, so this solves the association they induce with one ra.allocate
-    call; the solve is deterministic, so its multipliers are the ones the
-    loop found at that iterate."""
+    """theorem2_bound at the best-dual prices, with the multipliers of the
+    association they induce. That is the best-dual iterate's association,
+    so its one ra.allocate call is passed the loop's kept decision for that
+    iterate as prev, and solves only if the two associations differ."""
     mu_star = trace.mu[trace.best_dual_iter]
     assoc = associate(inst, mu_star)
-    return theorem2_bound(inst, assoc, mu_star, ra.allocate(inst, assoc, ra_cfg).lam)
+    return theorem2_bound(inst, assoc, mu_star, ra.allocate(inst, assoc, ra_cfg, trace.best_dual_decision).lam)
 
 
 class _Visit(NamedTuple):
@@ -264,7 +266,9 @@ def iterate(
     association's bytes (BS indices in the narrowest unsigned type) holds
     each first visit compactly (see _Visit); a later visit takes its
     allocation and primal value from there, and cannot become the best
-    iterate, which moves only on a strictly larger primal.
+    iterate, which moves only on a strictly larger primal. The best-dual
+    iterate's decision is rebuilt from the table in the same way, for the
+    certificate.
     Every iteration still makes one ra.allocate call: it passes the previous
     iteration's pair when the association is unchanged (an unchanged
     association keeps its object, so that test is one identity check), the
@@ -325,15 +329,19 @@ def iterate(
         if pending_changes:  # else keep the object, which ra.allocate tests first
             assoc = nxt
 
+    dual = dual_value(inst, mu_snaps)
+    key, visit = list(table.items())[assoc_id[np.argmin(dual)]]  # the table keeps first-visit order
+    bs = np.frombuffer(key, dtype=key_type).astype(int)
     trace = RunTrace(
         primal=primal,
-        dual=dual_value(inst, mu_snaps),
+        dual=dual,
         mu=mu_snaps,
         assoc_changes=changes,
         assoc_id=assoc_id,
         grad_norm=grad_norms,
         mu_final=mu,
         assoc_final=assoc,
+        best_dual_decision=(Association(bs_of_user=bs), visit.allocation(users, bs, J)),
     )
     return best[0], best[1], trace
 

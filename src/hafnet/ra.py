@@ -11,9 +11,11 @@ decreasing in lam (+inf at 0+, -> 0 at inf), so the root is unique.
 
 Every solve goes through one segmented Newton kernel on s = log lam, which
 solves many root-finds at once: `allocate` passes every BS of an
-association, and `subset_utilities` passes many (BS, user set) pairs for the
-search baselines. The scalar references the tests compare it against (the
-printed decimal digit search and a brentq root-find) live with the tests.
+association, and `subset_solve` passes many (BS, user set) pairs for the
+search baselines. `assemble` turns per-BS log multipliers into an
+allocation, for `allocate` and for a search that kept the ones it solved.
+The scalar references the tests compare the kernel against (the printed
+decimal digit search and a brentq root-find) live with the tests.
 """
 
 from __future__ import annotations
@@ -106,18 +108,31 @@ def allocate(
     in_use = np.bincount(bs, minlength=J) > 0
     used = np.flatnonzero(in_use)
     seg = (np.cumsum(in_use) - 1)[bs]  # each user's rank among the used BSs
-    users = np.arange(I)
-    lg = np.log(inst.gamma_hat[users, bs])
-    ia = 1.0 / inst.alphas.alpha
-    s = _newton(lg, ia, seg, used.size, cfg.bisect_tol)
-    y = np.zeros((I, J))
-    y[users, bs] = np.exp(lg - s[seg] * ia)
-    lam = np.full(J, np.nan)
-    lam[used] = np.exp(s)
-    return Allocation(y=y, lam=lam)
+    lg = np.log(inst.gamma_hat[np.arange(I), bs])
+    s = np.full(J, np.nan)
+    s[used] = _newton(lg, 1.0 / inst.alphas.alpha, seg, used.size, cfg.bisect_tol)
+    return assemble(inst, bs, s, lg)
 
 
-def subset_utilities(
+def assemble(inst: NetworkInstance, bs: np.ndarray, s: np.ndarray, lg: Optional[np.ndarray] = None) -> Allocation:
+    """The allocation of association bs (I,) from its BSs' log multipliers
+    s = log lam (J,), NaN at empty BSs: y_ij = exp(lg_i - s_j / alpha_i) at
+    each user's BS, where lg_i = log gamma_hat_{i, bs_i} (computed unless
+    given), and lam = exp(s).
+
+    allocate ends here, so s from any solve of the same (BS, user set)
+    splits gives allocate's arrays bit for bit. It takes s, not lam, because
+    log(exp(s)) need not give s back.
+    """
+    users = np.arange(inst.num_users)
+    if lg is None:
+        lg = np.log(inst.gamma_hat[users, bs])
+    y = np.zeros((inst.num_users, inst.num_bs))
+    y[users, bs] = np.exp(lg - s[bs] * (1.0 / inst.alphas.alpha))
+    return Allocation(y=y, lam=np.exp(s))
+
+
+def subset_solve(
     inst: NetworkInstance,
     bs: np.ndarray,
     members: np.ndarray,
@@ -126,9 +141,11 @@ def subset_utilities(
     """Optimal HAF contribution of many (BS, user set) pairs in one kernel call.
 
     Pair p serves the users where members[p] (shape (P, I), boolean) is true
-    from BS bs[p]. Returns (utility, lam), each of shape (P,); empty sets
-    contribute (0.0, nan). Utilities use the same rate floor as the global
-    objective, so per-BS sums match haf_objective.
+    from BS bs[p]. Returns (utility, s), each of shape (P,), with s the log
+    multiplier that `assemble` takes; empty sets contribute (0.0, nan). A
+    pair's result does not depend on the rest of its batch. Utilities use
+    the same rate floor as the global objective, so per-BS sums match
+    haf_objective.
     """
     cfg = cfg or _DEFAULT
     bs = np.asarray(bs, dtype=int)
@@ -142,13 +159,24 @@ def subset_utilities(
     lg = np.log(inst.gamma_hat[users, js])
     alpha = inst.alphas.alpha[users]
     ia = 1.0 / alpha
-    s = _newton(lg, ia, seg, used.size, cfg.bisect_tol)
-    rates = inst.gamma[users, js] * np.exp(lg - s[seg] * ia)
+    s = np.full(P, np.nan)
+    s[used] = s_used = _newton(lg, ia, seg, used.size, cfg.bisect_tol)
+    rates = inst.gamma[users, js] * np.exp(lg - s_used[seg] * ia)
     util = np.zeros(P)
     util[used] = np.bincount(seg, weights=utility_vector(rates, alpha), minlength=used.size)
-    lam = np.full(P, np.nan)
-    lam[used] = np.exp(s)
-    return util, lam
+    return util, s
+
+
+def subset_utilities(
+    inst: NetworkInstance,
+    bs: np.ndarray,
+    members: np.ndarray,
+    cfg: Optional[LambdaSearchConfig] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """subset_solve with multipliers: returns (utility, lam), each of shape
+    (P,); empty sets contribute (0.0, nan)."""
+    util, s = subset_solve(inst, bs, members, cfg)
+    return util, np.exp(s)
 
 
 def bs_optimal_utility(

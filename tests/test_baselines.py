@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hafnet import ra
 from hafnet.baselines import (
@@ -195,6 +196,25 @@ def test_2rs_rejects_a_bad_start_before_any_solve(start, adaptive, monkeypatch):
     with pytest.raises(ValueError, match="2RS start"):
         run_2rs(inst, Association(np.array(start)), adaptive=adaptive)
     assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 5), st.sampled_from([(0.1, 10.0), (1e-6, 1e3)]),
+    st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+)
+def test_2rs_allocation_equals_a_cold_allocate(I, J, gains, seed, adaptive, max_sinr_start):
+    # 2RS assembles its allocation from the log multipliers it scored; they
+    # must give ra.allocate's arrays bit for bit, NaN at empty BSs included.
+    # Caught mutation: assembling from log(lam) = log(exp(s)) instead of s.
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, I, J, *gains)
+    start = np.argmax(inst.gamma, axis=1) if max_sinr_start else rng.integers(0, J, size=I)
+    with np.errstate(all="raise"):
+        assoc, alloc = run_2rs(inst, Association(start), adaptive=adaptive)
+        cold = allocate(inst, assoc)
+    assert np.array_equal(alloc.y, cold.y)
+    assert np.array_equal(alloc.lam, cold.lam, equal_nan=True)
 
 
 def test_2rs_result_is_single_move_local_optimum():

@@ -28,14 +28,35 @@ def test_timevary_takes_its_own_methods(small_ini, tmp_path):
     ]
 
 
-def test_unknown_method_still_raises(small_ini, tmp_path):
-    out = str(tmp_path / "out")
-    with pytest.raises(ValueError, match="bogus") as exc:
-        cli.main(["timevary", "--config", str(small_ini), "--methods", "proposed,bogus", "--out", out])
-    allowed = str(exc.value).split("choose from ")[1].split(", ")
+def _exit_code(argv, out):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert not out.exists()
+    return exc.value.code
+
+
+def test_unknown_method_still_raises(small_ini, tmp_path, capsys):
+    # a method the library rejects exits 2, as a flag argparse rejects does
+    out = tmp_path / "out"
+    assert _exit_code(["timevary", "--config", str(small_ini), "--methods", "proposed,bogus"], out) == 2
+    err = capsys.readouterr().err
+    assert "unknown method 'bogus'" in err
+    allowed = err.split("choose from ")[1].strip().split(", ")
     assert len(allowed) == len(set(allowed))  # each method named once
-    with pytest.raises(ValueError, match="frozen"):
-        cli.main(["static", "--config", str(small_ini), "--methods", "proposed,frozen", "--out", out])
+    assert _exit_code(["static", "--config", str(small_ini), "--methods", "proposed,frozen"], out) == 2
+    assert "unknown method 'frozen'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--users", ","], "user_counts must name at least one count"),
+    (["sweep", "--users", "40,40"], "name a count twice"),
+    (["sweep", "--users", "40,70"], "num_users=70 outside"),
+    (["static", "--methods", "proposed,brute_force"], "exceed the 1000000 cap"),
+    (["sweep", "--methods", "brute_force"], "exceed the 1000000 cap"),
+])
+def test_configs_the_library_rejects_exit_2_before_anything_is_written(argv, message, tmp_path, capsys):
+    assert _exit_code(argv, tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb, flag, value", [

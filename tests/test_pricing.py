@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -391,9 +392,9 @@ def test_alloc_solved_counts_association_changes(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(_PRICING))
 def test_each_association_is_solved_once_per_run(name, monkeypatch):
-    # Newton runs once per distinct association (plus once for solve's
-    # certificate), yet ra.allocate is still called once per iteration
-    # (plus once for the certificate)
+    # Newton runs once per distinct association, the certificate's included,
+    # yet ra.allocate is still called once per iteration (plus once for the
+    # certificate)
     newton, allocs = [], []
     orig_newton, orig_allocate = ra._newton, ra.allocate
 
@@ -416,7 +417,7 @@ def test_each_association_is_solved_once_per_run(name, monkeypatch):
         newton.clear()
         allocs.clear()
         _, _, trace = _run(name, inst, cfg, mu0)
-        assert len(newton) == len(np.unique(trace.assoc_id)) + certificate
+        assert len(newton) == len(np.unique(trace.assoc_id))
         assert len(allocs) == cfg.total_iters + certificate
 
 
@@ -535,6 +536,31 @@ def test_certificate_bound_covers_the_empirical_gap(case):
         _, _, trace = solve(inst, cfg, mu0=mu0)
     slack = 1e-9 * (1.0 + abs(trace.best_dual) + abs(trace.best_primal))
     assert trace.empirical_gap <= trace.theorem2_bound + slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(_PRICING)), _short_runs())
+def test_certificate_reuses_the_best_dual_decision_bit_for_bit(name, case):
+    # The kept decision is a cold ra.allocate of the best-dual iterate's
+    # association, and the bound equals its cold-solve form, for cold and
+    # warm starts; the one-iteration run has its best dual at iteration 0.
+    # Caught mutation: the kept decision taken from the last iterate's entry
+    # (assoc_id[-1]) instead of the best dual's.
+    inst, cfg, mu0 = case
+    for total_iters in (cfg.total_iters, 1):
+        with np.errstate(all="raise"):
+            _, _, trace = _run(name, inst, replace(cfg, total_iters=total_iters), mu0)
+            mu_star = trace.mu[trace.best_dual_iter]
+            assoc = _rule(name).associate(inst, mu_star)
+            cold = allocate(inst, assoc)
+        kept_assoc, kept = trace.best_dual_decision
+        assert np.array_equal(kept_assoc.bs_of_user, assoc.bs_of_user)
+        assert np.array_equal(kept.y, cold.y)
+        assert np.array_equal(kept.lam, cold.lam, equal_nan=True)
+        if name == "proposed":
+            assert trace.theorem2_bound == theorem2_bound(inst, assoc, mu_star, cold.lam)
+        else:
+            assert trace.theorem2_bound is None
 
 
 @st.composite

@@ -6,7 +6,10 @@ Three families:
 * pricing rules with alternative user scores f1(i, j) and price updates f2
   (proportional-fair, fixed-alpha fairness, delay-oriented). Each is a
   PricingRule run by the one pricing loop, `pricing.iterate`, so it shares the
-  proposed method's price floor/ceiling, best-primal convention and trace;
+  proposed method's price floor/ceiling, best-primal convention and trace.
+  Its prepare step computes the instance's score table once (gamma^e,
+  sqrt(gamma)), and its direction keeps the current association's per-BS
+  loads until the association changes;
 * search: single-move local search (2RS), a genetic algorithm, and exhaustive
   enumeration for small instances.
 
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import pricing, ra
 from .core import Allocation, Association, NetworkInstance, haf_objective
-from .pricing import PricingConfig, PricingRule, RunTrace
+from .pricing import Direction, Pick, PricingConfig, PricingRule, RunTrace, per_association
 from .pricing import dual_value  # unused here; perfbench's tracer test reads baselines.dual_value
 
 
@@ -109,68 +112,81 @@ def run_max_sinr(inst: NetworkInstance, ra_cfg=None) -> Tuple[Association, Alloc
 # ---------------------------------------------------------------- pricing ---
 
 
-def _rule(score: Callable, direction: Callable, pick: Callable = np.argmax) -> PricingRule:
-    """The rule whose users take the pick (argmax or argmin) of their score row."""
-
-    def associate(inst, mu):
-        return Association(bs_of_user=pick(score(inst, mu), axis=1))
-
-    return PricingRule(associate=associate, direction=direction)
-
-
-def _pf_score(inst, mu):
-    return mu[None, :] * inst.gamma
-
-
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _pf_direction(inst, assoc, mu):
-    counts = np.bincount(np.asarray(assoc.bs_of_user, dtype=int), minlength=inst.num_bs)
+def _prepare_pf(inst: NetworkInstance) -> Tuple[Pick, Direction]:
+    """Proportional fair: score mu_j gamma_ij, and the price moves by
+    exp(mu_j - 1) minus BS j's user count."""
+    gamma, J = inst.gamma, inst.num_bs
+    counts = per_association(lambda bs: np.bincount(bs, minlength=J).astype(float))
     # exp(mu - 1) is capped at sqrt(float max / J) / e, so the J squared
     # components sum below the float max and the loop's norm of d stays finite
-    cap = 0.5 * (_LOG_MAX - math.log(inst.num_bs)) - 1.0
-    return np.exp(np.minimum(mu - 1.0, cap)) - counts.astype(float)
+    cap = 0.5 * (_LOG_MAX - math.log(J)) - 1.0
+
+    def pick(mu):
+        return np.argmax(mu[None, :] * gamma, axis=1)
+
+    def direction(bs, mu):
+        return np.exp(np.minimum(mu - 1.0, cap)) - counts(bs)
+
+    return pick, direction
 
 
 def _alpha_fair(a: float) -> PricingRule:
     """The printed fixed-alpha rule: score mu_j gamma_ij^e with e = (1-a)/a."""
     e = (1.0 - a) / a
 
-    def score(inst, mu):
-        return mu[None, :] * inst.gamma ** e
+    def prepare(inst: NetworkInstance) -> Tuple[Pick, Direction]:
+        G = inst.gamma ** e
+        users, J = np.arange(inst.num_users), inst.num_bs
+        sums = per_association(lambda bs: np.bincount(bs, weights=G[users, bs], minlength=J))
 
-    def direction(inst, assoc, mu):
-        js = np.asarray(assoc.bs_of_user, dtype=int)
-        gh = inst.gamma[np.arange(inst.num_users), js] ** e
-        sums = np.bincount(js, weights=gh, minlength=inst.num_bs)
-        # the sign-preserving power of x = e mu, never 0 as mu > 0 and a != 1;
-        # float_power rounds as the scalar pow does, which `**` need not
-        x = e * mu
-        return -np.copysign(np.float_power(np.abs(x), 1.0 / (a - 1.0)), x) + sums
+        def pick(mu):
+            return np.argmax(mu[None, :] * G, axis=1)
 
-    return _rule(score, direction)
+        def direction(bs, mu):
+            # the sign-preserving power of x = e mu, never 0 as mu > 0 and a != 1;
+            # float_power rounds as the scalar pow does, which `**` need not
+            x = e * mu
+            return -np.copysign(np.float_power(np.abs(x), 1.0 / (a - 1.0)), x) + sums(bs)
 
+        return pick, direction
 
-def _latency_score(inst, mu):
-    return mu[None, :] / np.sqrt(inst.gamma)
+    return PricingRule(prepare=prepare)
 
 
-def _latency_direction(inst, assoc, mu):
-    js = np.asarray(assoc.bs_of_user, dtype=int)
-    inv_sqrt = 1.0 / np.sqrt(inst.gamma[np.arange(inst.num_users), js])
-    return 0.5 * mu + np.bincount(js, weights=inv_sqrt, minlength=inst.num_bs)
+def _min_latency(choose: Callable) -> PricingRule:
+    """The delay-oriented rule: users take the choose (argmax or argmin) of
+    mu_j / sqrt(gamma_ij), and the price moves by mu_j / 2 plus the sum of
+    1 / sqrt(gamma_ij) over BS j's users."""
+
+    def prepare(inst: NetworkInstance) -> Tuple[Pick, Direction]:
+        root = np.sqrt(inst.gamma)
+        inv_root = 1.0 / root
+        users, J = np.arange(inst.num_users), inst.num_bs
+        loads = per_association(lambda bs: np.bincount(bs, weights=inv_root[users, bs], minlength=J))
+
+        def pick(mu):
+            return choose(mu[None, :] / root, axis=1)
+
+        def direction(bs, mu):
+            return 0.5 * mu + loads(bs)
+
+        return pick, direction
+
+    return PricingRule(prepare=prepare)
 
 
 #: The pricing baselines by method name: each printed user score f1 and price
 #: update f2 as a PricingRule. ``min_latency`` takes the printed argmax of its
 #: score; ``min_latency_argmin`` is the same rule with argmin.
 RULES: Dict[str, PricingRule] = {
-    "pf": _rule(_pf_score, _pf_direction),
+    "pf": PricingRule(prepare=_prepare_pf),
     "af_low": _alpha_fair(0.6),
     "af_high": _alpha_fair(1.6),
-    "min_latency": _rule(_latency_score, _latency_direction),
-    "min_latency_argmin": _rule(_latency_score, _latency_direction, np.argmin),
+    "min_latency": _min_latency(np.argmax),
+    "min_latency_argmin": _min_latency(np.argmin),
 }
 
 
@@ -290,6 +306,8 @@ def run_ga(
     params = params or GaParams()
     rng = np.random.default_rng(seed)
     I, J = inst.num_users, inst.num_bs
+    if I == 0:  # the empty association is the only one; a row of no genes has no bytes key
+        return _finish(inst, np.zeros(0, dtype=int), ra_cfg)
     k, n = params.parents, params.population - params.parents
     memo: Dict[bytes, float] = {}
 

@@ -50,7 +50,8 @@ def _methods(args):
 
 def _config(args) -> ScenarioConfig:
     """The verb's config, built with every check the library makes before a
-    run; a config it rejects raises ValueError before anything is written."""
+    run; a config it rejects raises ValueError, and a config file it cannot
+    read FileNotFoundError, before anything is written."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.verb in ("static", "sweep") and args.methods:
         cfg = replace(cfg, methods=_methods(args))
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config(args)
-    except ValueError as err:  # exit 2 as for a flag argparse rejects; oracle's 1 means an unsound certificate
+    except (ValueError, FileNotFoundError) as err:  # exit 2 as for a flag argparse rejects; oracle's 1 means an unsound certificate
         parser.error(str(err))
     out = Path(args.out)
 

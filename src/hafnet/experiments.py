@@ -532,14 +532,15 @@ def save_config(cfg: ScenarioConfig, path) -> Path:
 def load_config(path) -> ScenarioConfig:
     """Parse an INI scenario file, reading values literally (no % interpolation).
     Unknown sections or keys and malformed values raise ValueError naming the
-    offending key; a malformed file raises ValueError too."""
+    offending key; a malformed file raises ValueError too, and a missing or
+    unreadable one FileNotFoundError naming the path."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as err:  # a duplicate key or section, a line outside any section
         raise ValueError(f"malformed config file: {err}") from None
     if not read:
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"cannot read config file {path}")
     defaults = _sections(ScenarioConfig())
     for section in parser.sections():
         if section not in defaults:

@@ -8,16 +8,21 @@ KKT equation
 on Python floats: `solve_lambda_digit` by the printed decimal digit search,
 `solve_lambda_brentq` by scipy's brentq in s = log lam. `kkt_residual`
 measures how far a multiplier is from the root.
+
+`REFERENCE_RULES` gives every pricing method's user pick and price direction
+as per-call formulas that recompute every instance term on each call; the
+loop's prepared rules must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
 
+from hafnet import pricing
 from hafnet.core import Association, NetworkInstance
 from hafnet.ra import LambdaSearchConfig
 
@@ -129,3 +134,68 @@ def bootstrap_mean_lower(diffs: np.ndarray) -> float:
     idx = rng.integers(0, diffs.size, size=(2000, diffs.size))
     means = diffs[idx].mean(axis=1)
     return float(np.quantile(means, 1.0 - 0.95))
+
+
+class ReferenceRule(NamedTuple):
+    """A pricing method as per-call formulas: associate(inst, mu) picks each
+    user's BS, and the prices step mu <- clip(mu - eta_t * direction(inst, assoc, mu))."""
+
+    associate: Callable[[NetworkInstance, np.ndarray], Association]
+    direction: Callable[[NetworkInstance, Association, np.ndarray], np.ndarray]
+
+
+def _rule(score: Callable, direction: Callable, pick: Callable = np.argmax) -> ReferenceRule:
+    """The rule whose users take the pick (argmax or argmin) of their score row."""
+
+    def associate(inst, mu):
+        return Association(bs_of_user=pick(score(inst, mu), axis=1))
+
+    return ReferenceRule(associate=associate, direction=direction)
+
+
+def _pf_score(inst, mu):
+    return mu[None, :] * inst.gamma
+
+
+def _pf_direction(inst, assoc, mu):
+    counts = np.bincount(np.asarray(assoc.bs_of_user, dtype=int), minlength=inst.num_bs)
+    cap = 0.5 * (math.log(np.finfo(float).max) - math.log(inst.num_bs)) - 1.0
+    return np.exp(np.minimum(mu - 1.0, cap)) - counts.astype(float)
+
+
+def _alpha_fair(a: float) -> ReferenceRule:
+    """The printed fixed-alpha rule: score mu_j gamma_ij^e with e = (1-a)/a."""
+    e = (1.0 - a) / a
+
+    def score(inst, mu):
+        return mu[None, :] * inst.gamma ** e
+
+    def direction(inst, assoc, mu):
+        js = np.asarray(assoc.bs_of_user, dtype=int)
+        gh = inst.gamma[np.arange(inst.num_users), js] ** e
+        sums = np.bincount(js, weights=gh, minlength=inst.num_bs)
+        x = e * mu
+        return -np.copysign(np.float_power(np.abs(x), 1.0 / (a - 1.0)), x) + sums
+
+    return _rule(score, direction)
+
+
+def _latency_score(inst, mu):
+    return mu[None, :] / np.sqrt(inst.gamma)
+
+
+def _latency_direction(inst, assoc, mu):
+    js = np.asarray(assoc.bs_of_user, dtype=int)
+    inv_sqrt = 1.0 / np.sqrt(inst.gamma[np.arange(inst.num_users), js])
+    return 0.5 * mu + np.bincount(js, weights=inv_sqrt, minlength=inst.num_bs)
+
+
+#: Every pricing method by name, as `hafnet.experiments` names them.
+REFERENCE_RULES: Dict[str, ReferenceRule] = {
+    "proposed": ReferenceRule(associate=pricing.associate, direction=pricing.price_gradient),
+    "pf": _rule(_pf_score, _pf_direction),
+    "af_low": _alpha_fair(0.6),
+    "af_high": _alpha_fair(1.6),
+    "min_latency": _rule(_latency_score, _latency_direction),
+    "min_latency_argmin": _rule(_latency_score, _latency_direction, np.argmin),
+}

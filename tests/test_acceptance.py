@@ -6,6 +6,7 @@ PASS/FAIL line (visible under -s) and asserts the same condition, so the -v
 report carries one verdict per check either way.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from conftest import make_instance, random_instance
 from hafnet import (
@@ -313,28 +315,37 @@ def test_c09_time_varying_adaptivity(out_root):
     assert ok, line
 
 
-def test_c10_determinism_hygiene(out_root):
-    cfg = low_fairness_config(
+def _c10_config():
+    return low_fairness_config(
         num_seeds=4,
         methods=("proposed", "max_sinr", "random"),
         pricing=PricingConfig(total_iters=60, eta0=EXP_ETA0),
     )
-    ini = out_root / "determinism.ini"
-    save_config(cfg, ini)
-    dirs = [out_root / "det_a", out_root / "det_b"]
-    for d in dirs:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hafnet", "static", "--seed", "42",
-             "--config", str(ini), "--out", str(d)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
 
+
+def _cli_static(ini, out, env=None):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hafnet", "static", "--seed", "42",
+         "--config", str(ini), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _mismatched(dirs):
+    """The file names of dirs[0], and those whose bytes differ in dirs[1]."""
     names = sorted(p.name for p in dirs[0].iterdir())
     assert names == sorted(p.name for p in dirs[1].iterdir())
-    mismatched = [
-        n for n in names if (dirs[0] / n).read_bytes() != (dirs[1] / n).read_bytes()
-    ]
+    return names, [n for n in names if (dirs[0] / n).read_bytes() != (dirs[1] / n).read_bytes()]
+
+
+def test_c10_determinism_hygiene(out_root):
+    ini = out_root / "determinism.ini"
+    save_config(_c10_config(), ini)
+    dirs = [out_root / "det_a", out_root / "det_b"]
+    for d in dirs:
+        _cli_static(ini, d)
+    names, mismatched = _mismatched(dirs)
 
     # every CSV emitted by this module, plus the two CLI runs above
     dirty = []
@@ -350,5 +361,39 @@ def test_c10_determinism_hygiene(out_root):
         f"repeat CLI run byte-identical across {len(names)} files"
         + (f" EXCEPT {mismatched}" if mismatched else "")
         + f"; non-finite tokens in {dirty or 'no emitted CSV'}",
+    )
+    assert ok, line
+
+
+#: numpy's dispatch targets above AVX2 on x86; numpy ignores names the host lacks.
+_AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_c10_bytes_do_not_depend_on_simd_dispatch(out_root):
+    # C10's CLI run with every pricing method, under numpy's default
+    # dispatch and again with its AVX-512 targets disabled, must write the
+    # same bytes. numpy's vectorised `**` rounds some powers differently
+    # from the scalar pow, and the fixed-alpha rules raise gamma to a power
+    # once per instance, so this covers that table on both paths. On a host
+    # without AVX-512 the two runs take the same path, and the verdict says so.
+    ini = out_root / "dispatch.ini"
+    save_config(replace(_c10_config(), methods=ALL_METHODS), ini)
+    dirs = [out_root / "dispatch_default", out_root / "dispatch_no_avx512"]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512_TARGETS))
+    _cli_static(ini, dirs[0])
+    _cli_static(ini, dirs[1], env)
+    names, mismatched = _mismatched(dirs)
+    avx512 = any(__cpu_features__.get(name) for name in _AVX512_TARGETS)
+    # the setting takes effect in the child: it sees none of the targets
+    probe = "from numpy._core._multiarray_umath import __cpu_features__ as f; print(any(f.get(n) for n in %r))"
+    seen = subprocess.run([sys.executable, "-c", probe % (_AVX512_TARGETS,)], capture_output=True, text=True, env=env)
+    assert seen.stdout.strip() == "False", seen.stderr
+    ok = not mismatched
+    line = _verdict(
+        "C10 across SIMD dispatch",
+        ok,
+        f"{len(names)} files byte-identical with and without AVX-512"
+        + (f" EXCEPT {mismatched}" if mismatched else "")
+        + ("" if avx512 else "; this host has no AVX-512, so both runs took the same path"),
     )
     assert ok, line

@@ -96,7 +96,7 @@ def test_alpha_fair_direction_matches_the_printed_rule_per_bs(name, a):
         mu = np.exp(rng.uniform(np.log(cfg.mu_min), np.log(cfg.mu_max), size=J))
         mu[:2] = cfg.mu_min, cfg.mu_max
         with np.errstate(all="raise"):
-            got = RULES[name].direction(inst, assoc, mu)
+            got = RULES[name].prepare(inst)[1](assoc.bs_of_user, mu)
         gh = inst.gamma[np.arange(I), assoc.bs_of_user] ** e
         served = np.bincount(assoc.bs_of_user, weights=gh, minlength=J)
         for j in range(J):
@@ -305,6 +305,15 @@ def test_ga_deterministic_per_seed():
     a1, _ = run_ga(inst, params, 7)
     a2, _ = run_ga(inst, params, 7)
     assert np.array_equal(a1.bs_of_user, a2.bs_of_user)
+
+
+def test_search_baselines_return_the_empty_association_with_no_users():
+    inst = make_instance(np.ones((0, 3)), [])
+    empty = Association(np.zeros(0, dtype=int))
+    for assoc, alloc in (run_2rs(inst, empty), run_ga(inst, GaParams(), 0)):
+        assert assoc.bs_of_user.shape == (0,)
+        assert alloc.y.shape == (0, 3)
+        assert np.isnan(alloc.lam).all()
 
 
 def test_ga_validates_params():

@@ -53,6 +53,7 @@ def test_unknown_method_still_raises(small_ini, tmp_path, capsys):
     (["sweep", "--users", "40,70"], "num_users=70 outside"),
     (["static", "--methods", "proposed,brute_force"], "exceed the 1000000 cap"),
     (["sweep", "--methods", "brute_force"], "exceed the 1000000 cap"),
+    (["converge", "--config", "/nonexistent/scenario.ini"], "cannot read config file /nonexistent/scenario.ini"),
 ])
 def test_configs_the_library_rejects_exit_2_before_anything_is_written(argv, message, tmp_path, capsys):
     assert _exit_code(argv, tmp_path / "out") == 2

@@ -196,7 +196,7 @@ def test_load_config_rejects_malformed_value(tmp_path):
 
 
 def test_load_config_missing_file():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="/nonexistent/scenario.ini"):
         ex.load_config("/nonexistent/scenario.ini")
 
 

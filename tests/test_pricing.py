@@ -10,6 +10,7 @@ from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInsta
 from hafnet.experiments import _PRICING
 from hafnet.pricing import (
     _DUAL_BLOCK,
+    PROPOSED,
     PricingConfig,
     PricingRule,
     associate,
@@ -21,6 +22,7 @@ from hafnet.pricing import (
 )
 from hafnet.ra import allocate
 from conftest import make_instance, random_instance
+from reference import REFERENCE_RULES
 
 
 def test_associate_picks_max_gamma_over_mu():
@@ -159,6 +161,26 @@ def test_a_nan_start_price_is_rejected(name):
         _run(name, inst, PricingConfig(total_iters=5), np.array([np.nan, 1.0, 1.0]))
 
 
+def test_prices_that_become_nan_are_rejected():
+    # NaN propagates through the step and the clip, so one check after the
+    # loop catches a direction that turns a price into NaN at any iteration
+    inst = random_instance(np.random.default_rng(6), 8, 3)
+
+    def prepare(inst):
+        pick, direction = PROPOSED.prepare(inst)
+        calls = []
+
+        def nan_once(bs, mu):
+            calls.append(1)
+            d = direction(bs, mu)
+            return np.where(np.arange(d.size) == 1, np.nan, d) if len(calls) == 3 else d
+
+        return pick, nan_once
+
+    with pytest.raises(ValueError, match="NaN"):
+        pricing.iterate(inst, PricingRule(prepare=prepare), PricingConfig(total_iters=5))
+
+
 @pytest.mark.parametrize("length", [1, 4])
 @pytest.mark.parametrize("name", list(_PRICING))
 def test_a_start_price_of_the_wrong_length_is_rejected(name, length):
@@ -270,8 +292,9 @@ def _plain_dual(inst, mu):
 
 def _cold_loop(inst, rule, cfg, mu0=None):
     """The pricing loop with nothing reused: a cold allocate, objective and
-    dual every iteration. Returns the best primal decision, the per-iteration
-    primal, dual and prices, and the final prices."""
+    dual every iteration, and a reference rule's per-call formulas. Returns
+    the best primal decision, the per-iteration primal, dual and prices, and
+    the final prices."""
     J = inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
@@ -295,10 +318,6 @@ def _run(name, inst, cfg, mu0=None):
     if name == "proposed":
         return solve(inst, cfg, mu0=mu0)
     return baselines.run_pricing_baseline(inst, name, cfg, mu0=mu0)
-
-
-def _rule(name):
-    return PricingRule(associate, price_gradient) if name == "proposed" else baselines.RULES[name]
 
 
 def _exactness_cases():
@@ -342,7 +361,7 @@ def test_reuse_matches_the_cold_loop_bit_for_bit(name, monkeypatch):
     revisits = 0
     for inst, cfg, mu0 in _exactness_cases():
         assoc, alloc, trace = _run(name, inst, cfg, mu0)
-        r_assoc, r_alloc, primal, dual, mus, mu_final = _cold_loop(inst, _rule(name), cfg, mu0)
+        r_assoc, r_alloc, primal, dual, mus, mu_final = _cold_loop(inst, REFERENCE_RULES[name], cfg, mu0)
         assert np.array_equal(trace.primal, primal)
         assert np.array_equal(trace.dual, dual)
         assert np.array_equal(trace.mu, mus)
@@ -383,7 +402,7 @@ def test_alloc_solved_counts_association_changes(name, monkeypatch):
         # induce) by first visit
         ranks = {}
         for t, mu in enumerate(trace.mu):
-            key = _rule(name).associate(inst, mu).bs_of_user.tobytes()
+            key = REFERENCE_RULES[name].associate(inst, mu).bs_of_user.tobytes()
             assert trace.assoc_id[t] == ranks.setdefault(key, len(ranks))
         assert trace.alloc_solved.dtype == bool and trace.alloc_solved.shape == (60,)
         assert trace.alloc_solved[0]
@@ -427,7 +446,7 @@ def test_iterate_matches_the_cold_loop_on_random_runs(name, data):
     inst, cfg, mu0 = data.draw(_short_runs())
     with np.errstate(all="raise"):
         assoc, alloc, trace = _run(name, inst, cfg, mu0)
-        r_assoc, r_alloc, primal, dual, mus, _ = _cold_loop(inst, _rule(name), cfg, mu0)
+        r_assoc, r_alloc, primal, dual, mus, _ = _cold_loop(inst, REFERENCE_RULES[name], cfg, mu0)
     assert np.array_equal(trace.primal, primal)
     assert np.array_equal(trace.dual, dual)
     assert np.array_equal(trace.mu, mus)
@@ -509,6 +528,36 @@ def test_dual_bounds_every_optimally_split_association(case):
             assert g >= p - 1e-6 * (1.0 + abs(g))
 
 
+def _prepared(name):
+    return PROPOSED if name == "proposed" else baselines.RULES[name]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_PRICING)), _priced_instances(), st.data())
+def test_prepared_rules_equal_the_reference_formulas(name, case, data):
+    # One prepared rule sees associations A, B and A as fresh arrays, then
+    # the last A again as the same object, each at its own prices; pick and
+    # direction must equal the per-call reference bit for bit. B moves one
+    # user of A when J > 1, so a stale per-association cache shows.
+    # Caught mutations: a cache that never refreshes, and a gather at
+    # another association than the one passed.
+    inst, mu, rng = case
+    I, J = inst.num_users, inst.num_bs
+    a = rng.integers(0, J, size=I)
+    b = a.copy()
+    k = rng.integers(I)
+    b[k] = (a[k] + 1) % J
+    a_again = a.copy()
+    seq = [a, b, a_again, a_again]
+    prices = [mu] + [data.draw(_prices(J)) for _ in seq[1:]]
+    ref = REFERENCE_RULES[name]
+    with np.errstate(all="raise"):
+        pick, direction = _prepared(name).prepare(inst)
+        for bs, m in zip(seq, prices):
+            assert pick(m).tobytes() == ref.associate(inst, m).bs_of_user.tobytes()
+            assert direction(bs, m).tobytes() == ref.direction(inst, Association(bs), m).tobytes()
+
+
 @st.composite
 def _short_runs(draw):
     """An edge instance, a short pricing config and a start: None (cold) or
@@ -551,7 +600,7 @@ def test_certificate_reuses_the_best_dual_decision_bit_for_bit(name, case):
         with np.errstate(all="raise"):
             _, _, trace = _run(name, inst, replace(cfg, total_iters=total_iters), mu0)
             mu_star = trace.mu[trace.best_dual_iter]
-            assoc = _rule(name).associate(inst, mu_star)
+            assoc = REFERENCE_RULES[name].associate(inst, mu_star)
             cold = allocate(inst, assoc)
         kept_assoc, kept = trace.best_dual_decision
         assert np.array_equal(kept_assoc.bs_of_user, assoc.bs_of_user)

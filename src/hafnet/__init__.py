@@ -38,7 +38,6 @@ from .pricing import (
     dual_value,
     price_gradient,
     solve,
-    theorem1_check,
     theorem2_bound,
 )
 from .baselines import (

@@ -8,7 +8,10 @@ Three families:
   PricingRule run by the one pricing loop, `pricing.iterate`, so it shares the
   proposed method's price floor/ceiling, best-primal convention and trace.
   Its prepare step computes the instance's score table once (gamma^e,
-  sqrt(gamma)), and its direction keeps the current association's per-BS
+  sqrt(gamma)) and fixes what the prices cannot change (the fixed-alpha
+  rules' sign of e = (1-a)/a, an add or a subtract of the power term, since
+  prices are positive); its pick is one argmax or argmin method call on the
+  score table, and its direction keeps the current association's per-BS
   loads until the association changes;
 * search: single-move local search (2RS), a genetic algorithm, and exhaustive
   enumeration for small instances.
@@ -125,7 +128,7 @@ def _prepare_pf(inst: NetworkInstance) -> Tuple[Pick, Direction]:
     cap = 0.5 * (_LOG_MAX - math.log(J)) - 1.0
 
     def pick(mu):
-        return np.argmax(mu[None, :] * gamma, axis=1)
+        return (gamma * mu).argmax(1)
 
     def direction(bs, mu):
         return np.exp(np.minimum(mu - 1.0, cap)) - counts(bs)
@@ -134,8 +137,16 @@ def _prepare_pf(inst: NetworkInstance) -> Tuple[Pick, Direction]:
 
 
 def _alpha_fair(a: float) -> PricingRule:
-    """The printed fixed-alpha rule: score mu_j gamma_ij^e with e = (1-a)/a."""
+    """The printed fixed-alpha rule: score mu_j gamma_ij^e with e = (1-a)/a,
+    and the price moves by sum_{i in I_j} gamma_ij^e minus the sign-preserving
+    power sign(x) |x|^(1/(a-1)) of x = e mu_j."""
     e = (1.0 - a) / a
+    # mu > 0, so x has e's sign, and |x| = |e| mu to the bit (rounding is
+    # symmetric in sign): the power is added to the loads for e < 0 and
+    # subtracted for e > 0. float_power rounds as the scalar pow does, which
+    # `**` need not.
+    scale, power = abs(e), 1.0 / (a - 1.0)
+    combine = np.subtract if e > 0 else np.add
 
     def prepare(inst: NetworkInstance) -> Tuple[Pick, Direction]:
         G = inst.gamma ** e
@@ -143,13 +154,10 @@ def _alpha_fair(a: float) -> PricingRule:
         sums = per_association(lambda bs: np.bincount(bs, weights=G[users, bs], minlength=J))
 
         def pick(mu):
-            return np.argmax(mu[None, :] * G, axis=1)
+            return (G * mu).argmax(1)
 
         def direction(bs, mu):
-            # the sign-preserving power of x = e mu, never 0 as mu > 0 and a != 1;
-            # float_power rounds as the scalar pow does, which `**` need not
-            x = e * mu
-            return -np.copysign(np.float_power(np.abs(x), 1.0 / (a - 1.0)), x) + sums(bs)
+            return combine(sums(bs), np.float_power(scale * mu, power))
 
         return pick, direction
 
@@ -157,9 +165,9 @@ def _alpha_fair(a: float) -> PricingRule:
 
 
 def _min_latency(choose: Callable) -> PricingRule:
-    """The delay-oriented rule: users take the choose (argmax or argmin) of
-    mu_j / sqrt(gamma_ij), and the price moves by mu_j / 2 plus the sum of
-    1 / sqrt(gamma_ij) over BS j's users."""
+    """The delay-oriented rule: users take the choose (np.ndarray.argmax or
+    argmin, called with the axis) of mu_j / sqrt(gamma_ij), and the price
+    moves by mu_j / 2 plus the sum of 1 / sqrt(gamma_ij) over BS j's users."""
 
     def prepare(inst: NetworkInstance) -> Tuple[Pick, Direction]:
         root = np.sqrt(inst.gamma)
@@ -168,7 +176,7 @@ def _min_latency(choose: Callable) -> PricingRule:
         loads = per_association(lambda bs: np.bincount(bs, weights=inv_root[users, bs], minlength=J))
 
         def pick(mu):
-            return choose(mu[None, :] / root, axis=1)
+            return choose(mu / root, 1)
 
         def direction(bs, mu):
             return 0.5 * mu + loads(bs)
@@ -185,8 +193,8 @@ RULES: Dict[str, PricingRule] = {
     "pf": PricingRule(prepare=_prepare_pf),
     "af_low": _alpha_fair(0.6),
     "af_high": _alpha_fair(1.6),
-    "min_latency": _min_latency(np.argmax),
-    "min_latency_argmin": _min_latency(np.argmin),
+    "min_latency": _min_latency(np.ndarray.argmax),
+    "min_latency_argmin": _min_latency(np.ndarray.argmin),
 }
 
 

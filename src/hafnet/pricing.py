@@ -31,7 +31,7 @@ are the rule above as one-off calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -59,10 +59,13 @@ class PricingConfig:
         if not (0.0 < self.mu_min <= self.mu_max < math.inf and 0.0 < self.mu_init < math.inf):
             raise ValueError(f"pricing needs 0 < mu_min <= mu_max < inf and 0 < mu_init < inf: {self}")
 
-    def eta_at(self, t: int) -> float:
+    def step_sizes(self) -> np.ndarray:
+        """eta_t for t = 1..total_iters: eta0, or eta0 / sqrt(t). Both
+        divide and square root are correctly rounded, so each entry equals
+        the scalar eta0 / math.sqrt(t) bit for bit."""
         if self.eta_schedule == "constant":
-            return self.eta0
-        return self.eta0 / math.sqrt(t)
+            return np.full(self.total_iters, float(self.eta0))
+        return self.eta0 / np.sqrt(np.arange(1, self.total_iters + 1))
 
 
 @dataclass
@@ -119,11 +122,6 @@ class RunTrace:
         solved[np.unique(self.assoc_id, return_index=True)[1]] = True
         return solved
 
-    def weak_duality_ok(self) -> bool:
-        """dual >= primal - 1e-6*(1+|dual|) at every iteration."""
-        slack = self.dual - self.primal + 1e-6 * (1.0 + np.abs(self.dual))
-        return bool(np.all(slack >= 0.0))
-
 
 #: pick(mu) -> (I,) BS per user; direction(bs, mu) -> (J,) price direction.
 Pick = Callable[[np.ndarray], np.ndarray]
@@ -166,10 +164,10 @@ def _prepare_proposed(inst: NetworkInstance) -> Tuple[Pick, Direction]:
     gathered = per_association(lambda bs: gamma_hat[users, bs])
 
     def pick(mu):
-        return np.argmax(gamma / mu[None, :], axis=1)
+        return (gamma / mu).argmax(1)
 
     def direction(bs, mu):
-        return 1.0 - np.bincount(bs, weights=gathered(bs) * mu[bs] ** expo, minlength=J)
+        return 1.0 - np.bincount(bs, weights=gathered(bs) * mu.take(bs) ** expo, minlength=J)
 
     return pick, direction
 
@@ -214,6 +212,9 @@ def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray
 
     Rows go in blocks of _DUAL_BLOCK, and each block's maximisers come from
     one argmax over its ratio table, so no (T, users, BSs) array is built.
+    The coefficients and prices at the maximisers are gathered by flat
+    `take` on the C-ordered tables, which yields the values and layout of
+    2-D fancy indexing.
     Every array that feeds a power or a row sum is C-contiguous,
     as a one-row call's arrays are: numpy's vectorised transcendentals and
     pairwise sums then round each row as that call does, so a table's values
@@ -224,15 +225,17 @@ def dual_value(inst: NetworkInstance, mu: np.ndarray) -> Union[float, np.ndarray
     if not (table > 0).all():  # NaN fails too
         raise ValueError("prices must be positive")
     a = inst.alphas.alpha
+    J = inst.num_bs
     expo = (a - 1.0) / a
-    coef_gh = (a / (1.0 - a))[:, None] * inst.gamma_hat
-    users = np.arange(a.size)
+    coef_gh = ((a / (1.0 - a))[:, None] * inst.gamma_hat).ravel()
+    user_base = np.arange(a.size) * J  # user i's offset into the flat (I, J) table
     out = np.empty(table.shape[0])
     for lo in range(0, table.shape[0], _DUAL_BLOCK):
         m = table[lo : lo + _DUAL_BLOCK]
-        rows = np.arange(m.shape[0])[:, None]
-        js = np.argmax(inst.gamma / m[:, None, :], axis=2)
-        out[lo : lo + m.shape[0]] = m.sum(axis=1) + (coef_gh[users, js] * m[rows, js] ** expo).sum(axis=1)
+        js = (inst.gamma / m[:, None, :]).argmax(2)
+        row_base = np.arange(0, m.size, J)[:, None]  # each row's offset into the flat block
+        terms = coef_gh.take(user_base + js) * m.take(row_base + js) ** expo
+        out[lo : lo + m.shape[0]] = m.sum(axis=1) + terms.sum(axis=1)
     return float(out[0]) if mu.ndim == 1 else out
 
 
@@ -311,10 +314,13 @@ def iterate(
     association its prices induce.
 
     The rule is prepared once per run, and the loop works on the BS array
-    its pick returns. That array, and the Association built around it, keep
-    their objects while the association is unchanged, which lets the rule's
-    direction reuse its per-association terms. Step sizes are listed before
-    the loop, and the trace's rows are collected in lists and stacked after.
+    its pick returns. An iteration's pick is a change only when its bytes
+    differ from the current association's, and only then are the moved
+    users counted. That array, and the Association built around it, keep
+    their objects while the association is unchanged, even when the pick
+    returns a fresh equal array, which lets the rule's direction reuse its
+    per-association terms. Step sizes come from `PricingConfig.step_sizes`,
+    and the trace's rows are collected in lists and stacked after.
 
     Each association is solved and scored once per run. A table keyed on the
     association's bytes (BS indices in the narrowest unsigned type) holds
@@ -338,8 +344,9 @@ def iterate(
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
     pick, direction = rule.prepare(inst)
     bs = pick(mu)
+    bs_bytes = bs.tobytes()
     assoc = Association(bs_of_user=bs)
-    etas = [cfg.eta_at(t) for t in range(1, int(cfg.total_iters) + 1)]
+    mu_min, mu_max = cfg.mu_min, cfg.mu_max
 
     primal, mu_rows, changes, ranks, dd = [], [], [], [], []
     users = np.arange(I)
@@ -350,7 +357,7 @@ def iterate(
     prev: Optional[Tuple[Association, Allocation]] = None
     pending_changes = 0
 
-    for eta in etas:
+    for eta in cfg.step_sizes().tolist():
         if prev is None or assoc is not prev[0]:  # the first iteration or a changed association
             key = bs.astype(key_type).tobytes()
             visit = table.get(key)
@@ -373,11 +380,14 @@ def iterate(
         if best is None or p > best_p:
             best_p = p
             best = prev
-        mu = np.minimum(np.maximum(mu - eta * d, cfg.mu_min), cfg.mu_max)
+        mu = np.minimum(np.maximum(mu - eta * d, mu_min), mu_max)
         nxt = pick(mu)
-        pending_changes = int(np.count_nonzero(nxt != bs))
-        if pending_changes:  # else keep both objects, which ra.allocate and the direction test first
-            bs = nxt
+        nxt_bytes = nxt.tobytes()
+        # equal bytes are an unchanged association: keep both objects, which
+        # ra.allocate and the direction test first
+        pending_changes = 0 if nxt_bytes == bs_bytes else int(np.count_nonzero(nxt != bs))
+        if pending_changes:
+            bs, bs_bytes = nxt, nxt_bytes
             assoc = Association(bs_of_user=bs)
 
     # a NaN price stays NaN through every later step and clip, so the final
@@ -422,32 +432,3 @@ def solve(
     assoc, alloc, trace = iterate(inst, PROPOSED, cfg, ra_cfg, mu0)
     trace.theorem2_bound = _certificate(inst, trace, ra_cfg)
     return assoc, alloc, trace
-
-
-def theorem1_check(
-    inst: NetworkInstance,
-    trace: RunTrace,
-    cfg: Optional[PricingConfig] = None,
-    ra_cfg: Optional[ra.LambdaSearchConfig] = None,
-) -> bool:
-    """Calibrated convergence-rate check against a finished run's trace.
-
-    The best dual iterate of `trace` stands in for the dual optimum and the
-    largest observed subgradient norm for the Lipschitz constant G. A second
-    pass is run with the constant step ||mu1 - mu*|| / (G sqrt(T)); the check
-    holds if its best dual gap obeys  min_t g(mu_t) - g(mu*) <= G ||mu1 - mu*||^2 / sqrt(T) + 1e-6.
-    """
-    T = len(trace)
-    proxy = trace.mu[trace.best_dual_iter]
-    g_star = trace.best_dual
-    G = float(np.max(trace.grad_norm))
-    mu1 = trace.mu[0]
-    D = float(np.linalg.norm(mu1 - proxy))
-    if G <= 0.0 or D <= 0.0:
-        return True
-    eta = D / (G * math.sqrt(T))
-    base = cfg or PricingConfig()
-    cfg2 = replace(base, total_iters=T, eta0=eta, eta_schedule="constant")
-    _, _, second = solve(inst, cfg2, ra_cfg, mu0=mu1.copy())
-    lhs = second.best_dual - g_star
-    return lhs <= G * D * D / math.sqrt(T) + 1e-6

@@ -12,11 +12,16 @@ measures how far a multiplier is from the root.
 `REFERENCE_RULES` gives every pricing method's user pick and price direction
 as per-call formulas that recompute every instance term on each call; the
 loop's prepared rules must match them bit for bit.
+
+`weak_duality_ok` and `theorem1_check` test a finished pricing run: the
+dual above the primal at every iteration, and the convergence-rate envelope
+of a calibrated second run.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +29,7 @@ from scipy.optimize import brentq
 
 from hafnet import pricing
 from hafnet.core import Association, NetworkInstance
+from hafnet.pricing import PricingConfig, RunTrace
 from hafnet.ra import LambdaSearchConfig
 
 
@@ -199,3 +205,38 @@ REFERENCE_RULES: Dict[str, ReferenceRule] = {
     "min_latency": _rule(_latency_score, _latency_direction),
     "min_latency_argmin": _rule(_latency_score, _latency_direction, np.argmin),
 }
+
+
+def weak_duality_ok(trace: RunTrace) -> bool:
+    """dual >= primal - 1e-6*(1+|dual|) at every iteration of trace."""
+    slack = trace.dual - trace.primal + 1e-6 * (1.0 + np.abs(trace.dual))
+    return bool(np.all(slack >= 0.0))
+
+
+def theorem1_check(
+    inst: NetworkInstance,
+    trace: RunTrace,
+    cfg: Optional[PricingConfig] = None,
+    ra_cfg: Optional[LambdaSearchConfig] = None,
+) -> bool:
+    """Calibrated convergence-rate check against a finished run's trace.
+
+    The best dual iterate of `trace` stands in for the dual optimum and the
+    largest observed subgradient norm for the Lipschitz constant G. A second
+    pass is run with the constant step ||mu1 - mu*|| / (G sqrt(T)); the check
+    holds if its best dual gap obeys  min_t g(mu_t) - g(mu*) <= G ||mu1 - mu*||^2 / sqrt(T) + 1e-6.
+    """
+    T = len(trace)
+    proxy = trace.mu[trace.best_dual_iter]
+    g_star = trace.best_dual
+    G = float(np.max(trace.grad_norm))
+    mu1 = trace.mu[0]
+    D = float(np.linalg.norm(mu1 - proxy))
+    if G <= 0.0 or D <= 0.0:
+        return True
+    eta = D / (G * math.sqrt(T))
+    base = cfg or PricingConfig()
+    cfg2 = replace(base, total_iters=T, eta0=eta, eta_schedule="constant")
+    _, _, second = pricing.solve(inst, cfg2, ra_cfg, mu0=mu1.copy())
+    lhs = second.best_dual - g_star
+    return lhs <= G * D * D / math.sqrt(T) + 1e-6

@@ -30,10 +30,15 @@ from hafnet import (
     run_static_experiment,
     run_time_varying,
     save_config,
-    theorem1_check,
 )
 from hafnet import pricing
-from reference import bootstrap_mean_lower, kkt_residual, solve_lambda_brentq, solve_lambda_digit
+from reference import (
+    bootstrap_mean_lower,
+    kkt_residual,
+    solve_lambda_brentq,
+    solve_lambda_digit,
+    theorem1_check,
+)
 
 PRICING_BASELINES = ("pf", "af_low", "af_high", "min_latency")
 ALL_METHODS = ("proposed", "max_sinr", "random") + PRICING_BASELINES

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -17,12 +18,11 @@ from hafnet.pricing import (
     dual_value,
     price_gradient,
     solve,
-    theorem1_check,
     theorem2_bound,
 )
 from hafnet.ra import allocate
 from conftest import make_instance, random_instance
-from reference import REFERENCE_RULES
+from reference import REFERENCE_RULES, theorem1_check, weak_duality_ok
 
 
 def test_associate_picks_max_gamma_over_mu():
@@ -128,7 +128,7 @@ def test_solve_trace_shapes_and_weak_duality():
     assert len(trace) == 80
     assert trace.mu.shape == (80, 3)
     assert trace.primal.shape == (80,)
-    assert trace.weak_duality_ok()
+    assert weak_duality_ok(trace)
     assert trace.assoc_changes[0] == 0
     # returned pair is the best recorded primal
     assert haf_objective(inst, assoc, alloc) == pytest.approx(trace.best_primal, rel=1e-12)
@@ -256,17 +256,34 @@ def test_long_run_stays_finite():
     assert np.all(np.isfinite(trace.dual))
     assert np.all(np.isfinite(trace.mu))
     assert np.all(trace.mu >= PricingConfig().mu_min)
-    assert trace.weak_duality_ok()
+    assert weak_duality_ok(trace)
 
 
 def test_eta_schedules():
-    cfg = PricingConfig(eta0=0.4, eta_schedule="diminishing")
-    assert cfg.eta_at(1) == pytest.approx(0.4)
-    assert cfg.eta_at(4) == pytest.approx(0.2)
-    cfg2 = PricingConfig(eta0=0.4, eta_schedule="constant")
-    assert cfg2.eta_at(9) == pytest.approx(0.4)
+    cfg = PricingConfig(total_iters=9, eta0=0.4, eta_schedule="diminishing")
+    assert cfg.step_sizes()[[0, 3]].tolist() == [0.4, 0.2]
+    cfg2 = PricingConfig(total_iters=9, eta0=0.4, eta_schedule="constant")
+    assert cfg2.step_sizes().tolist() == [0.4] * 9
     with pytest.raises(ValueError):
-        PricingConfig(eta_schedule="warmup").eta_at(1)
+        PricingConfig(eta_schedule="warmup")
+
+
+def _scalar_eta(cfg, t):
+    """eta_t of the printed schedule, one Python float at a time."""
+    return cfg.eta0 if cfg.eta_schedule == "constant" else cfg.eta0 / math.sqrt(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 10.0, exclude_min=True),
+    st.integers(1, 5000),
+    st.sampled_from(["diminishing", "constant"]),
+)
+def test_step_sizes_equal_the_scalar_schedule_bit_for_bit(eta0, total_iters, schedule):
+    cfg = PricingConfig(total_iters=total_iters, eta0=eta0, eta_schedule=schedule)
+    etas = cfg.step_sizes()
+    assert etas.dtype == np.float64 and etas.shape == (total_iters,)
+    assert etas.tobytes() == np.array([_scalar_eta(cfg, t) for t in range(1, total_iters + 1)]).tobytes()
 
 
 # ------------------------------------------------ exactness of the reuse ---
@@ -309,7 +326,7 @@ def _cold_loop(inst, rule, cfg, mu0=None):
         mus.append(mu)
         if best is None or p > best[2]:
             best = (assoc, alloc, p)
-        mu = np.clip(mu - cfg.eta_at(t) * rule.direction(inst, assoc, mu), cfg.mu_min, cfg.mu_max)
+        mu = np.clip(mu - _scalar_eta(cfg, t) * rule.direction(inst, assoc, mu), cfg.mu_min, cfg.mu_max)
         assoc = rule.associate(inst, mu)
     return best[0], best[1], np.array(primal), np.array(dual), np.array(mus), mu
 
@@ -452,6 +469,39 @@ def test_iterate_matches_the_cold_loop_on_random_runs(name, data):
     assert np.array_equal(trace.mu, mus)
     assert np.array_equal(alloc.y, r_alloc.y)
     assert np.array_equal(alloc.lam, r_alloc.lam, equal_nan=True)
+
+
+def test_a_pick_that_returns_fresh_equal_arrays_keeps_one_association(monkeypatch):
+    # The loop tests a change by the pick's bytes, not its array object: a
+    # fresh array naming the same BSs moves no user, so one Association
+    # object serves the whole run and the direction computes its
+    # per-association terms once.
+    # Caught mutation: a change test on the pick's identity.
+    inst = random_instance(np.random.default_rng(59), 12, 3)
+    start = np.argmax(inst.gamma, axis=1)
+    computed = []
+
+    def prepare(inst):
+        def counts(bs):
+            computed.append(1)
+            return np.bincount(bs, minlength=inst.num_bs).astype(float)
+
+        loads = pricing.per_association(counts)
+        return (lambda mu: start.copy()), (lambda bs, mu: mu - loads(bs))
+
+    seen = []
+
+    def recorded(inst, assoc, cfg=None, prev=None):
+        seen.append(assoc)
+        return allocate(inst, assoc, cfg, prev)
+
+    monkeypatch.setattr(ra, "allocate", recorded)
+    assoc, _, trace = pricing.iterate(inst, PricingRule(prepare=prepare), PricingConfig(total_iters=50, eta0=0.5))
+    assert len(np.unique(trace.mu, axis=0)) > 1  # the prices move
+    assert not trace.assoc_changes.any()
+    assert len(seen) == 50 and all(a is seen[0] for a in seen)
+    assert assoc is seen[0] and trace.assoc_final is seen[0]
+    assert len(computed) == 1
 
 
 def test_table_keeps_no_dense_allocation_per_association(monkeypatch):
@@ -634,6 +684,37 @@ def test_dual_equals_the_plain_formula_on_exact_ties(case):
     inst, mu = case
     with np.errstate(all="raise"):
         assert dual_value(inst, mu) == _plain_dual(inst, mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_PRICING)), _tied_instances(), st.data())
+def test_prepared_rules_equal_the_reference_formulas_at_pinned_and_tied_prices(name, case, data):
+    # Each rule's pick (one argmax or argmin method call on its score table)
+    # and direction at prices all equal, where tied gains tie the scores and
+    # the lowest index must win, and at each BS's price pinned to mu_min or
+    # mu_max; the af_* directions fold the sign of e = (1-a)/a into an add or
+    # a subtract, and the ends give their largest and smallest powers.
+    # Caught mutation: the af_* fold with the add and the subtract swapped.
+    inst, mu = case
+    I, J = inst.num_users, inst.num_bs
+    ends = data.draw(st.lists(st.sampled_from([_MU_MIN, _MU_MAX]), min_size=J, max_size=J).map(np.array))
+    bs = np.array(data.draw(st.lists(st.integers(0, J - 1), min_size=I, max_size=I)), dtype=int)
+    ref = REFERENCE_RULES[name]
+    with np.errstate(all="raise"):
+        pick, direction = _prepared(name).prepare(inst)
+        for m in (mu, ends):
+            assert pick(m).tobytes() == ref.associate(inst, m).bs_of_user.tobytes()
+            assert direction(bs, m).tobytes() == ref.direction(inst, Association(bs), m).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_PRICING))
+def test_prepared_picks_give_exact_ties_to_the_lowest_index(name):
+    # every user's gain is the same at every BS, so at equal prices each
+    # rule's score row is constant, and argmax and argmin alike pick BS 0
+    inst = make_instance(np.repeat([[0.5], [2.0], [1e-6]], 4, axis=1), [0.5, 0.8, 2.0])
+    pick, _ = _prepared(name).prepare(inst)
+    for price in (_MU_MIN, PricingConfig().mu_init, _MU_MAX):
+        assert pick(np.full(4, price)).tolist() == [0, 0, 0]
 
 
 def test_dual_stays_within_a_few_ulps_of_the_plain_formula_on_near_ties():

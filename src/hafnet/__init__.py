@@ -28,6 +28,7 @@ from .ra import (
     allocate,
     assemble,
     bs_optimal_utility,
+    solve_stacked,
     subset_solve,
     subset_utilities,
 )

@@ -101,15 +101,24 @@ def _finish(inst, bs, ra_cfg) -> Tuple[Association, Allocation]:
     return assoc, ra.allocate(inst, assoc, ra_cfg)
 
 
+def random_association(inst: NetworkInstance, seed: int) -> np.ndarray:
+    """Uniform random BS per user, as an (I,) BS array. Deterministic given seed."""
+    return np.random.default_rng(seed).integers(0, inst.num_bs, size=inst.num_users)
+
+
+def max_sinr_association(inst: NetworkInstance) -> np.ndarray:
+    """Every user's best channel, ties to the lowest BS index, as an (I,) BS array."""
+    return np.argmax(inst.gamma, axis=1)
+
+
 def run_random(inst: NetworkInstance, seed: int, ra_cfg=None) -> Tuple[Association, Allocation]:
-    """Uniform random BS per user. Deterministic given seed."""
-    rng = np.random.default_rng(seed)
-    return _finish(inst, rng.integers(0, inst.num_bs, size=inst.num_users), ra_cfg)
+    """The random association and its allocation."""
+    return _finish(inst, random_association(inst, seed), ra_cfg)
 
 
 def run_max_sinr(inst: NetworkInstance, ra_cfg=None) -> Tuple[Association, Allocation]:
-    """Every user takes its best channel, ties to the lowest BS index."""
-    return _finish(inst, np.argmax(inst.gamma, axis=1), ra_cfg)
+    """The max-SINR association and its allocation."""
+    return _finish(inst, max_sinr_association(inst), ra_cfg)
 
 
 # ---------------------------------------------------------------- pricing ---

@@ -10,8 +10,8 @@ significant digits) next to a manifest naming the emitted files.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, channel, metrics, pricing, ra
 from .baselines import GaParams
-from .core import Allocation, AlphaProfile, Association, GROUP_INTERVALS, Group, NetworkInstance, haf_objective
+from .core import Allocation, AlphaProfile, Association, GROUP_INTERVALS, Group, NetworkInstance, rates_of, utility_vector
 from .pricing import PricingConfig
 from .ra import LambdaSearchConfig
 
@@ -213,7 +213,7 @@ def run_method(
     elif name == "random":
         assoc, alloc = baselines.run_random(inst, child_seed(master_seed, seed_index, _PURPOSE_RANDOM), cfg.ra)
     elif name == "two_rs":
-        start = Association(np.argmax(inst.gamma, axis=1))  # the max-SINR association
+        start = Association(baselines.max_sinr_association(inst))
         assoc, alloc = baselines.run_2rs(inst, start, ra_cfg=cfg.ra)
     elif name == "ga":
         assoc, alloc = baselines.run_ga(
@@ -293,6 +293,9 @@ def _seed_worker(args) -> List[dict]:
 def _collect_rows(cfg: ScenarioConfig, master_seed: int, threads: int) -> List[dict]:
     tasks = [(cfg, master_seed, s) for s in range(cfg.num_seeds)]
     if threads > 1:
+        # imported here: it loads multiprocessing, which one process never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_seed_worker, tasks))
     else:
@@ -406,6 +409,11 @@ def timevary_methods(methods: Optional[Sequence[str]] = None) -> Tuple[str, ...]
     return methods
 
 
+#: Slots per block of a slotted run: a block's instances are built together,
+#: and its slot-independent solves and its HAF scores each take one numpy pass.
+_SLOT_BLOCK = 25
+
+
 def run_time_varying(
     cfg: ScenarioConfig,
     out_dir,
@@ -422,6 +430,14 @@ def run_time_varying(
     the end of slot 1 and only re-solves the bandwidth split. Per-slot HAF is
     evaluated at the end-of-slot association; when that is the association of
     the slot's pricing run's best iterate, the row reuses the run's allocation.
+
+    Slots go in blocks of _SLOT_BLOCK, and each block's instances are built
+    first. The adaptive methods then run slot by slot, while the frozen,
+    max-SINR and random associations, which no earlier decision moves after
+    slot 1, are solved for the whole block in one `ra.solve_stacked` call.
+    Every row's HAF comes from one stacked utility pass and a row sum. Both
+    passes round each slot as its own `ra.allocate` and `haf_objective`
+    would, so the rows do not depend on the block size.
     """
     tv = cfg.timevary
     methods = timevary_methods(methods)
@@ -431,40 +447,53 @@ def run_time_varying(
     slot_cfg = replace(
         cfg.pricing, total_iters=tv.iters_per_slot, eta0=tv.eta0, eta_schedule="constant"
     )
+    users = np.arange(cfg.num_users)
     rows = []
     for s in range(cfg.num_seeds):
         inst, topo, fading = build_instance(cfg, master_seed, s, rho=tv.rho)
-        prof = inst.alphas
+        alpha = inst.alphas.alpha
         state: Dict[str, dict] = {m: {} for m in methods}
-        for slot in range(1, tv.num_slots + 1):
-            if slot > 1:
-                fading = channel.evolve_fading(fading)
-                inst = channel.make_instance(topo, fading, prof)
-            for m in methods:
-                st = state[m]
-                if m in _PRICING:
-                    b_assoc, b_alloc, trace = _run_pricing(m, inst, slot_cfg, cfg.ra, mu0=st.get("mu"))
-                    st["mu"], assoc = trace.mu_final, trace.assoc_final
-                    alloc = ra.allocate(inst, assoc, cfg.ra, prev=(b_assoc, b_alloc))
-                elif m == "frozen":
-                    prev = None
-                    if "x" not in st:
-                        b_assoc, b_alloc, trace = pricing.solve(inst, slot_cfg, cfg.ra)
-                        st["x"], prev = trace.assoc_final.bs_of_user, (b_assoc, b_alloc)
-                    assoc = Association(st["x"])
-                    alloc = ra.allocate(inst, assoc, cfg.ra, prev=prev)
-                elif m == "two_rs":
-                    if "x" not in st:
-                        st["x"] = np.argmax(inst.gamma, axis=1)
-                    assoc, alloc = baselines.run_2rs(inst, Association(st["x"]), adaptive=True, ra_cfg=cfg.ra)
-                    st["x"] = assoc.bs_of_user
-                elif m == "max_sinr":
-                    assoc, alloc = baselines.run_max_sinr(inst, cfg.ra)
-                else:  # random, fresh draw each slot
-                    assoc, alloc = baselines.run_random(
-                        inst, child_seed(master_seed, s, _PURPOSE_RANDOM, slot), cfg.ra
-                    )
-                rows.append([s, slot, m, haf_objective(inst, assoc, alloc)])
+        for first in range(1, tv.num_slots + 1, _SLOT_BLOCK):
+            slots = range(first, min(first + _SLOT_BLOCK, tv.num_slots + 1))
+            insts = []
+            for slot in slots:
+                if slot > 1:
+                    fading = channel.evolve_fading(fading)
+                    inst = channel.make_instance(topo, fading, inst.alphas)
+                insts.append(inst)
+            # rates[k, n]: the users' rates under method n in slot k
+            rates = np.empty((len(slots), len(methods), cfg.num_users))
+            stacked = []  # (k, n, BS array) of each association the block solves
+            for k, (slot, inst) in enumerate(zip(slots, insts)):
+                for n, m in enumerate(methods):
+                    st = state[m]
+                    if m in _PRICING:
+                        b_assoc, b_alloc, trace = _run_pricing(m, inst, slot_cfg, cfg.ra, mu0=st.get("mu"))
+                        st["mu"], assoc = trace.mu_final, trace.assoc_final
+                        alloc = ra.allocate(inst, assoc, cfg.ra, prev=(b_assoc, b_alloc))
+                    elif m == "two_rs":
+                        if "x" not in st:
+                            st["x"] = baselines.max_sinr_association(inst)
+                        assoc, alloc = baselines.run_2rs(inst, Association(st["x"]), adaptive=True, ra_cfg=cfg.ra)
+                        st["x"] = assoc.bs_of_user
+                    else:
+                        if m == "frozen":
+                            if "x" not in st:
+                                st["x"] = pricing.solve(inst, slot_cfg, cfg.ra)[2].assoc_final.bs_of_user
+                            bs = st["x"]
+                        elif m == "max_sinr":
+                            bs = baselines.max_sinr_association(inst)
+                        else:  # random, fresh draw each slot
+                            bs = baselines.random_association(inst, child_seed(master_seed, s, _PURPOSE_RANDOM, slot))
+                        stacked.append((k, n, bs))
+                        continue
+                    rates[k, n] = rates_of(inst, assoc, alloc)
+            if stacked:
+                ks, ns, bs = (np.array(v) for v in zip(*stacked))
+                y, _ = ra.solve_stacked(np.stack([i.gamma_hat for i in insts])[ks], alpha, bs, cfg.ra)
+                rates[ks, ns] = np.stack([i.gamma for i in insts])[ks[:, None], users, bs] * y
+            haf = utility_vector(rates.reshape(-1, cfg.num_users), alpha).sum(axis=1).tolist()
+            rows.extend([s, slot, m, h] for (slot, m), h in zip(itertools.product(slots, methods), haf))
 
     files = write_tables(out, {"timevary.csv": (["seed", "slot", "method", _HAF], rows)})
     return {"rows": rows, "files": files}

@@ -272,12 +272,12 @@ def _certificate(
     inst: NetworkInstance, trace: RunTrace, ra_cfg: Optional[ra.LambdaSearchConfig]
 ) -> float:
     """theorem2_bound at the best-dual prices, with the multipliers of the
-    association they induce. That is the best-dual iterate's association,
-    so its one ra.allocate call is passed the loop's kept decision for that
-    iterate as prev, and solves only if the two associations differ."""
-    mu_star = trace.mu[trace.best_dual_iter]
-    assoc = associate(inst, mu_star)
-    return theorem2_bound(inst, assoc, mu_star, ra.allocate(inst, assoc, ra_cfg, trace.best_dual_decision).lam)
+    association they induce: the best-dual iterate's association, which the
+    loop kept with its allocation. Its one ra.allocate call is passed that
+    decision as prev and returns its allocation without solving."""
+    assoc = trace.best_dual_decision[0]
+    lam = ra.allocate(inst, assoc, ra_cfg, trace.best_dual_decision).lam
+    return theorem2_bound(inst, assoc, trace.mu[trace.best_dual_iter], lam)
 
 
 class _Visit(NamedTuple):
@@ -426,9 +426,9 @@ def solve(
     mu0 warm-starts a continuation (time-varying operation). The returned
     trace carries per-iteration primal/dual values and theorem2_bound.
     """
-    # the loop calls PROPOSED's prepared pick and direction, not `associate`
-    # and `price_gradient`: a wrapper on those module attributes sees only
-    # the certificate's one `associate` call
+    # the loop calls PROPOSED's prepared pick and direction, and the
+    # certificate takes the loop's kept association: a wrapper on the module
+    # attributes `associate` and `price_gradient` sees no call
     assoc, alloc, trace = iterate(inst, PROPOSED, cfg, ra_cfg, mu0)
     trace.theorem2_bound = _certificate(inst, trace, ra_cfg)
     return assoc, alloc, trace

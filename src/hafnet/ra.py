@@ -10,10 +10,11 @@ after which y_ij = gamma_hat_ij * lam^(-1/alpha_i). The left side is strictly
 decreasing in lam (+inf at 0+, -> 0 at inf), so the root is unique.
 
 Every solve goes through one segmented Newton kernel on s = log lam, which
-solves many root-finds at once: `allocate` passes every BS of an
-association, and `subset_solve` passes many (BS, user set) pairs for the
-search baselines. `assemble` turns per-BS log multipliers into an
-allocation, for `allocate` and for a search that kept the ones it solved.
+solves many root-finds at once: `solve_stacked` passes every BS of many
+associations, each on its own gains (a slotted run's blocks of slots), and
+`allocate` is its one-association case; `subset_solve` passes many
+(BS, user set) pairs for the search baselines. `assemble` turns per-BS log
+multipliers into an allocation, for a search that kept the ones it solved.
 The scalar references the tests compare the kernel against (the printed
 decimal digit search and a brentq root-find) live with the tests.
 """
@@ -77,6 +78,44 @@ def _newton(lg: np.ndarray, ia: np.ndarray, seg: np.ndarray, n: int, tol: float)
     raise ArithmeticError("Newton multiplier search did not converge")
 
 
+def solve_stacked(
+    gamma_hat: np.ndarray,
+    alpha: np.ndarray,
+    bs: np.ndarray,
+    cfg: Optional[LambdaSearchConfig] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Optimal bandwidth fractions of P associations in one kernel call.
+
+    Association p assigns user i to BS bs[p, i] (bs: (P, I) integers in
+    [0, J), not checked) on the gains gamma_hat[p] (gamma_hat: (P, I, J));
+    every association shares the users' exponents alpha (I,). Returns
+    (y, s): y (P, I) is each user's fraction of its BS, and s (P, J) the log
+    multipliers, NaN at empty BSs.
+
+    The kernel's segments are the flat (association, BS) pairs in use, and
+    each converges and freezes on its own, with its terms in user order; so
+    row p equals the solve of association p alone bit for bit, which is
+    `allocate`.
+    """
+    cfg = cfg or _DEFAULT
+    P, I, J = gamma_hat.shape
+    ids = (bs + np.arange(0, P * J, J)[:, None]).ravel()  # each term's flat (association, BS) pair
+    in_use = np.bincount(ids, minlength=P * J) > 0
+    seg = (np.cumsum(in_use) - 1)[ids]  # each term's rank among the pairs in use
+    lg = np.log(gamma_hat.reshape(P * I, J)[np.arange(P * I), bs.ravel()])
+    ia = (1.0 / alpha)[None].repeat(P, 0).ravel()
+    s = np.full(P * J, np.nan)
+    s[in_use] = _newton(lg, ia, seg, int(np.count_nonzero(in_use)), cfg.bisect_tol)
+    return _fractions(lg, s[ids], ia).reshape(P, I), s.reshape(P, J)
+
+
+def _fractions(lg: np.ndarray, s_at: np.ndarray, ia: np.ndarray) -> np.ndarray:
+    """y = exp(lg - s / alpha) at each user's BS, from lg = log gamma_hat and
+    s = log lam there, and ia = 1/alpha: the one formula every allocation
+    takes its fractions from."""
+    return np.exp(lg - s_at * ia)
+
+
 def allocate(
     inst: NetworkInstance,
     assoc: Association,
@@ -85,9 +124,9 @@ def allocate(
 ) -> Allocation:
     """Optimal bandwidth fractions for every BS under a fixed association.
 
-    One Newton kernel call solves every non-empty BS. Empty BSs get a NaN
-    multiplier and a zero column. y_ij = gamma_hat_ij * lam_j^(-1/alpha_i)
-    on associated pairs.
+    The one-association case of `solve_stacked`: one Newton kernel call
+    solves every non-empty BS. Empty BSs get a NaN multiplier and a zero
+    column. y_ij = gamma_hat_ij * lam_j^(-1/alpha_i) on associated pairs.
 
     prev is an (association, allocation) pair for the same instance and cfg
     whose allocation is this function's result for that association, or a
@@ -98,38 +137,33 @@ def allocate(
     """
     if prev is not None and (prev[0] is assoc or np.array_equal(prev[0].bs_of_user, assoc.bs_of_user)):
         return prev[1]
-    cfg = cfg or _DEFAULT
     I, J = inst.num_users, inst.num_bs
     bs = np.asarray(assoc.bs_of_user, dtype=int)
     if bs.shape[0] != I:
         raise ValueError("association length must match the instance")
     if I and (bs.min() < 0 or bs.max() >= J):
         raise ValueError("association refers to a BS outside the instance")
-    in_use = np.bincount(bs, minlength=J) > 0
-    used = np.flatnonzero(in_use)
-    seg = (np.cumsum(in_use) - 1)[bs]  # each user's rank among the used BSs
-    lg = np.log(inst.gamma_hat[np.arange(I), bs])
-    s = np.full(J, np.nan)
-    s[used] = _newton(lg, 1.0 / inst.alphas.alpha, seg, used.size, cfg.bisect_tol)
-    return assemble(inst, bs, s, lg)
+    y_user, s = solve_stacked(inst.gamma_hat[None], inst.alphas.alpha, bs[None], cfg)
+    return _allocation(bs, y_user[0], s[0], J)
 
 
-def assemble(inst: NetworkInstance, bs: np.ndarray, s: np.ndarray, lg: Optional[np.ndarray] = None) -> Allocation:
+def _allocation(bs: np.ndarray, y_user: np.ndarray, s: np.ndarray, num_bs: int) -> Allocation:
+    y = np.zeros((bs.shape[0], num_bs))
+    y[np.arange(bs.shape[0]), bs] = y_user
+    return Allocation(y=y, lam=np.exp(s))
+
+
+def assemble(inst: NetworkInstance, bs: np.ndarray, s: np.ndarray) -> Allocation:
     """The allocation of association bs (I,) from its BSs' log multipliers
     s = log lam (J,), NaN at empty BSs: y_ij = exp(lg_i - s_j / alpha_i) at
-    each user's BS, where lg_i = log gamma_hat_{i, bs_i} (computed unless
-    given), and lam = exp(s).
+    each user's BS, where lg_i = log gamma_hat_{i, bs_i}, and lam = exp(s).
 
-    allocate ends here, so s from any solve of the same (BS, user set)
-    splits gives allocate's arrays bit for bit. It takes s, not lam, because
-    log(exp(s)) need not give s back.
+    Its fractions take allocate's formula, so s from any solve of the same
+    (BS, user set) splits gives allocate's arrays bit for bit. It takes s,
+    not lam, because log(exp(s)) need not give s back.
     """
-    users = np.arange(inst.num_users)
-    if lg is None:
-        lg = np.log(inst.gamma_hat[users, bs])
-    y = np.zeros((inst.num_users, inst.num_bs))
-    y[users, bs] = np.exp(lg - s[bs] * (1.0 / inst.alphas.alpha))
-    return Allocation(y=y, lam=np.exp(s))
+    lg = np.log(inst.gamma_hat[np.arange(inst.num_users), bs])
+    return _allocation(bs, _fractions(lg, s[bs], 1.0 / inst.alphas.alpha), s, inst.num_bs)
 
 
 def subset_solve(

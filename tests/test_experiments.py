@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 import hafnet.experiments as ex
-from hafnet import channel, ra
-from hafnet.baselines import GaParams
+from hafnet import channel, pricing, ra
+from hafnet.baselines import GaParams, run_2rs, run_max_sinr, run_random
 from hafnet.core import Association, Group, haf_objective
 from hafnet.pricing import PricingConfig, solve
 from hafnet.ra import LambdaSearchConfig, allocate
@@ -476,7 +477,7 @@ def test_time_varying_every_method(tmp_path):
         best = Association(np.argmax(inst.gamma, axis=1))
         expected = haf_objective(inst, best, allocate(inst, best, cfg.ra))
         (got,) = [r[3] for r in rows if r[1] == slot and r[2] == "max_sinr"]
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == expected
 
 
 def test_time_varying_rows_do_not_depend_on_reuse(tmp_path, monkeypatch):
@@ -492,6 +493,90 @@ def test_time_varying_rows_do_not_depend_on_reuse(tmp_path, monkeypatch):
     allocate = ra.allocate
     monkeypatch.setattr(ra, "allocate", lambda inst, assoc, cfg=None, prev=None: allocate(inst, assoc, cfg))
     assert bits("cold") == reused
+
+
+def _cold_rows(cfg, master_seed, methods):
+    """run_time_varying's rows one slot and one method at a time: each
+    association from the per-instance API, each HAF from a cold allocate
+    and haf_objective of that slot's association."""
+    tv = cfg.timevary
+    slot_cfg = replace(cfg.pricing, total_iters=tv.iters_per_slot, eta0=tv.eta0, eta_schedule="constant")
+    rows = []
+    for s in range(cfg.num_seeds):
+        inst, topo, fading = ex.build_instance(cfg, master_seed, s, rho=tv.rho)
+        mu, kept = {}, {}
+        for slot in range(1, tv.num_slots + 1):
+            if slot > 1:
+                fading = channel.evolve_fading(fading)
+                inst = channel.make_instance(topo, fading, inst.alphas)
+            for m in methods:
+                if m in ex._PRICING:
+                    _, _, trace = ex._run_pricing(m, inst, slot_cfg, cfg.ra, mu0=mu.get(m))
+                    mu[m], assoc = trace.mu_final, trace.assoc_final
+                elif m == "frozen":
+                    if m not in kept:
+                        kept[m] = solve(inst, slot_cfg, cfg.ra)[2].assoc_final
+                    assoc = kept[m]
+                elif m == "two_rs":
+                    start = kept.get(m, Association(np.argmax(inst.gamma, axis=1)))
+                    assoc = kept[m] = run_2rs(inst, start, adaptive=True, ra_cfg=cfg.ra)[0]
+                elif m == "max_sinr":
+                    assoc = run_max_sinr(inst, cfg.ra)[0]
+                else:
+                    assoc = run_random(inst, ex.child_seed(master_seed, s, ex._PURPOSE_RANDOM, slot), cfg.ra)[0]
+                rows.append((s, slot, m, haf_objective(inst, assoc, allocate(inst, assoc, cfg.ra)).hex()))
+    return rows
+
+
+_TV_STACK = ex.TimeVaryingConfig(rho=0.9, num_slots=27, iters_per_slot=4)
+#: SMALL over two blocks of the default size, and a forced 5 x 8 layout in
+#: which every slot leaves BSs empty
+_TV_STACK_CFGS = {
+    "8x3": replace(SMALL, timevary=_TV_STACK),
+    "5x8": replace(SMALL, num_users=5, num_bs=8, timevary=_TV_STACK),
+}
+
+
+@pytest.fixture(scope="module")
+def cold_rows():
+    return {name: _cold_rows(cfg, 6, TV_ALL) for name, cfg in _TV_STACK_CFGS.items()}
+
+
+@pytest.mark.parametrize("block", [1, 3, ex._SLOT_BLOCK])
+@pytest.mark.parametrize("name", list(_TV_STACK_CFGS))
+def test_time_varying_stacked_rows_equal_cold_per_slot_solves(name, block, cold_rows, tmp_path, monkeypatch):
+    # every method's row is the cold per-slot HAF of its association, bit
+    # for bit, whatever the block size
+    monkeypatch.setattr(ex, "_SLOT_BLOCK", block)
+    rows = ex.run_time_varying(_TV_STACK_CFGS[name], tmp_path, master_seed=6, methods=TV_ALL)["rows"]
+    assert [(s, slot, m, float(haf).hex()) for s, slot, m, haf in rows] == cold_rows[name]
+
+
+@pytest.mark.parametrize("method", ["max_sinr", "random", "frozen"])
+@pytest.mark.parametrize("num_slots, block", [(1, 25), (25, 25), (26, 25), (60, 25), (7, 3), (6, 3), (4, 1)])
+def test_time_varying_solves_a_block_in_one_kernel_call(method, num_slots, block, tmp_path, monkeypatch):
+    # the slot-independent associations of a block take one Newton call; a
+    # frozen run adds only its slot-1 pricing run's calls
+    cfg = replace(SMALL, timevary=ex.TimeVaryingConfig(rho=0.9, num_slots=num_slots, iters_per_slot=4))
+    calls, in_solve = [], []
+    newton, pricing_solve = ra._newton, pricing.solve
+
+    def counted_newton(*args):
+        calls.append(1)
+        return newton(*args)
+
+    def counted_solve(*args, **kwargs):
+        before = len(calls)
+        out = pricing_solve(*args, **kwargs)
+        in_solve.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(ra, "_newton", counted_newton)
+    monkeypatch.setattr(pricing, "solve", counted_solve)
+    monkeypatch.setattr(ex, "_SLOT_BLOCK", block)
+    ex.run_time_varying(cfg, tmp_path, master_seed=8, methods=(method,))
+    assert len(in_solve) == (cfg.num_seeds if method == "frozen" else 0)
+    assert len(calls) - sum(in_solve) == cfg.num_seeds * math.ceil(num_slots / block)
 
 
 def test_user_sweep_rows(tmp_path):

@@ -1,5 +1,6 @@
 """`import hafnet` needs numpy alone: the tools and references that only the
-tests use (scipy, hypothesis, pytest, tests/reference.py) stay out of src."""
+tests use (scipy, hypothesis, pytest, tests/reference.py) stay out of src,
+and the process pool that only a multi-process run uses is not loaded."""
 
 import json
 import os
@@ -15,6 +16,7 @@ import hafnet
 print(json.dumps({
     "loaded": sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "hypothesis", "pytest", "reference"}),
     "reference_importable": importlib.util.find_spec("reference") is not None,
+    "pool": sorted({"concurrent.futures.process", "multiprocessing"} & set(sys.modules)),
 }))
 """
 
@@ -25,4 +27,4 @@ def test_import_hafnet_loads_no_test_only_module(tmp_path):
         [sys.executable, "-c", _PROBE], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout) == {"loaded": [], "reference_importable": False}
+    assert json.loads(proc.stdout) == {"loaded": [], "reference_importable": False, "pool": []}

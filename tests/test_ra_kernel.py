@@ -80,6 +80,30 @@ def test_subset_utilities_equal_per_pair_calls(layout, tol, seed):
         assert lam[p] == lam_ref or (np.isnan(lam[p]) and np.isnan(lam_ref))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 12), st.integers(1, 5), st.sampled_from(TOLS), st.integers(0, 2**32 - 1))
+def test_solve_stacked_equals_one_association_solves(S, I, J, tol, seed):
+    # S slots share the users' exponents; each slot has its own gains and an
+    # association over its first 1..J BSs, so some BSs stay empty
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, len(ALPHA_RANGES), size=I)
+    lo, hi = np.array(ALPHA_RANGES).T
+    prof = AlphaProfile(alpha=lo[group] + rng.random(I) * (hi[group] - lo[group]), group=np.minimum(group, 3))
+    insts, bs = [], np.empty((S, I), dtype=int)
+    for p in range(S):
+        gamma = 10.0 ** rng.uniform(np.log10(GAMMA_MIN), 2.0, size=(I, J))
+        gamma[rng.random((I, J)) < 0.1] = GAMMA_MIN
+        insts.append(NetworkInstance.from_gamma(gamma, prof))
+        bs[p] = rng.integers(0, rng.integers(1, J + 1), size=I)
+    cfg = LambdaSearchConfig(bisect_tol=tol)
+    with np.errstate(all="raise"):
+        y, s = ra.solve_stacked(np.stack([inst.gamma_hat for inst in insts]), prof.alpha, bs, cfg)
+        for p, inst in enumerate(insts):
+            alloc = allocate(inst, Association(bs[p]), cfg)
+            assert np.array_equal(np.exp(s[p]), alloc.lam, equal_nan=True)
+            assert y[p].tobytes() == alloc.y[np.arange(I), bs[p]].tobytes()
+
+
 def _reference_table(inst):
     I, J = inst.num_users, inst.num_bs
     table = np.zeros((J, 2**I))

@@ -147,8 +147,9 @@ def test_brute_force_across_candidate_batches(seed):
     assert (assoc.bs_of_user.tolist(), value) == _reference_brute_force(inst, _reference_table(inst))
 
 
-def _reference_2rs(inst, start, adaptive, max_passes=50):
-    """2RS one set at a time: first improving (user, BS) move, as printed."""
+def _reference_2rs(inst, start, adaptive, max_passes=50, passes=None):
+    """2RS one set at a time: first improving (user, BS) move, as printed.
+    A `passes` list receives each pass's moved users, in order."""
     bs = start.copy()
     I, J = inst.num_users, inst.num_bs
     sets = [tuple(np.flatnonzero(bs == j).tolist()) for j in range(J)]
@@ -159,6 +160,9 @@ def _reference_2rs(inst, start, adaptive, max_passes=50):
     utils = [util(j, sets[j]) for j in range(J)]
     for _ in range(max_passes):
         improved = False
+        moved = []
+        if passes is not None:
+            passes.append(moved)
         for i in range(I):
             a = bs[i]
             for b in range(J):
@@ -172,6 +176,7 @@ def _reference_2rs(inst, start, adaptive, max_passes=50):
                     sets[a], sets[b] = minus, plus
                     utils[a], utils[b] = u_minus, u_plus
                     improved = True
+                    moved.append(i)
                     if adaptive:
                         return bs
                     break
@@ -213,17 +218,8 @@ def test_2rs_matches_per_move_reference_at_40x6(seed, adaptive):
     assert assoc.bs_of_user.tolist() == _reference_2rs(inst, start, adaptive).tolist()
 
 
-@pytest.mark.parametrize(
-    "I, batch, scans",
-    [(I, 4096, math.ceil(math.log2(I + 1))) for I in (1, 2, 3, 7, 8, 40)]
-    + [(40, 12, 12), (7, 2, 7)],  # caps of 4 users (1 + 2 + 10 * 4) and 1 user
-)
-def test_2rs_scan_doubles_its_block_up_to_the_cap(I, batch, scans, monkeypatch):
-    # from a local optimum, adaptive 2RS scores blocks of 1, 2, 4, ... users,
-    # at most _BATCH // J each, to find no move, and solves nothing more
-    rng = np.random.default_rng(I)
-    inst = random_instance(rng, I, 3)
-    local_opt, _ = run_2rs(inst, Association(rng.integers(0, 3, size=I)))
+def _counting_newton(monkeypatch):
+    """Patch ra._newton to record its calls; returns the list of calls."""
     calls = []
     newton = ra._newton
 
@@ -232,7 +228,86 @@ def test_2rs_scan_doubles_its_block_up_to_the_cap(I, batch, scans, monkeypatch):
         return newton(*args)
 
     monkeypatch.setattr(ra, "_newton", counted_newton)
+    return calls
+
+
+# Newton calls of the scan from a local optimum at the default first block
+# of 8 users: one block covers I <= 8; I = 40 takes blocks of 8, 16 and 16;
+# a 4-user cap takes ten blocks of 4, a 1-user cap one block per user.
+_SCANS_FROM_EIGHT = {(1, 4096): 1, (2, 4096): 1, (3, 4096): 1, (7, 4096): 1, (8, 4096): 1,
+                     (40, 4096): 3, (40, 12): 10, (7, 2): 7}
+
+
+@pytest.mark.parametrize(
+    "I, batch, scans",
+    [(I, 4096, math.ceil(math.log2(I + 1))) for I in (1, 2, 3, 7, 8, 40)]
+    + [(40, 12, 12), (7, 2, 7)],  # caps of 4 users (1 + 2 + 10 * 4) and 1 user
+)
+def test_2rs_scan_doubles_its_block_up_to_the_cap(I, batch, scans, monkeypatch):
+    # from a local optimum, adaptive 2RS scores blocks that double from the
+    # first block, at most _BATCH // J users each, to find no move, and
+    # solves nothing more; `scans` counts the blocks of 1, 2, 4, ... users
+    # that a scan starting at one user (_FIRST_BLOCK = 1) takes
+    rng = np.random.default_rng(I)
+    inst = random_instance(rng, I, 3)
+    local_opt, _ = run_2rs(inst, Association(rng.integers(0, 3, size=I)))
+    calls = _counting_newton(monkeypatch)
     monkeypatch.setattr(baselines, "_BATCH", batch)
-    assoc, _ = run_2rs(inst, local_opt, adaptive=True)
-    assert np.array_equal(assoc.bs_of_user, local_opt.bs_of_user)
-    assert len(calls) == scans
+    for first, expected in ((baselines._FIRST_BLOCK, _SCANS_FROM_EIGHT[I, batch]), (1, scans)):
+        calls.clear()
+        monkeypatch.setattr(baselines, "_FIRST_BLOCK", first)
+        assoc, _ = run_2rs(inst, local_opt, adaptive=True)
+        assert np.array_equal(assoc.bs_of_user, local_opt.bs_of_user)
+        assert len(calls) == expected
+
+
+def _scan_calls(passes, I, J, adaptive):
+    """Kernel calls of the 2RS block schedule, from the module's constants,
+    over the reference's passes: the first block is min(_FIRST_BLOCK, cap)
+    users, at the start and after each move, and each block with no move
+    doubles the next, up to the cap of _BATCH // J users."""
+    cap = max(1, baselines._BATCH // J)
+    first = min(baselines._FIRST_BLOCK, cap)
+    block, calls = first, 0
+    for moved in passes:
+        i = 0
+        for user in moved:
+            calls += 1
+            while user >= i + block:
+                i, block, calls = i + block, min(2 * block, cap), calls + 1
+            if adaptive:
+                return calls
+            i, block = user + 1, first
+        while i < I:
+            i, block, calls = i + block, min(2 * block, cap), calls + 1
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 20), st.integers(2, 4), st.one_of(st.just(4096), st.integers(1, 40)),
+    st.sampled_from(["random", "one_user_moved", "local_optimum"]), st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_2rs_scan_makes_the_calls_its_schedule_needs(I, J, batch, start_kind, adaptive, seed):
+    # 2RS makes one Newton call per block its schedule needs to reach each
+    # of the reference's moves and to finish the last pass (adaptive mode:
+    # to reach its one move, or to finish a scan with none); a small _BATCH
+    # clamps the first block to the cap
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, I, J)
+    start = rng.integers(0, J, size=I)
+    if start_kind != "random":
+        start = run_2rs(inst, Association(start))[0].bs_of_user.copy()
+    if start_kind == "one_user_moved":
+        user = rng.integers(I)
+        start[user] = (start[user] + rng.integers(1, J)) % J
+    passes = []
+    expected = _reference_2rs(inst, start, adaptive, passes=passes)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_newton(mp)
+        mp.setattr(baselines, "_BATCH", batch)
+        assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
+        needed = _scan_calls(passes, I, J, adaptive)
+    assert assoc.bs_of_user.tolist() == expected.tolist()
+    assert len(calls) == needed

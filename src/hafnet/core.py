@@ -106,10 +106,13 @@ class NetworkInstance:
         bandwidth_hz: float = 20e6,
     ) -> "NetworkInstance":
         """Build an instance, computing gamma_hat from gamma and alphas.
-        Raises ValueError unless every alpha is finite, positive and not 1."""
+        Raises ValueError unless gamma has at least one BS column and every
+        alpha is finite, positive and not 1; zero users are allowed."""
         gamma = np.asarray(gamma, dtype=float)
         if gamma.ndim != 2:
             raise ValueError("gamma must be an I x J matrix")
+        if gamma.shape[1] == 0:
+            raise ValueError("gamma must have at least one BS column")
         if np.any(gamma <= 0) or not np.all(np.isfinite(gamma)):
             raise ValueError("gamma entries must be finite and positive")
         a = np.asarray(alphas.alpha, dtype=float)

@@ -136,7 +136,10 @@ class PricingRule:
     mu <- clip(mu - eta_t * direction(bs, mu)). A direction may cache terms
     of the association on the identity of its bs array (see
     `per_association`), so a caller passes the same array object while the
-    association is unchanged and never writes into it."""
+    association is unchanged and never writes into it. pick and direction
+    must be deterministic in their arguments: `iterate` ends a run at the
+    first step that leaves the prices unchanged, since every later iteration
+    would repeat it."""
 
     prepare: Callable[[NetworkInstance], Tuple[Pick, Direction]]
 
@@ -329,10 +332,22 @@ def iterate(
     iterate, which moves only on a strictly larger primal. The best-dual
     iterate's decision is rebuilt from the table in the same way, for the
     certificate.
-    Every iteration still makes one ra.allocate call: it passes the previous
-    iteration's pair when the association is unchanged (an unchanged
-    association keeps its object, so that test is one identity check), the
-    table's pair on a revisit, and nothing on a first visit, which solves.
+    Every iteration the loop runs makes one ra.allocate call: it passes the
+    previous iteration's pair when the association is unchanged (an
+    unchanged association keeps its object, so that test is one identity
+    check), the table's pair on a revisit, and nothing on a first visit,
+    which solves.
+
+    The loop ends at the first iteration whose clipped step leaves the
+    prices unchanged bit for bit, and the trace repeats that iteration's row
+    to length T, with 0 association changes; mu_final and assoc_final are
+    that iteration's. This is exact: the step sizes never increase, rounding
+    and the clip are monotone, so every smaller step rounds back to the same
+    prices, and the rule's pick and direction depend only on their
+    arguments, so every later iteration would repeat this one. A repeated
+    row takes the computed row's dual, which `dual_value` gives the same
+    bits wherever the row sits in its table, and cannot become the best
+    iterate.
     """
     cfg = cfg or PricingConfig()
     I, J = inst.num_users, inst.num_bs
@@ -342,6 +357,7 @@ def iterate(
     if np.isnan(mu).any():  # clip would keep NaN; other starts clip into range
         raise ValueError("start prices must not be NaN")
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
+    mu_bytes = mu.tobytes()
     pick, direction = rule.prepare(inst)
     bs = pick(mu)
     bs_bytes = bs.tobytes()
@@ -380,7 +396,11 @@ def iterate(
         if best is None or p > best_p:
             best_p = p
             best = prev
-        mu = np.minimum(np.maximum(mu - eta * d, mu_min), mu_max)
+        stepped = np.minimum(np.maximum(mu - eta * d, mu_min), mu_max)
+        stepped_bytes = stepped.tobytes()
+        if stepped_bytes == mu_bytes:  # a fixed point: every later iteration repeats this one
+            break
+        mu, mu_bytes = stepped, stepped_bytes
         nxt = pick(mu)
         nxt_bytes = nxt.tobytes()
         # equal bytes are an unchanged association: keep both objects, which
@@ -395,8 +415,16 @@ def iterate(
     if np.isnan(mu).any():
         raise ValueError("prices became NaN")
     mu_snaps = np.array(mu_rows)
-    assoc_id = np.array(ranks)
     dual = dual_value(inst, mu_snaps)
+    rest = cfg.total_iters - len(primal)
+    if rest:  # a fixed point: every later row repeats the last, whose g has the same bits in any table
+        primal += primal[-1:] * rest
+        changes += [0] * rest
+        ranks += ranks[-1:] * rest
+        dd += dd[-1:] * rest
+        mu_snaps = np.concatenate((mu_snaps, np.broadcast_to(mu, (rest, J))))
+        dual = np.concatenate((dual, np.full(rest, dual[-1])))
+    assoc_id = np.array(ranks)
     key, visit = list(table.items())[assoc_id[np.argmin(dual)]]  # the table keeps first-visit order
     dual_bs = np.frombuffer(key, dtype=key_type).astype(int)
     trace = RunTrace(

@@ -119,6 +119,11 @@ def test_from_gamma_rejects_bad_inputs():
         from hafnet.core import NetworkInstance
 
         NetworkInstance.from_gamma(np.ones((2, 2)), prof, 20e6)
+    # no BS: every solve would take a max over an empty set of BSs
+    for users in (0, 3):
+        with pytest.raises(ValueError, match="at least one BS"):
+            make_instance(np.ones((users, 0)), [0.5] * users)
+    assert make_instance(np.ones((0, 2)), []).num_bs == 2  # no users is valid
     for alpha in (np.nan, 0.0, -0.5, np.inf, 1.0):
         with pytest.raises(ValueError, match="finite and positive"):
             make_instance([[1.0], [1.0]], [0.5, alpha])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hafnet import baselines, pricing, ra
 from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInstance, haf_objective
-from hafnet.experiments import _PRICING
+from hafnet.experiments import _PRICING, build_instance, low_fairness_config
 from hafnet.pricing import (
     _DUAL_BLOCK,
     PROPOSED,
@@ -286,6 +286,19 @@ def test_step_sizes_equal_the_scalar_schedule_bit_for_bit(eta0, total_iters, sch
     assert etas.tobytes() == np.array([_scalar_eta(cfg, t) for t in range(1, total_iters + 1)]).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, exclude_min=True, allow_infinity=False),
+    st.integers(1, 5000),
+    st.sampled_from(["diminishing", "constant"]),
+)
+def test_step_sizes_never_increase(eta0, total_iters, schedule):
+    # The loop's early end rests on this: a step that rounds back to the
+    # prices leaves them in place at every smaller step too.
+    etas = PricingConfig(total_iters=total_iters, eta0=eta0, eta_schedule=schedule).step_sizes()
+    assert (etas[1:] <= etas[:-1]).all()
+
+
 # ------------------------------------------------ exactness of the reuse ---
 
 
@@ -308,33 +321,81 @@ def _plain_dual(inst, mu):
 
 
 def _cold_loop(inst, rule, cfg, mu0=None):
-    """The pricing loop with nothing reused: a cold allocate, objective and
-    dual every iteration, and a reference rule's per-call formulas. Returns
-    the best primal decision, the per-iteration primal, dual and prices, and
-    the final prices."""
+    """The pricing loop with nothing reused and no early end: a cold
+    allocate, objective and dual in each of the T iterations, and a
+    reference rule's per-call formulas. Returns the best primal decision and
+    the run's trace, whose best-dual decision is solved cold and which has
+    no theorem2_bound."""
     J = inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
     assoc = rule.associate(inst, mu)
-    primal, dual, mus = [], [], []
+    primal, dual, mus, changes, ids, norms = [], [], [], [], [], []
+    ranks = {}
+    moved = 0
     best = None
     for t in range(1, cfg.total_iters + 1):
         alloc = allocate(inst, assoc)
         p = haf_objective(inst, assoc, alloc)
+        d = rule.direction(inst, assoc, mu)
         primal.append(p)
         dual.append(_plain_dual(inst, mu))
         mus.append(mu)
+        changes.append(moved)
+        ids.append(ranks.setdefault(assoc.bs_of_user.tobytes(), len(ranks)))
+        norms.append(math.sqrt(d.dot(d)))
         if best is None or p > best[2]:
             best = (assoc, alloc, p)
-        mu = np.clip(mu - _scalar_eta(cfg, t) * rule.direction(inst, assoc, mu), cfg.mu_min, cfg.mu_max)
-        assoc = rule.associate(inst, mu)
-    return best[0], best[1], np.array(primal), np.array(dual), np.array(mus), mu
+        mu = np.clip(mu - _scalar_eta(cfg, t) * d, cfg.mu_min, cfg.mu_max)
+        nxt = rule.associate(inst, mu)
+        moved = int(np.count_nonzero(nxt.bs_of_user != assoc.bs_of_user))
+        assoc = nxt
+    a_star = rule.associate(inst, mus[int(np.argmin(dual))])
+    trace = pricing.RunTrace(
+        primal=np.array(primal),
+        dual=np.array(dual),
+        mu=np.array(mus),
+        assoc_changes=np.array(changes),
+        assoc_id=np.array(ids),
+        grad_norm=np.array(norms),
+        mu_final=mu,
+        assoc_final=assoc,
+        best_dual_decision=(a_star, allocate(inst, a_star)),
+    )
+    return best[0], best[1], trace
 
 
 def _run(name, inst, cfg, mu0=None):
     if name == "proposed":
         return solve(inst, cfg, mu0=mu0)
     return baselines.run_pricing_baseline(inst, name, cfg, mu0=mu0)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_matches_the_cold_loop(name, inst, cfg, mu0, run):
+    """Every field of run's trace, its returned decision, its best-dual
+    decision and (for the proposed rule) its theorem2_bound equal the cold
+    loop's bit for bit. Returns the cold loop's trace."""
+    assoc, alloc, trace = run
+    r_assoc, r_alloc, ref = _cold_loop(inst, REFERENCE_RULES[name], cfg, mu0)
+    assert len(trace) == cfg.total_iters
+    for field in ("primal", "dual", "mu", "assoc_changes", "assoc_id", "grad_norm", "mu_final"):
+        _assert_same_bits(getattr(trace, field), getattr(ref, field))
+    (d_assoc, d_alloc), (r_d_assoc, r_d_alloc) = trace.best_dual_decision, ref.best_dual_decision
+    for got, want in ((assoc, r_assoc), (trace.assoc_final, ref.assoc_final), (d_assoc, r_d_assoc)):
+        _assert_same_bits(got.bs_of_user, want.bs_of_user)
+    for got, want in ((alloc, r_alloc), (d_alloc, r_d_alloc)):
+        _assert_same_bits(got.y, want.y)
+        _assert_same_bits(got.lam, want.lam)
+    if name == "proposed":
+        mu_star = ref.mu[ref.best_dual_iter]
+        assert trace.theorem2_bound == theorem2_bound(inst, r_d_assoc, mu_star, r_d_alloc.lam)
+    else:
+        assert trace.theorem2_bound is None
+    return ref
 
 
 def _exactness_cases():
@@ -378,23 +439,9 @@ def test_reuse_matches_the_cold_loop_bit_for_bit(name, monkeypatch):
     revisits = 0
     for inst, cfg, mu0 in _exactness_cases():
         assoc, alloc, trace = _run(name, inst, cfg, mu0)
-        r_assoc, r_alloc, primal, dual, mus, mu_final = _cold_loop(inst, REFERENCE_RULES[name], cfg, mu0)
-        assert np.array_equal(trace.primal, primal)
-        assert np.array_equal(trace.dual, dual)
-        assert np.array_equal(trace.mu, mus)
-        assert np.array_equal(trace.mu_final, mu_final)
-        assert np.array_equal(assoc.bs_of_user, r_assoc.bs_of_user)
-        assert np.array_equal(alloc.y, r_alloc.y)
-        assert np.array_equal(alloc.lam, r_alloc.lam, equal_nan=True)
+        ref = _assert_matches_the_cold_loop(name, inst, cfg, mu0, (assoc, alloc, trace))
         revisits += _revisits(trace)
-        assert trace.empirical_gap == float(np.min(dual)) - float(np.max(primal))
-        if name == "proposed":
-            mu_star = mus[int(np.argmin(dual))]
-            a_star = associate(inst, mu_star)
-            lam = allocate(inst, a_star).lam
-            assert trace.theorem2_bound == theorem2_bound(inst, a_star, mu_star, lam)
-        else:
-            assert trace.theorem2_bound is None
+        assert trace.empirical_gap == float(np.min(ref.dual)) - float(np.max(ref.primal))
     assert revisits > 0  # the cases take allocations from the table, not only from the last iteration
 
 
@@ -426,35 +473,143 @@ def test_alloc_solved_counts_association_changes(name, monkeypatch):
         assert trace.alloc_solved.sum() == len(np.unique(trace.assoc_id)) == len(calls)
 
 
+def _iterations_run(trace):
+    """The iterations a run must execute: t + 1 for the first t whose next
+    price row (mu_final after the last row) equals row t bit for bit, since
+    every later iteration repeats that one, or T when no row repeats."""
+    rows = np.vstack((trace.mu, trace.mu_final))
+    for t in range(len(trace)):
+        if rows[t + 1].tobytes() == rows[t].tobytes():
+            return t + 1
+    return len(trace)
+
+
+def _run_counting_allocations(monkeypatch, name, inst, cfg, mu0=None):
+    """_run with ra.allocate counted: the run and the loop's calls (the
+    certificate's one call is not counted)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return allocate(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ra, "allocate", counted)
+        run = _run(name, inst, cfg, mu0)
+    return run, len(calls) - int(name == "proposed")
+
+
 @pytest.mark.parametrize("name", list(_PRICING))
 def test_each_association_is_solved_once_per_run(name, monkeypatch):
     # Newton runs once per distinct association, the certificate's included,
-    # yet ra.allocate is still called once per iteration (plus once for the
-    # certificate)
-    newton, allocs = [], []
-    orig_newton, orig_allocate = ra._newton, ra.allocate
+    # and ra.allocate is called once per iteration the loop runs (plus once
+    # for the certificate): the loop ends at its first fixed point
+    newton = []
+    orig_newton = ra._newton
 
     def counted_newton(*args):
         newton.append(1)
         return orig_newton(*args)
 
-    def counted_allocate(*args, **kwargs):
-        allocs.append(1)
-        return orig_allocate(*args, **kwargs)
-
     monkeypatch.setattr(ra, "_newton", counted_newton)
-    monkeypatch.setattr(ra, "allocate", counted_allocate)
-    certificate = int(name == "proposed")
     rng = np.random.default_rng(47)
     for k in range(8):
         inst = random_instance(rng, int(rng.integers(3, 30)), int(rng.integers(2, 6)))
         mu0 = None if k % 2 == 0 else rng.uniform(0.3, 3.0, size=inst.num_bs)
         cfg = PricingConfig(total_iters=int(rng.integers(1, 80)), eta0=float(rng.uniform(0.05, 2.0)))
         newton.clear()
-        allocs.clear()
-        _, _, trace = _run(name, inst, cfg, mu0)
+        (_, _, trace), calls = _run_counting_allocations(monkeypatch, name, inst, cfg, mu0)
         assert len(newton) == len(np.unique(trace.assoc_id))
-        assert len(allocs) == cfg.total_iters + certificate
+        assert calls == _iterations_run(trace)
+
+
+# ------------------------------------------------ the end at a fixed point ---
+
+
+def _scenario_instance(seed):
+    """A 40 x 6 instance of the experiment's low-fairness scenario."""
+    return build_instance(low_fairness_config(), 0, seed)[0]
+
+
+@pytest.mark.parametrize(
+    "name, cfg, bound",
+    [
+        # both directions are positive at every price, so the prices fall to
+        # mu_min and stay there
+        ("af_high", PricingConfig(total_iters=40, eta0=0.5), "mu_min"),
+        ("min_latency", PricingConfig(total_iters=40, eta0=0.5), "mu_min"),
+        # below mu_max = 1e-3, af_low's power term outweighs every BS's load,
+        # so the prices rise to mu_max and stay there
+        ("af_low", PricingConfig(total_iters=40, eta0=0.5, mu_init=1e-6, mu_max=1e-3), "mu_max"),
+    ],
+)
+def test_prices_held_at_a_bound_end_the_run_early(name, cfg, bound, monkeypatch):
+    inst = _scenario_instance(0)
+    run, calls = _run_counting_allocations(monkeypatch, name, inst, cfg)
+    _assert_matches_the_cold_loop(name, inst, cfg, None, run)
+    trace = run[2]
+    assert (trace.mu_final == getattr(cfg, bound)).all()
+    assert calls == _iterations_run(trace) < cfg.total_iters
+
+
+@pytest.mark.parametrize("schedule", ["diminishing", "constant"])
+@pytest.mark.parametrize("name", list(_PRICING))
+def test_a_step_that_rounds_away_ends_the_run_at_once(name, schedule, monkeypatch):
+    # eta0 = 1e-200 moves no price of a warm start inside [mu_min, mu_max] by
+    # an ulp: rounding alone makes the first step a fixed point
+    rng = np.random.default_rng(61)
+    inst = random_instance(rng, 40, 6)
+    mu0 = rng.uniform(0.5, 3.0, size=6)
+    cfg = PricingConfig(total_iters=30, eta0=1e-200, eta_schedule=schedule)
+    with np.errstate(all="raise"):
+        run, calls = _run_counting_allocations(monkeypatch, name, inst, cfg, mu0)
+        _assert_matches_the_cold_loop(name, inst, cfg, mu0, run)
+    assert run[2].mu_final.tobytes() == mu0.tobytes()
+    assert calls == 1
+
+
+@pytest.mark.parametrize("name, seed, fixed_at", [("af_high", 0, 2), ("pf", 2, 39)])
+def test_a_fixed_point_at_the_last_iteration_copies_no_row(name, seed, fixed_at, monkeypatch):
+    # The fixed point comes at iteration fixed_at: a run one iteration
+    # shorter never reaches it, a run that long reaches it at its last
+    # iteration and copies no row, and a longer run copies the rest.
+    inst = _scenario_instance(seed)
+    for total_iters in (fixed_at - 1, fixed_at, fixed_at + 1, 2 * fixed_at):
+        cfg = PricingConfig(total_iters=total_iters, eta0=0.5)
+        run, calls = _run_counting_allocations(monkeypatch, name, inst, cfg)
+        _assert_matches_the_cold_loop(name, inst, cfg, None, run)
+        assert calls == _iterations_run(run[2]) == min(total_iters, fixed_at)
+
+
+@st.composite
+def _freezing_runs(draw):
+    """An edge instance and a short run whose prices tend to stop: eta0
+    down to 1e-200 and [mu_min, mu_max] as narrow as one price, cold or
+    warm-started anywhere in it."""
+    I = draw(st.integers(1, 10))
+    J = draw(st.integers(1, 5))
+    inst = _edge_instance(I, J, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    mu_min = 10.0 ** draw(st.floats(-8.0, 4.0))
+    mu_max = mu_min * draw(st.sampled_from([1.0, 1.0 + 2.0**-50, 1.0 + 1e-9, 1.01, 10.0, 1e4]))
+    cfg = PricingConfig(
+        total_iters=draw(st.integers(1, 30)),
+        eta0=10.0 ** draw(st.floats(-200.0, 0.0)),
+        eta_schedule=draw(st.sampled_from(["diminishing", "constant"])),
+        mu_min=mu_min,
+        mu_max=mu_max,
+    )
+    price = st.floats(mu_min, mu_max)
+    return inst, cfg, draw(st.none() | st.lists(price, min_size=J, max_size=J).map(np.array))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(_PRICING)), _freezing_runs())
+def test_the_early_end_matches_the_cold_loop_on_random_runs(name, case):
+    inst, cfg, mu0 = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        run, calls = _run_counting_allocations(monkeypatch, name, inst, cfg, mu0)
+    _assert_matches_the_cold_loop(name, inst, cfg, mu0, run)
+    assert calls == _iterations_run(run[2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -462,13 +617,7 @@ def test_each_association_is_solved_once_per_run(name, monkeypatch):
 def test_iterate_matches_the_cold_loop_on_random_runs(name, data):
     inst, cfg, mu0 = data.draw(_short_runs())
     with np.errstate(all="raise"):
-        assoc, alloc, trace = _run(name, inst, cfg, mu0)
-        r_assoc, r_alloc, primal, dual, mus, _ = _cold_loop(inst, REFERENCE_RULES[name], cfg, mu0)
-    assert np.array_equal(trace.primal, primal)
-    assert np.array_equal(trace.dual, dual)
-    assert np.array_equal(trace.mu, mus)
-    assert np.array_equal(alloc.y, r_alloc.y)
-    assert np.array_equal(alloc.lam, r_alloc.lam, equal_nan=True)
+        _assert_matches_the_cold_loop(name, inst, cfg, mu0, _run(name, inst, cfg, mu0))
 
 
 def test_a_pick_that_returns_fresh_equal_arrays_keeps_one_association(monkeypatch):

@@ -11,6 +11,8 @@ gap certificate computed from the best iterates.
 
 import argparse
 
+import numpy as np
+
 from hafnet import PricingConfig, build_instance, low_fairness_config, pricing
 
 
@@ -44,7 +46,7 @@ def main():
           f"best dual {trace.best_dual:.4f}")
     print(f"certificate: empirical gap {trace.empirical_gap:.4f} <= "
           f"analytic bound {trace.theorem2_bound:.4f}")
-    load = alloc.y.sum(axis=0)
+    load = np.bincount(assoc.bs_of_user, alloc.share, minlength=inst.num_bs)
     counts = [int((assoc.bs_of_user == j).sum()) for j in range(inst.num_bs)]
     print(f"final association sizes per BS: {counts}, bandwidth loads: "
           + " ".join(f"{v:.3f}" for v in load))

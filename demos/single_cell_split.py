@@ -30,7 +30,7 @@ def main():
     for alpha in (0.4, 0.7, 1.0 + 1e-9, 1.5, 2.0, 3.0):
         inst, assoc, alloc = split_for(alpha)
         rates = user_rates(inst, assoc, alloc, absolute=True)
-        shares = " ".join(f"{y:5.3f}" for y in alloc.y[:, 0])
+        shares = " ".join(f"{y:5.3f}" for y in alloc.share)
         print(f"{alpha:5.2f}   {shares}   {rates.min() / 1e6:8.3f}")
     print()
     print("alpha=0.4 rides the strong links; alpha=3 nearly equalizes rates.")

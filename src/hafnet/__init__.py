@@ -30,7 +30,6 @@ from .ra import (
     bs_optimal_utility,
     solve_stacked,
     subset_solve,
-    subset_utilities,
 )
 from .pricing import (
     PricingConfig,

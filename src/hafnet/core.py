@@ -2,9 +2,10 @@
 
 A downlink network has I users and J base stations. An association assigns
 every user to exactly one BS; an allocation gives each user a fraction of its
-serving BS's bandwidth. User i's normalized rate is
+serving BS's bandwidth. User i, served by BS j_i with share y_i, has the
+normalized rate
 
-    r_i = sum_j gamma_ij * x_ij * y_ij        [bit/s/Hz, times bandwidth for bit/s]
+    r_i = gamma_{i, j_i} * y_i        [bit/s/Hz, times bandwidth for bit/s]
 
 and the network objective is sum_i u_{alpha_i}(r_i), where u_alpha is the
 alpha-fair utility and each user carries its own fairness exponent alpha_i
@@ -145,11 +146,12 @@ class Association:
 class Allocation:
     """Bandwidth fractions and the per-BS multipliers that produced them.
 
-    y: (I, J), zero off-association; each BS column sums to at most 1.
+    share: (I,), each user's fraction of its own BS's bandwidth (the BS its
+        association gives it); each BS's users' shares sum to at most 1.
     lam: (J,), KKT multiplier per BS; NaN marks a BS with no users.
     """
 
-    y: np.ndarray
+    share: np.ndarray
     lam: np.ndarray
 
 
@@ -166,10 +168,9 @@ def utility_vector(rates: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
 
 def rates_of(inst: NetworkInstance, assoc: Association, alloc: Allocation) -> np.ndarray:
-    """Normalized per-user rates r_i = gamma[i, j_i] * y[i, j_i]."""
-    idx = np.arange(inst.num_users)
+    """Normalized per-user rates r_i = gamma[i, j_i] * share_i."""
     js = np.asarray(assoc.bs_of_user, dtype=int)
-    return inst.gamma[idx, js] * alloc.y[idx, js]
+    return inst.gamma[np.arange(inst.num_users), js] * alloc.share
 
 
 def haf_objective(inst: NetworkInstance, assoc: Association, alloc: Allocation) -> float:

@@ -515,6 +515,10 @@ def emit_convergence_trace(trace: pricing.RunTrace, path) -> Path:
 # gets the section named after its field; the other fields go in [scenario].
 # Tuples are comma lists, with the pairs inside a tuple written x:y.
 
+#: Keys that older versions saved and no field reads any more: the digit-search
+#: schedule, now a constant of the tests' reference. load_config drops them.
+_RETIRED_KEYS = {"ra": ("initial_step", "outer_iters", "inner_iters")}
+
 
 def _sections(cfg: ScenarioConfig) -> Dict[str, object]:
     nested = {f.name: getattr(cfg, f.name) for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))}
@@ -560,9 +564,11 @@ def save_config(cfg: ScenarioConfig, path) -> Path:
 
 def load_config(path) -> ScenarioConfig:
     """Parse an INI scenario file, reading values literally (no % interpolation).
-    Unknown sections or keys and malformed values raise ValueError naming the
-    offending key; a malformed file raises ValueError too, and a missing or
-    unreadable one FileNotFoundError naming the path."""
+    The retired keys in _RETIRED_KEYS are read and dropped, so files that
+    older versions saved still load. Other unknown sections or keys and
+    malformed values raise ValueError naming the offending key; a malformed
+    file raises ValueError too, and a missing or unreadable one
+    FileNotFoundError naming the path."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
@@ -580,6 +586,8 @@ def load_config(path) -> ScenarioConfig:
         types = get_type_hints(type(template))
         vals = {}
         for key, raw in parser[section].items() if parser.has_section(section) else ():
+            if key in _RETIRED_KEYS.get(section, ()):
+                continue
             if key not in types or is_dataclass(types[key]):
                 raise ValueError(f"unknown config key [{section}] {key}")
             try:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -283,23 +283,6 @@ def _certificate(
     return theorem2_bound(inst, assoc, trace.mu[trace.best_dual_iter], lam)
 
 
-class _Visit(NamedTuple):
-    """`iterate`'s table entry for an association's first visit. It keeps
-    each user's fraction at its BS, not the dense (I, J) y."""
-
-    y_user: np.ndarray  # (I,): y[i, bs_of_user[i]]
-    lam: np.ndarray
-    primal: float
-    rank: int  # the association's rank by first visit
-
-    def allocation(self, users: np.ndarray, bs: np.ndarray, num_bs: int) -> Allocation:
-        """The first visit's allocation: ra.allocate's scatter of the same
-        values into zeros, so the same bits."""
-        y = np.zeros((users.shape[0], num_bs))
-        y[users, bs] = self.y_user
-        return Allocation(y=y, lam=self.lam)
-
-
 def iterate(
     inst: NetworkInstance,
     rule: PricingRule,
@@ -327,11 +310,11 @@ def iterate(
 
     Each association is solved and scored once per run. A table keyed on the
     association's bytes (BS indices in the narrowest unsigned type) holds
-    each first visit compactly (see _Visit); a later visit takes its
-    allocation and primal value from there, and cannot become the best
-    iterate, which moves only on a strictly larger primal. The best-dual
-    iterate's decision is rebuilt from the table in the same way, for the
-    certificate.
+    each first visit's allocation, primal value and rank; a later visit
+    takes the allocation object and primal value from there, and cannot
+    become the best iterate, which moves only on a strictly larger primal.
+    The best-dual iterate's decision pairs the table's allocation with the
+    association its key holds, for the certificate.
     Every iteration the loop runs makes one ra.allocate call: it passes the
     previous iteration's pair when the association is unchanged (an
     unchanged association keeps its object, so that test is one identity
@@ -350,7 +333,7 @@ def iterate(
     iterate.
     """
     cfg = cfg or PricingConfig()
-    I, J = inst.num_users, inst.num_bs
+    J = inst.num_bs
     mu = np.full(J, float(cfg.mu_init)) if mu0 is None else np.asarray(mu0, dtype=float).copy()
     if mu.shape != (J,):
         raise ValueError(f"start prices have shape {mu.shape}, not ({J},)")
@@ -365,9 +348,8 @@ def iterate(
     mu_min, mu_max = cfg.mu_min, cfg.mu_max
 
     primal, mu_rows, changes, ranks, dd = [], [], [], [], []
-    users = np.arange(I)
     key_type = np.min_scalar_type(J - 1)  # the narrowest BS index: one byte per user up to 256 BSs
-    table: Dict[bytes, _Visit] = {}
+    table: Dict[bytes, Tuple[Allocation, float, int]] = {}  # a first visit's allocation, primal and rank
     best_p = -np.inf
     best: Optional[Tuple[Association, Allocation]] = None
     prev: Optional[Tuple[Association, Allocation]] = None
@@ -377,21 +359,17 @@ def iterate(
         if prev is None or assoc is not prev[0]:  # the first iteration or a changed association
             key = bs.astype(key_type).tobytes()
             visit = table.get(key)
-            if visit is None:
-                prev = None
-            else:
-                p = visit.primal
-                prev = (assoc, visit.allocation(users, bs, J))
+            prev = None if visit is None else (assoc, visit[0])
         alloc = ra.allocate(inst, assoc, ra_cfg, prev)
         if prev is None:  # a first visit: score it and add it to the table
-            p = haf_objective(inst, assoc, alloc)
-            visit = table[key] = _Visit(alloc.y[users, bs], alloc.lam, p, len(table))
+            visit = table[key] = (alloc, haf_objective(inst, assoc, alloc), len(table))
         prev = (assoc, alloc)
+        _, p, rank = visit
         d = direction(bs, mu)
         primal.append(p)
         mu_rows.append(mu)
         changes.append(pending_changes)
-        ranks.append(visit.rank)
+        ranks.append(rank)
         dd.append(d.dot(d))
         if best is None or p > best_p:
             best_p = p
@@ -425,8 +403,9 @@ def iterate(
         mu_snaps = np.concatenate((mu_snaps, np.broadcast_to(mu, (rest, J))))
         dual = np.concatenate((dual, np.full(rest, dual[-1])))
     assoc_id = np.array(ranks)
-    key, visit = list(table.items())[assoc_id[np.argmin(dual)]]  # the table keeps first-visit order
-    dual_bs = np.frombuffer(key, dtype=key_type).astype(int)
+    # the table keeps first-visit order, so the best-dual row's rank is its entry
+    key, (dual_alloc, _, _) = list(table.items())[assoc_id[np.argmin(dual)]]
+    dual_assoc = Association(bs_of_user=np.frombuffer(key, dtype=key_type).astype(int))
     trace = RunTrace(
         primal=np.array(primal),
         dual=dual,
@@ -436,7 +415,7 @@ def iterate(
         grad_norm=np.sqrt(dd),
         mu_final=mu,
         assoc_final=assoc,
-        best_dual_decision=(Association(bs_of_user=dual_bs), visit.allocation(users, dual_bs, J)),
+        best_dual_decision=(dual_assoc, dual_alloc),
     )
     return best[0], best[1], trace
 

@@ -6,8 +6,9 @@ scalar root-find per BS: find lam > 0 with
 
     sum_{i in I_j} gamma_hat_ij * lam^(-1/alpha_i)  =  1,
 
-after which y_ij = gamma_hat_ij * lam^(-1/alpha_i). The left side is strictly
-decreasing in lam (+inf at 0+, -> 0 at inf), so the root is unique.
+after which user i's share is gamma_hat_ij * lam^(-1/alpha_i). The left side
+is strictly decreasing in lam (+inf at 0+, -> 0 at inf), so the root is
+unique.
 
 Every solve goes through one segmented Newton kernel on s = log lam, which
 solves many root-finds at once: `solve_stacked` passes every BS of many
@@ -15,6 +16,8 @@ associations, each on its own gains (a slotted run's blocks of slots), and
 `allocate` is its one-association case; `subset_solve` passes many
 (BS, user set) pairs for the search baselines. `assemble` turns per-BS log
 multipliers into an allocation, for a search that kept the ones it solved.
+Every allocation holds each user's share at its own BS as the kernel
+computes it.
 The scalar references the tests compare the kernel against (the printed
 decimal digit search and a brentq root-find) live with the tests.
 """
@@ -31,11 +34,6 @@ from .core import Allocation, Association, NetworkInstance, utility_vector
 
 @dataclass(frozen=True)
 class LambdaSearchConfig:
-    # The digit-search schedule. Only the tests' digit-search reference reads
-    # these; they stay so that saved INI files keep loading.
-    initial_step: float = 1e3
-    outer_iters: int = 12
-    inner_iters: int = 10
     # The Newton kernel's tolerance on log(lam).
     bisect_tol: float = 1e-10
 
@@ -89,8 +87,8 @@ def solve_stacked(
     Association p assigns user i to BS bs[p, i] (bs: (P, I) integers in
     [0, J), not checked) on the gains gamma_hat[p] (gamma_hat: (P, I, J));
     every association shares the users' exponents alpha (I,). Returns
-    (y, s): y (P, I) is each user's fraction of its BS, and s (P, J) the log
-    multipliers, NaN at empty BSs.
+    (share, s): share (P, I) is each user's fraction of its BS, and s (P, J)
+    the log multipliers, NaN at empty BSs.
 
     The kernel's segments are the flat (association, BS) pairs in use, and
     each converges and freezes on its own, with its terms in user order; so
@@ -110,8 +108,8 @@ def solve_stacked(
 
 
 def _fractions(lg: np.ndarray, s_at: np.ndarray, ia: np.ndarray) -> np.ndarray:
-    """y = exp(lg - s / alpha) at each user's BS, from lg = log gamma_hat and
-    s = log lam there, and ia = 1/alpha: the one formula every allocation
+    """share = exp(lg - s / alpha) at each user's BS, from lg = log gamma_hat
+    and s = log lam there, and ia = 1/alpha: the one formula every allocation
     takes its fractions from."""
     return np.exp(lg - s_at * ia)
 
@@ -125,8 +123,9 @@ def allocate(
     """Optimal bandwidth fractions for every BS under a fixed association.
 
     The one-association case of `solve_stacked`: one Newton kernel call
-    solves every non-empty BS. Empty BSs get a NaN multiplier and a zero
-    column. y_ij = gamma_hat_ij * lam_j^(-1/alpha_i) on associated pairs.
+    solves every non-empty BS, and the allocation holds the kernel's
+    per-user fractions share_i = gamma_hat_{i, j_i} * lam_{j_i}^(-1/alpha_i)
+    as they are. Empty BSs get a NaN multiplier.
 
     prev is an (association, allocation) pair for the same instance and cfg
     whose allocation is this function's result for that association, or a
@@ -143,27 +142,21 @@ def allocate(
         raise ValueError("association length must match the instance")
     if I and (bs.min() < 0 or bs.max() >= J):
         raise ValueError("association refers to a BS outside the instance")
-    y_user, s = solve_stacked(inst.gamma_hat[None], inst.alphas.alpha, bs[None], cfg)
-    return _allocation(bs, y_user[0], s[0], J)
-
-
-def _allocation(bs: np.ndarray, y_user: np.ndarray, s: np.ndarray, num_bs: int) -> Allocation:
-    y = np.zeros((bs.shape[0], num_bs))
-    y[np.arange(bs.shape[0]), bs] = y_user
-    return Allocation(y=y, lam=np.exp(s))
+    share, s = solve_stacked(inst.gamma_hat[None], inst.alphas.alpha, bs[None], cfg)
+    return Allocation(share=share[0], lam=np.exp(s[0]))
 
 
 def assemble(inst: NetworkInstance, bs: np.ndarray, s: np.ndarray) -> Allocation:
     """The allocation of association bs (I,) from its BSs' log multipliers
-    s = log lam (J,), NaN at empty BSs: y_ij = exp(lg_i - s_j / alpha_i) at
-    each user's BS, where lg_i = log gamma_hat_{i, bs_i}, and lam = exp(s).
+    s = log lam (J,), NaN at empty BSs: share_i = exp(lg_i - s_{bs_i} / alpha_i),
+    where lg_i = log gamma_hat_{i, bs_i}, and lam = exp(s).
 
     Its fractions take allocate's formula, so s from any solve of the same
     (BS, user set) splits gives allocate's arrays bit for bit. It takes s,
     not lam, because log(exp(s)) need not give s back.
     """
     lg = np.log(inst.gamma_hat[np.arange(inst.num_users), bs])
-    return _allocation(bs, _fractions(lg, s[bs], 1.0 / inst.alphas.alpha), s, inst.num_bs)
+    return Allocation(share=_fractions(lg, s[bs], 1.0 / inst.alphas.alpha), lam=np.exp(s))
 
 
 def subset_solve(
@@ -201,18 +194,6 @@ def subset_solve(
     return util, s
 
 
-def subset_utilities(
-    inst: NetworkInstance,
-    bs: np.ndarray,
-    members: np.ndarray,
-    cfg: Optional[LambdaSearchConfig] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """subset_solve with multipliers: returns (utility, lam), each of shape
-    (P,); empty sets contribute (0.0, nan)."""
-    util, s = subset_solve(inst, bs, members, cfg)
-    return util, np.exp(s)
-
-
 def bs_optimal_utility(
     inst: NetworkInstance,
     j: int,
@@ -221,10 +202,10 @@ def bs_optimal_utility(
 ) -> Tuple[float, float]:
     """Optimal HAF contribution of serving `users` from BS j: (utility, lam).
 
-    The one-pair form of subset_utilities; empty user sets contribute
-    (0.0, nan).
+    The one-pair form of subset_solve, with lam = exp(s); empty user sets
+    contribute (0.0, nan).
     """
     members = np.zeros((1, inst.num_users), dtype=bool)
     members[0, np.asarray(users, dtype=int)] = True
-    util, lam = subset_utilities(inst, np.array([j]), members, cfg)
-    return float(util[0]), float(lam[0])
+    util, s = subset_solve(inst, np.array([j]), members, cfg)
+    return float(util[0]), float(np.exp(s[0]))

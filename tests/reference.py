@@ -65,7 +65,16 @@ def kkt_residual(inst: NetworkInstance, assoc: Association, j: int, lam: float) 
     return _load(gh, ia, float(lam)) - 1.0
 
 
-def _digit_search(gh: Sequence[float], inv_alpha: Sequence[float], cfg: LambdaSearchConfig) -> float:
+#: The printed digit-search schedule: the first step, and the outer sweeps of
+#: inner probes each. It reaches at most outer * (inner + 1) * initial_step.
+DIGIT_INITIAL_STEP = 1e3
+DIGIT_OUTER_ITERS = 12
+DIGIT_INNER_ITERS = 10
+
+
+def _digit_search(
+    gh: Sequence[float], inv_alpha: Sequence[float], initial_step: float, outer_iters: int, inner_iters: int
+) -> float:
     """Decimal digit search for the multiplier.
 
     Starts at lam = 0 with a coarse step; keeps adding the step while the
@@ -76,7 +85,7 @@ def _digit_search(gh: Sequence[float], inv_alpha: Sequence[float], cfg: LambdaSe
     lam one coarse step past the root with no way back down.
     """
     lam = 0.0
-    step = float(cfg.initial_step)
+    step = float(initial_step)
 
     def probe() -> None:
         nonlocal lam, step
@@ -85,20 +94,25 @@ def _digit_search(gh: Sequence[float], inv_alpha: Sequence[float], cfg: LambdaSe
             lam -= step
             step /= 10.0
 
-    for _ in range(cfg.outer_iters):
-        for _ in range(cfg.inner_iters):
+    for _ in range(outer_iters):
+        for _ in range(inner_iters):
             probe()
         probe()
     return lam
 
 
 def solve_lambda_digit(
-    inst: NetworkInstance, assoc: Association, j: int, cfg: Optional[LambdaSearchConfig] = None
+    inst: NetworkInstance,
+    assoc: Association,
+    j: int,
+    initial_step: float = DIGIT_INITIAL_STEP,
+    outer_iters: int = DIGIT_OUTER_ITERS,
+    inner_iters: int = DIGIT_INNER_ITERS,
 ) -> float:
-    """Digit-search multiplier for BS j, on the schedule of cfg's digit fields.
+    """Digit-search multiplier for BS j, on the printed schedule by default.
     Raises EmptyBSError if j is empty."""
     gh, ia = _bs_terms(inst, assoc, j)
-    return _digit_search(gh, ia, cfg or LambdaSearchConfig())
+    return _digit_search(gh, ia, initial_step, outer_iters, inner_iters)
 
 
 def solve_lambda_brentq(inst: NetworkInstance, assoc: Association, j: int) -> float:

@@ -103,7 +103,7 @@ def test_c01_ra_exactness(subproblems):
     for inst in subproblems:
         assoc = Association(np.zeros(inst.num_users, dtype=int))
         alloc = allocate(inst, assoc)
-        worst_share = max(worst_share, abs(float(alloc.y[:, 0].sum()) - 1.0))
+        worst_share = max(worst_share, abs(float(alloc.share.sum()) - 1.0))
         worst_resid = max(worst_resid, abs(kkt_residual(inst, assoc, 0, float(alloc.lam[0]))))
     elapsed = time.perf_counter() - t0
     ok = worst_share <= 1e-6 and worst_resid <= 1e-8 and elapsed < 1.0
@@ -141,7 +141,7 @@ def test_c03_closed_forms():
         lam = solve_lambda_brentq(inst, Association(np.array([0])), 0)
         worst_single = max(worst_single, abs(lam - gamma ** (1.0 - alpha)) / gamma ** (1.0 - alpha))
 
-    # equal alpha: y_i = gamma_hat_i / sum(gamma_hat)
+    # equal alpha: share_i = gamma_hat_i / sum(gamma_hat)
     worst_share = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 9))
@@ -152,14 +152,14 @@ def test_c03_closed_forms():
         inst = make_instance(gamma, [alpha] * n)
         alloc = allocate(inst, Association(np.zeros(n, dtype=int)))
         gh = inst.gamma_hat[:, 0]
-        worst_share = max(worst_share, float(np.max(np.abs(alloc.y[:, 0] - gh / gh.sum()))))
+        worst_share = max(worst_share, float(np.max(np.abs(alloc.share - gh / gh.sum()))))
 
     # alpha -> 1 with equal gamma: even split
     worst_even = 0.0
     for n in (2, 4, 8):
         inst = make_instance([[3.7]] * n, [0.999] * n)
         alloc = allocate(inst, Association(np.zeros(n, dtype=int)))
-        worst_even = max(worst_even, float(np.max(np.abs(alloc.y[:, 0] - 1.0 / n))))
+        worst_even = max(worst_even, float(np.max(np.abs(alloc.share - 1.0 / n))))
 
     ok = worst_single <= 1e-9 and worst_share <= 1e-9 and worst_even <= 1e-3
     line = _verdict(

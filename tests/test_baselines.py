@@ -18,7 +18,7 @@ from hafnet.baselines import (
 )
 from hafnet.core import Association, haf_objective
 from hafnet.pricing import PricingConfig, associate, solve
-from hafnet.ra import allocate, subset_utilities
+from hafnet.ra import allocate, subset_solve
 from conftest import make_instance, random_instance
 
 
@@ -26,7 +26,7 @@ def test_run_random_single_bs():
     inst = make_instance([[1.0]] * 4, [0.5] * 4)
     assoc, alloc = run_random(inst, 0)
     assert np.all(assoc.bs_of_user == 0)
-    assert alloc.y[:, 0].sum() == pytest.approx(1.0, abs=1e-6)
+    assert alloc.share.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_run_random_deterministic_and_uniform():
@@ -178,8 +178,8 @@ def test_2rs_refuses_a_gain_made_of_rounding():
     start = Association(np.array([0, 0, 1]))
     sets = np.array([[True, True, False], [False, False, True]])
     moved = np.array([[False, True, False], [True, False, True]])
-    utils, _ = subset_utilities(inst, np.array([0, 1]), sets)
-    u, _ = subset_utilities(inst, np.array([0, 1]), moved)
+    utils, _ = subset_solve(inst, np.array([0, 1]), sets)
+    u, _ = subset_solve(inst, np.array([0, 1]), moved)
     assert u[0] == utils[1] and u[1] == utils[0]
     assert u[0] + u[1] - utils[0] - utils[1] > 1e-12  # the gain 2RS sums
     for adaptive in (True, False):
@@ -213,7 +213,7 @@ def test_2rs_allocation_equals_a_cold_allocate(I, J, gains, seed, adaptive, max_
     with np.errstate(all="raise"):
         assoc, alloc = run_2rs(inst, Association(start), adaptive=adaptive)
         cold = allocate(inst, assoc)
-    assert np.array_equal(alloc.y, cold.y)
+    assert np.array_equal(alloc.share, cold.share)
     assert np.array_equal(alloc.lam, cold.lam, equal_nan=True)
 
 
@@ -262,7 +262,7 @@ def test_ga_without_mutation_keeps_initial_genes_and_the_best_member():
 
 def _reference_ga(inst, params, seed):
     """run_ga's draws with every chromosome scored cold, as the sum of one
-    subset_utilities call over its J sets; keeps the best by strict
+    subset_solve call over its J sets; keeps the best by strict
     improvement."""
     rng = np.random.default_rng(seed)
     I, J = inst.num_users, inst.num_bs
@@ -278,7 +278,7 @@ def _reference_ga(inst, params, seed):
             mut = rng.random((n, I)) < params.mutation_prob
             children[mut] = rng.integers(0, J, size=int(np.count_nonzero(mut)))
             pop = np.vstack([elite, children])
-        fit = [subset_utilities(inst, np.arange(J), row[None, :] == np.arange(J)[:, None])[0].sum() for row in pop]
+        fit = [subset_solve(inst, np.arange(J), row[None, :] == np.arange(J)[:, None])[0].sum() for row in pop]
         for row, f in zip(pop, fit):
             if f > best_fit:
                 best, best_fit = row, f
@@ -312,7 +312,8 @@ def test_search_baselines_return_the_empty_association_with_no_users():
     empty = Association(np.zeros(0, dtype=int))
     for assoc, alloc in (run_2rs(inst, empty), run_ga(inst, GaParams(), 0)):
         assert assoc.bs_of_user.shape == (0,)
-        assert alloc.y.shape == (0, 3)
+        assert alloc.share.shape == (0,)
+        assert alloc.lam.shape == (3,)
         assert np.isnan(alloc.lam).all()
 
 

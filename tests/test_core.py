@@ -68,25 +68,22 @@ def test_haf_objective_diagonal():
     # both users alone on their BS: r_i = gamma * 1
     inst = make_instance([[4.0, 1.0], [1.0, 4.0]], [0.5, 0.5])
     assoc = Association(np.array([0, 1]))
-    y = np.zeros((2, 2))
-    y[0, 0] = 1.0
-    y[1, 1] = 1.0
-    alloc = Allocation(y=y, lam=np.array([1.0, 1.0]))
-    # u(4)=4^0.5/0.5=4 each -> 8; with y=1 split r=gamma
+    alloc = Allocation(share=np.array([1.0, 1.0]), lam=np.array([1.0, 1.0]))
+    # u(4)=4^0.5/0.5=4 each -> 8; with a share of 1 r=gamma
     assert haf_objective(inst, assoc, alloc) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_haf_objective_negative_alpha_branch():
     inst = make_instance([[4.0]], [2.0])
     assoc = Association(np.array([0]))
-    alloc = Allocation(y=np.array([[1.0]]), lam=np.array([1.0]))
+    alloc = Allocation(share=np.array([1.0]), lam=np.array([1.0]))
     assert haf_objective(inst, assoc, alloc) == pytest.approx(-0.25, rel=1e-12)
 
 
 def test_haf_objective_zero_allocation_uses_floor():
     inst = make_instance([[2.0], [2.0]], [0.5, 0.5])
     assoc = Association(np.array([0, 0]))
-    alloc = Allocation(y=np.zeros((2, 1)), lam=np.array([1.0]))
+    alloc = Allocation(share=np.zeros(2), lam=np.array([1.0]))
     expected = 2 * alpha_utility(RATE_FLOOR, 0.5)
     assert haf_objective(inst, assoc, alloc) == pytest.approx(expected, rel=1e-12)
 
@@ -94,8 +91,7 @@ def test_haf_objective_zero_allocation_uses_floor():
 def test_rates_of_gathers_associated_entries():
     inst = make_instance([[4.0, 1.0], [1.0, 3.0]], [0.5, 0.5])
     assoc = Association(np.array([1, 0]))
-    y = np.array([[0.0, 0.5], [0.25, 0.0]])
-    r = rates_of(inst, assoc, Allocation(y=y, lam=np.array([1.0, 1.0])))
+    r = rates_of(inst, assoc, Allocation(share=np.array([0.5, 0.25]), lam=np.array([1.0, 1.0])))
     assert r == pytest.approx([0.5, 0.25])
 
 

@@ -9,7 +9,7 @@ import pytest
 import hafnet.experiments as ex
 from hafnet import channel, pricing, ra
 from hafnet.baselines import GaParams, run_2rs, run_max_sinr, run_random
-from hafnet.core import Association, Group, haf_objective
+from hafnet.core import Allocation, Association, Group, haf_objective, rates_of
 from hafnet.pricing import PricingConfig, solve
 from hafnet.ra import LambdaSearchConfig, allocate
 from conftest import random_instance
@@ -74,13 +74,14 @@ ALL_CHANGED = ex.ScenarioConfig(
     methods=("proposed", "pf", "min_latency_argmin"), force=True,
     pricing=PricingConfig(total_iters=123, eta0=0.31, eta_schedule="constant",
                           mu_init=2.0, mu_min=1e-06, mu_max=1e9),
-    ra=LambdaSearchConfig(initial_step=100.0, outer_iters=8, inner_iters=6, bisect_tol=1e-08),
+    ra=LambdaSearchConfig(bisect_tol=1e-08),
     timevary=ex.TimeVaryingConfig(rho=0.9, num_slots=7, iters_per_slot=3, eta0=0.1),
     ga=GaParams(population=30, parents=6, mutation_prob=0.05, max_generations=40),
 )
 
-# ALL_CHANGED as save_config wrote it when each key was encoded by hand;
-# files in this format must keep loading.
+# ALL_CHANGED as save_config wrote it when each key was encoded by hand and
+# [ra] still held the digit-search schedule, which loading drops; files in
+# this format must keep loading.
 ALL_CHANGED_INI = """\
 [scenario]
 num_bs = 5
@@ -151,6 +152,8 @@ def test_config_roundtrip(tmp_path):
     path = tmp_path / "scenario.ini"
     for cfg in (some_changed, ALL_CHANGED):
         ex.save_config(cfg, path)
+        # the retired digit-search keys are no longer written
+        assert not any(key in path.read_text() for key in ("initial_step", "outer_iters", "inner_iters"))
         loaded = ex.load_config(path)
         assert loaded == cfg
         # round-trip of the round-trip is identical too
@@ -165,6 +168,12 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("[scenario]\nnum_users = 40\nbogus_knob = 3\n")
     with pytest.raises(ValueError, match="bogus_knob"):
         ex.load_config(path)
+    # only the retired digit-search keys, and only in [ra], are dropped
+    still_unknown = (("ra", "bogus_knob"), ("ra", "inner_iter"), ("pricing", "outer_iters"), ("scenario", "initial_step"))
+    for section, key in still_unknown:
+        path.write_text(f"[{section}]\n{key} = 3\n")
+        with pytest.raises(ValueError, match=key):
+            ex.load_config(path)
 
 
 def test_load_config_rejects_malformed_value(tmp_path):
@@ -319,6 +328,27 @@ def test_duplicate_method_names_are_rejected(tmp_path):
     cfg = replace(SMALL, num_seeds=1, timevary=ex.TimeVaryingConfig(num_slots=2, iters_per_slot=2))
     with pytest.raises(ValueError, match="'proposed' is named twice"):
         ex.run_time_varying(cfg, tmp_path, methods=("proposed", "frozen", "proposed"))
+
+
+def test_every_decision_holds_one_share_per_user():
+    # An allocation is each user's share at its own BS and one multiplier per
+    # BS, whichever method made it, and rates_of reads gamma at the user's BS
+    # times that share, bit for bit. Brute force runs on SMALL's forced 8 x 3.
+    inst, _, _ = ex.build_instance(SMALL, 0, 0)
+    I, J = inst.num_users, inst.num_bs
+    decisions = {}
+    for name in ex.available_methods():
+        assoc, alloc, trace = ex.run_method(name, inst, SMALL, 0, 0)
+        decisions[name] = (assoc, alloc)
+        if trace is not None:
+            decisions[f"{name} best dual"] = trace.best_dual_decision
+    start = Association(np.argmax(inst.gamma, axis=1))
+    decisions["adaptive two_rs"] = run_2rs(inst, start, adaptive=True)
+    assert [f.name for f in fields(Allocation)] == ["share", "lam"]
+    for name, (assoc, alloc) in decisions.items():
+        assert alloc.share.shape == (I,) and alloc.lam.shape == (J,), name
+        want = inst.gamma[np.arange(I), assoc.bs_of_user] * alloc.share
+        assert rates_of(inst, assoc, alloc).tobytes() == want.tobytes(), name
 
 
 def test_static_experiment_rows_and_files(tmp_path):

@@ -10,8 +10,7 @@ def _simple():
     # two users on separate BSs, full bandwidth each
     inst = make_instance([[2.0, 1.0], [1.0, 3.0]], [0.5, 2.0])
     assoc = Association(np.array([0, 1]))
-    y = np.array([[1.0, 0.0], [0.0, 1.0]])
-    return inst, assoc, Allocation(y=y, lam=np.array([1.0, 1.0]))
+    return inst, assoc, Allocation(share=np.array([1.0, 1.0]), lam=np.array([1.0, 1.0]))
 
 
 def test_user_rates_normalized_and_absolute():
@@ -41,8 +40,7 @@ def test_report_group_haf_adds_up():
     rng = np.random.default_rng(3)
     inst = random_instance(rng, 12, 3)
     assoc = Association(rng.integers(0, 3, size=12))
-    y = rng.uniform(0.01, 0.1, size=(12, 3))
-    alloc = Allocation(y=y, lam=np.full(3, np.nan))
+    alloc = Allocation(share=rng.uniform(0.01, 0.1, size=12), lam=np.full(3, np.nan))
     rep = report(inst, assoc, alloc)
     assert sum(rep[f"haf_{g}"] for g in GROUPS) == pytest.approx(rep["haf"], rel=1e-10)
     assert rep["haf"] == pytest.approx(haf_objective(inst, assoc, alloc), rel=1e-12)
@@ -67,7 +65,7 @@ def test_report_floors_only_ratio_metrics():
     # zero-bandwidth user: pf/latency use the floor, min_rate stays 0
     inst = make_instance([[2.0], [2.0]], [0.5, 0.5])
     assoc = Association(np.array([0, 0]))
-    alloc = Allocation(y=np.array([[1.0], [0.0]]), lam=np.array([1.0]))
+    alloc = Allocation(share=np.array([1.0, 0.0]), lam=np.array([1.0]))
     rep = report(inst, assoc, alloc)
     assert rep["min_rate"] == 0.0
     assert rep["pf"] == pytest.approx(np.log(2.0) + np.log(RATE_FLOOR), rel=1e-9)

@@ -388,7 +388,7 @@ def _assert_matches_the_cold_loop(name, inst, cfg, mu0, run):
     for got, want in ((assoc, r_assoc), (trace.assoc_final, ref.assoc_final), (d_assoc, r_d_assoc)):
         _assert_same_bits(got.bs_of_user, want.bs_of_user)
     for got, want in ((alloc, r_alloc), (d_alloc, r_d_alloc)):
-        _assert_same_bits(got.y, want.y)
+        _assert_same_bits(got.share, want.share)
         _assert_same_bits(got.lam, want.lam)
     if name == "proposed":
         mu_star = ref.mu[ref.best_dual_iter]
@@ -431,7 +431,7 @@ def test_reuse_matches_the_cold_loop_bit_for_bit(name, monkeypatch):
         # a pair handed over holds the kernel's result for its association
         if prev is not None:
             cold = allocate(inst, prev[0], cfg)
-            assert np.array_equal(prev[1].y, cold.y)
+            assert np.array_equal(prev[1].share, cold.share)
             assert np.array_equal(prev[1].lam, cold.lam, equal_nan=True)
         return allocate(inst, assoc, cfg, prev)
 
@@ -655,9 +655,10 @@ def test_a_pick_that_returns_fresh_equal_arrays_keeps_one_association(monkeypatc
 
 def test_table_keeps_no_dense_allocation_per_association(monkeypatch):
     # 40 iterations at 1000 x 60 with a large step visit about 40
-    # associations; a table of dense (I, J) allocations would hold about 40
-    # y's. The blocked dual after the loop builds (rows, I, J) ratio tables
-    # of its own, so it is stubbed out to measure the loop alone.
+    # associations; the table holds each one's (I,) shares, where dense
+    # (I, J) allocations would take about 40 tables. The blocked dual after
+    # the loop builds (rows, I, J) ratio tables of its own, so it is stubbed
+    # out to measure the loop alone.
     inst = random_instance(np.random.default_rng(53), 1000, 60)
     cfg = PricingConfig(total_iters=40, eta0=50.0)
     monkeypatch.setattr(pricing, "dual_value", lambda inst, mu: np.zeros(mu.shape[0]))
@@ -803,7 +804,7 @@ def test_certificate_reuses_the_best_dual_decision_bit_for_bit(name, case):
             cold = allocate(inst, assoc)
         kept_assoc, kept = trace.best_dual_decision
         assert np.array_equal(kept_assoc.bs_of_user, assoc.bs_of_user)
-        assert np.array_equal(kept.y, cold.y)
+        assert np.array_equal(kept.share, cold.share)
         assert np.array_equal(kept.lam, cold.lam, equal_nan=True)
         if name == "proposed":
             assert trace.theorem2_bound == theorem2_bound(inst, assoc, mu_star, cold.lam)

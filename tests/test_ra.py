@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hafnet.core import Association, utility_vector
-from hafnet.ra import LambdaSearchConfig, allocate, bs_optimal_utility
+from hafnet.ra import allocate, bs_optimal_utility
 from conftest import make_instance, random_instance
 from reference import EmptyBSError, kkt_residual, solve_lambda_brentq, solve_lambda_digit
 
@@ -24,11 +24,11 @@ def test_single_user_closed_form():
         lam = solve_lambda_brentq(inst, assoc, 0)
         assert lam == pytest.approx(gamma ** (1.0 - alpha), rel=1e-9)
         alloc = allocate(inst, assoc)
-        assert alloc.y[0, 0] == pytest.approx(1.0, rel=1e-9)
+        assert alloc.share[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_equal_alpha_closed_form():
-    # all alpha equal: y_i = gamma_hat_i / sum(gamma_hat), lam = (sum gamma_hat)^alpha
+    # all alpha equal: share_i = gamma_hat_i / sum(gamma_hat), lam = (sum gamma_hat)^alpha
     gamma = np.array([[4.0], [1.0], [2.25]])
     inst = make_instance(gamma, [0.5, 0.5, 0.5])
     assoc = Association(np.zeros(3, dtype=int))
@@ -36,7 +36,7 @@ def test_equal_alpha_closed_form():
     lam = solve_lambda_brentq(inst, assoc, 0)
     assert lam == pytest.approx(gh.sum() ** 0.5, rel=1e-9)
     alloc = allocate(inst, assoc)
-    assert alloc.y[:, 0] == pytest.approx(gh / gh.sum(), rel=1e-9)
+    assert alloc.share == pytest.approx(gh / gh.sum(), rel=1e-9)
 
 
 def test_near_pf_equal_gamma_splits_evenly():
@@ -45,7 +45,7 @@ def test_near_pf_equal_gamma_splits_evenly():
     inst = make_instance(np.full((n, 1), 3.0), [0.999] * n)
     assoc = Association(np.zeros(n, dtype=int))
     alloc = allocate(inst, assoc)
-    assert alloc.y[:, 0] == pytest.approx(np.full(n, 1.0 / n), rel=1e-3)
+    assert alloc.share == pytest.approx(np.full(n, 1.0 / n), rel=1e-3)
 
 
 def test_digit_search_matches_brentq():
@@ -72,13 +72,9 @@ def test_allocate_feasibility_sweep():
             if users.size == 0:
                 assert np.isnan(alloc.lam[j])
                 continue
-            assert alloc.y[users, j].sum() == pytest.approx(1.0, abs=1e-6)
-            assert np.all(alloc.y[users, j] > 0)
+            assert alloc.share[users].sum() == pytest.approx(1.0, abs=1e-6)
+            assert np.all(alloc.share[users] > 0)
             assert abs(kkt_residual(inst, assoc, j, alloc.lam[j])) <= 1e-8
-        # non-associated entries carry no bandwidth
-        mask = np.ones((n_users, n_bs), dtype=bool)
-        mask[np.arange(n_users), assoc.bs_of_user] = False
-        assert np.all(alloc.y[mask] == 0.0)
 
 
 def test_allocate_rejects_empty_bs_solvers():
@@ -107,7 +103,7 @@ def test_allocation_beats_random_splits():
         inst = random_instance(rng, n, 1)
         assoc = Association(np.zeros(n, dtype=int))
         alloc = allocate(inst, assoc)
-        best = utility_vector(alloc.y[:, 0] * inst.gamma[:, 0], inst.alphas.alpha).sum()
+        best = utility_vector(alloc.share * inst.gamma[:, 0], inst.alphas.alpha).sum()
         w = rng.random((10_000, n))
         w /= w.sum(axis=1, keepdims=True)
         rates = w * inst.gamma[:, 0]
@@ -122,7 +118,7 @@ def test_bs_optimal_utility_matches_allocate():
     alloc = allocate(inst, assoc)
     users0 = np.array([0, 1, 2])
     util, lam = bs_optimal_utility(inst, 0, users0)
-    rates = alloc.y[users0, 0] * inst.gamma[users0, 0]
+    rates = alloc.share[users0] * inst.gamma[users0, 0]
     assert util == pytest.approx(utility_vector(rates, inst.alphas.alpha[users0]).sum(), rel=1e-9)
     assert lam == pytest.approx(alloc.lam[0], rel=1e-9)
     # empty set contributes zero utility
@@ -131,16 +127,17 @@ def test_bs_optimal_utility_matches_allocate():
 
 
 def test_digit_search_config_reach():
-    # the printed schedule reaches at most outer*inner*initial_step
-    cfg = LambdaSearchConfig()
+    # a schedule reaches at most outer * (inner + 1) * initial_step
     inst = make_instance([[10.0]], [0.5])  # lam* = sqrt(10) approx 3.16
     assoc = Association(np.array([0]))
-    lam = solve_lambda_digit(inst, assoc, 0, cfg)
+    lam = solve_lambda_digit(inst, assoc, 0, initial_step=1e3, outer_iters=12, inner_iters=10)
     assert lam == pytest.approx(10.0 ** 0.5, rel=1e-5)
+    # two probes of 1.0 stay below the root, and nothing shrinks the step
+    assert solve_lambda_digit(inst, assoc, 0, initial_step=1.0, outer_iters=1, inner_iters=1) == 2.0
 
 
 def _same_allocation(a, b):
-    return np.array_equal(a.y, b.y) and np.array_equal(a.lam, b.lam, equal_nan=True)
+    return np.array_equal(a.share, b.share) and np.array_equal(a.lam, b.lam, equal_nan=True)
 
 
 def test_allocate_reuses_prev_only_for_an_equal_association():
@@ -162,18 +159,18 @@ def test_allocate_reuses_prev_only_for_an_equal_association():
     # an association leaving a BS empty still gives that BS a NaN multiplier
     empty = Association(np.where(assoc.bs_of_user == 2, 0, assoc.bs_of_user))
     got = allocate(inst, empty, prev=(assoc, alloc))
-    assert np.isnan(got.lam[2]) and np.all(got.y[:, 2] == 0.0)
+    assert np.isnan(got.lam[2])
     assert _same_allocation(got, allocate(inst, empty))
 
 
-def test_allocate_leaves_empty_bss_a_nan_multiplier_and_a_zero_column():
+def test_allocate_leaves_empty_bss_a_nan_multiplier():
     rng = np.random.default_rng(37)
     inst = random_instance(rng, 7, 5)
     assoc = Association(np.array([3, 1, 3, 3, 1, 1, 3]))
     alloc = allocate(inst, assoc)
     for j in (0, 2, 4):
-        assert np.isnan(alloc.lam[j]) and np.all(alloc.y[:, j] == 0.0)
+        assert np.isnan(alloc.lam[j])
     for j in (1, 3):
         users = np.flatnonzero(assoc.bs_of_user == j)
         assert alloc.lam[j] == pytest.approx(solve_lambda_brentq(inst, assoc, j), rel=1e-9)
-        assert alloc.y[users, j].sum() == pytest.approx(1.0, rel=1e-12)
+        assert alloc.share[users].sum() == pytest.approx(1.0, rel=1e-12)

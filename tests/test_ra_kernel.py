@@ -15,7 +15,7 @@ from hafnet import baselines, ra
 from hafnet.baselines import _subset_table, brute_force, run_2rs
 from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInstance
 from hafnet.experiments import build_instance, low_fairness_config
-from hafnet.ra import LambdaSearchConfig, allocate, bs_optimal_utility, subset_utilities
+from hafnet.ra import LambdaSearchConfig, allocate, bs_optimal_utility, subset_solve
 from conftest import random_instance
 from reference import kkt_residual, solve_lambda_brentq
 
@@ -52,20 +52,17 @@ def test_allocate_solves_every_bs(layout, tol):
     for j in range(inst.num_bs):
         users = np.flatnonzero(assoc.bs_of_user == j)
         if users.size == 0:
-            assert np.isnan(alloc.lam[j]) and np.all(alloc.y[:, j] == 0.0)
+            assert np.isnan(alloc.lam[j])
             continue
-        assert abs(alloc.y[users, j].sum() - 1.0) <= 1e-12
+        assert abs(alloc.share[users].sum() - 1.0) <= 1e-12
         assert abs(kkt_residual(inst, assoc, j, alloc.lam[j])) <= 1e-8
         lam_ref = solve_lambda_brentq(inst, assoc, j)
         assert alloc.lam[j] == pytest.approx(lam_ref, rel=1e-10)
-    off = np.ones(alloc.y.shape, dtype=bool)
-    off[np.arange(inst.num_users), assoc.bs_of_user] = False
-    assert np.all(alloc.y[off] == 0.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(layouts(), st.sampled_from(TOLS), st.integers(0, 2**32 - 1))
-def test_subset_utilities_equal_per_pair_calls(layout, tol, seed):
+def test_subset_solve_equals_per_pair_calls(layout, tol, seed):
     inst, _ = layout
     cfg = LambdaSearchConfig(bisect_tol=tol)
     rng = np.random.default_rng(seed)
@@ -73,7 +70,8 @@ def test_subset_utilities_equal_per_pair_calls(layout, tol, seed):
     bs = rng.integers(0, inst.num_bs, size=P)
     members = rng.random((P, inst.num_users)) < rng.random((P, 1))
     with np.errstate(all="raise"):
-        util, lam = subset_utilities(inst, bs, members, cfg)
+        util, s = subset_solve(inst, bs, members, cfg)
+        lam = np.exp(s)
     for p in range(P):
         u_ref, lam_ref = bs_optimal_utility(inst, int(bs[p]), np.flatnonzero(members[p]), cfg)
         assert util[p] == u_ref
@@ -97,11 +95,11 @@ def test_solve_stacked_equals_one_association_solves(S, I, J, tol, seed):
         bs[p] = rng.integers(0, rng.integers(1, J + 1), size=I)
     cfg = LambdaSearchConfig(bisect_tol=tol)
     with np.errstate(all="raise"):
-        y, s = ra.solve_stacked(np.stack([inst.gamma_hat for inst in insts]), prof.alpha, bs, cfg)
+        share, s = ra.solve_stacked(np.stack([inst.gamma_hat for inst in insts]), prof.alpha, bs, cfg)
         for p, inst in enumerate(insts):
             alloc = allocate(inst, Association(bs[p]), cfg)
             assert np.array_equal(np.exp(s[p]), alloc.lam, equal_nan=True)
-            assert y[p].tobytes() == alloc.y[np.arange(I), bs[p]].tobytes()
+            assert share[p].tobytes() == alloc.share.tobytes()
 
 
 def _reference_table(inst):

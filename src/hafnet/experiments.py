@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, channel, metrics, pricing, ra
 from .baselines import GaParams
-from .core import Allocation, AlphaProfile, Association, GROUP_INTERVALS, Group, NetworkInstance, rates_of, utility_vector
+from .core import Allocation, AlphaProfile, Association, GROUP_INTERVALS, Group, NetworkInstance, utility_vector
 from .pricing import PricingConfig
 from .ra import LambdaSearchConfig
 
@@ -50,6 +50,18 @@ class TimeVaryingConfig:
             raise ValueError("timevary num_slots and iters_per_slot must be >= 1")
         if not 0.0 < self.eta0 < math.inf:
             raise ValueError(f"timevary eta0={self.eta0} must be positive and finite")
+
+
+#: ScenarioConfig's physical domains, which force does not lift; every test fails on NaN.
+_DOMAINS = (
+    ("bandwidth_mhz cell_size_m carrier_ghz gamma_min pathloss_exp_macro pathloss_exp_small",
+     lambda v: 0.0 < v < math.inf, "positive and finite"),
+    ("cluster_radius_m shadow_sigma_db indoor_loss_db", lambda v: 0.0 <= v < math.inf, "non-negative and finite"),
+    ("indoor_prob", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("noise_dbm_per_hz", math.isfinite, "finite"),
+    ("macro_power_dbm small_power_dbm", lambda v: -math.inf < v[0] <= v[1] < math.inf, "finite with lo <= hi"),
+    ("cluster_centers", lambda v: all(map(math.isfinite, itertools.chain(*v))), "finite"),
+)
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,7 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Reject inconsistent mixes; range-check deployment fields unless forced."""
+        """Reject inconsistent mixes and meaningless values; range-check deployment fields unless forced."""
         if len(self.alpha_ratios) != 4:
             raise ValueError("alpha_ratios needs one entry per group")
         if not all(r >= 0.0 for r in self.alpha_ratios):
@@ -99,6 +111,10 @@ class ScenarioConfig:
             baselines.check_brute_force_size(self.num_users, self.num_bs)
         if self.num_bs > 1 and not self.cluster_centers:  # ceil(J/10) < J macros once J > 1: small cells exist
             raise ValueError("cluster_centers must name a center for the small cells")
+        for names, ok, rule in _DOMAINS:
+            for name in names.split():
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name}={getattr(self, name)} must be {rule}")
         if self.force:
             return
         # deployment fields are pinned to the reference ranges unless forced
@@ -167,8 +183,9 @@ def build_instance(
 
 # ---------------------------------------------------------------- methods ---
 
-#: Pricing methods by name: the proposed rule and the baselines' rules.
-_PRICING = ("proposed",) + tuple(baselines.RULES)
+#: The pricing methods' rules by name: the proposed rule and the baselines'.
+_RULES = {"proposed": pricing.PROPOSED, **baselines.RULES}
+_PRICING = tuple(_RULES)
 
 
 def available_methods() -> Tuple[str, ...]:
@@ -186,18 +203,6 @@ def _check_methods(methods: Sequence[str], allowed: Sequence[str]) -> None:
             raise ValueError(f"method {m!r} is named twice")
 
 
-def _run_pricing(
-    name: str,
-    inst: NetworkInstance,
-    cfg: PricingConfig,
-    ra_cfg: LambdaSearchConfig,
-    mu0: Optional[np.ndarray] = None,
-) -> Tuple[Association, object, pricing.RunTrace]:
-    if name == "proposed":
-        return pricing.solve(inst, cfg, ra_cfg, mu0=mu0)
-    return baselines.run_pricing_baseline(inst, name, cfg, ra_cfg, mu0=mu0)
-
-
 def run_method(
     name: str,
     inst: NetworkInstance,
@@ -206,8 +211,10 @@ def run_method(
     seed_index: int,
 ) -> Tuple[Association, Allocation, Optional[pricing.RunTrace]]:
     """Dispatch one method on one instance; only pricing methods return a trace."""
+    if name == "proposed":
+        return pricing.solve(inst, cfg.pricing, cfg.ra)
     if name in _PRICING:
-        return _run_pricing(name, inst, cfg.pricing, cfg.ra)
+        return baselines.run_pricing_baseline(inst, name, cfg.pricing, cfg.ra)
     if name == "max_sinr":
         assoc, alloc = baselines.run_max_sinr(inst, cfg.ra)
     elif name == "random":
@@ -410,7 +417,7 @@ def timevary_methods(methods: Optional[Sequence[str]] = None) -> Tuple[str, ...]
 
 
 #: Slots per block of a slotted run: a block's instances are built together,
-#: and its slot-independent solves and its HAF scores each take one numpy pass.
+#: and its solves and its HAF scores each take one numpy pass.
 _SLOT_BLOCK = 25
 
 
@@ -422,37 +429,33 @@ def run_time_varying(
 ) -> dict:
     """Slotted operation over a Gauss-Markov fading process.
 
-    Adaptive methods carry state across slots: the pricing methods warm-start
-    from their prices alone, so each slot starts at the association those
-    prices induce on the new channels, and run iters_per_slot iterations with
-    a constant step; the local search applies one improving move per slot.
-    The frozen reference keeps the association adaptive pricing reached at
-    the end of slot 1 and only re-solves the bandwidth split. Per-slot HAF is
-    evaluated at the end-of-slot association; when that is the association of
-    the slot's pricing run's best iterate, the row reuses the run's allocation.
+    The pricing methods warm-start each slot from their prices alone, so a
+    slot starts at the association those prices induce on the new channels,
+    and run iters_per_slot iterations of `pricing.iterate` with a constant
+    step; 2RS applies one improving move per slot. The frozen reference
+    keeps the association adaptive pricing reached at the end of slot 1.
+    A row is the HAF of a method's end-of-slot association; no certificate
+    is computed, since none is written.
 
-    Slots go in blocks of _SLOT_BLOCK, and each block's instances are built
-    first. The adaptive methods then run slot by slot, while the frozen,
-    max-SINR and random associations, which no earlier decision moves after
-    slot 1, are solved for the whole block in one `ra.solve_stacked` call.
-    Every row's HAF comes from one stacked utility pass and a row sum. Both
-    passes round each slot as its own `ra.allocate` and `haf_objective`
-    would, so the rows do not depend on the block size.
+    Slots go in blocks of _SLOT_BLOCK, whose instances are built first.
+    Every method gives one BS array per slot, and the block's (slot, method)
+    rows are solved in one `ra.solve_stacked` call and scored in one stacked
+    utility pass with a row sum, each rounded as its own `ra.allocate` and
+    `haf_objective` would, so the rows do not depend on the block size.
     """
     tv = cfg.timevary
     methods = timevary_methods(methods)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    slot_cfg = replace(
-        cfg.pricing, total_iters=tv.iters_per_slot, eta0=tv.eta0, eta_schedule="constant"
-    )
-    users = np.arange(cfg.num_users)
+    slot_cfg = replace(cfg.pricing, total_iters=tv.iters_per_slot, eta0=tv.eta0, eta_schedule="constant")
+    I, J = cfg.num_users, cfg.num_bs
     rows = []
     for s in range(cfg.num_seeds):
         inst, topo, fading = build_instance(cfg, master_seed, s, rho=tv.rho)
         alpha = inst.alphas.alpha
-        state: Dict[str, dict] = {m: {} for m in methods}
+        # a pricing method's prices, or the association frozen and 2RS keep
+        state: Dict[str, Optional[np.ndarray]] = dict.fromkeys(methods)
         for first in range(1, tv.num_slots + 1, _SLOT_BLOCK):
             slots = range(first, min(first + _SLOT_BLOCK, tv.num_slots + 1))
             insts = []
@@ -461,38 +464,32 @@ def run_time_varying(
                     fading = channel.evolve_fading(fading)
                     inst = channel.make_instance(topo, fading, inst.alphas)
                 insts.append(inst)
-            # rates[k, n]: the users' rates under method n in slot k
-            rates = np.empty((len(slots), len(methods), cfg.num_users))
-            stacked = []  # (k, n, BS array) of each association the block solves
+            # bs[k, n]: method n's association at the end of slot k
+            bs = np.empty((len(slots), len(methods), I), dtype=int)
             for k, (slot, inst) in enumerate(zip(slots, insts)):
                 for n, m in enumerate(methods):
                     st = state[m]
-                    if m in _PRICING:
-                        b_assoc, b_alloc, trace = _run_pricing(m, inst, slot_cfg, cfg.ra, mu0=st.get("mu"))
-                        st["mu"], assoc = trace.mu_final, trace.assoc_final
-                        alloc = ra.allocate(inst, assoc, cfg.ra, prev=(b_assoc, b_alloc))
+                    if m in _RULES:
+                        trace = pricing.iterate(inst, _RULES[m], slot_cfg, cfg.ra, mu0=st)[2]
+                        state[m], bs[k, n] = trace.mu_final, trace.assoc_final.bs_of_user
+                    elif m == "frozen":
+                        if st is None:
+                            trace = pricing.iterate(inst, pricing.PROPOSED, slot_cfg, cfg.ra)[2]
+                            state[m] = trace.assoc_final.bs_of_user
+                        bs[k, n] = state[m]
                     elif m == "two_rs":
-                        if "x" not in st:
-                            st["x"] = baselines.max_sinr_association(inst)
-                        assoc, alloc = baselines.run_2rs(inst, Association(st["x"]), adaptive=True, ra_cfg=cfg.ra)
-                        st["x"] = assoc.bs_of_user
-                    else:
-                        if m == "frozen":
-                            if "x" not in st:
-                                st["x"] = pricing.solve(inst, slot_cfg, cfg.ra)[2].assoc_final.bs_of_user
-                            bs = st["x"]
-                        elif m == "max_sinr":
-                            bs = baselines.max_sinr_association(inst)
-                        else:  # random, fresh draw each slot
-                            bs = baselines.random_association(inst, child_seed(master_seed, s, _PURPOSE_RANDOM, slot))
-                        stacked.append((k, n, bs))
-                        continue
-                    rates[k, n] = rates_of(inst, assoc, alloc)
-            if stacked:
-                ks, ns, bs = (np.array(v) for v in zip(*stacked))
-                y, _ = ra.solve_stacked(np.stack([i.gamma_hat for i in insts])[ks], alpha, bs, cfg.ra)
-                rates[ks, ns] = np.stack([i.gamma for i in insts])[ks[:, None], users, bs] * y
-            haf = utility_vector(rates.reshape(-1, cfg.num_users), alpha).sum(axis=1).tolist()
+                        start = Association(baselines.max_sinr_association(inst) if st is None else st)
+                        assoc = baselines.run_2rs(inst, start, adaptive=True, ra_cfg=cfg.ra)[0]
+                        state[m] = bs[k, n] = assoc.bs_of_user
+                    elif m == "max_sinr":
+                        bs[k, n] = baselines.max_sinr_association(inst)
+                    else:  # random, fresh draw each slot
+                        bs[k, n] = baselines.random_association(inst, child_seed(master_seed, s, _PURPOSE_RANDOM, slot))
+            at = (np.arange(len(slots))[:, None, None], np.arange(I), bs)  # each row's (slot, user, BS) links
+            gains = np.stack([i.gamma_hat for i in insts])[at].reshape(-1, I)
+            share, _ = ra.solve_stacked(gains, alpha, bs.reshape(-1, I), J, cfg.ra)
+            rates = np.stack([i.gamma for i in insts])[at].reshape(-1, I) * share
+            haf = utility_vector(rates, alpha).sum(axis=1).tolist()
             rows.extend([s, slot, m, h] for (slot, m), h in zip(itertools.product(slots, methods), haf))
 
     files = write_tables(out, {"timevary.csv": (["seed", "slot", "method", _HAF], rows)})

@@ -12,7 +12,7 @@ unique.
 
 Every solve goes through one segmented Newton kernel on s = log lam, which
 solves many root-finds at once: `solve_stacked` passes every BS of many
-associations, each on its own gains (a slotted run's blocks of slots), and
+associations, each on its gathered gains (a slotted block's rows), and
 `allocate` is its one-association case; `subset_solve` passes many
 (BS, user set) pairs for the search baselines. `assemble` turns per-BS log
 multipliers into an allocation, for a search that kept the ones it solved.
@@ -77,18 +77,19 @@ def _newton(lg: np.ndarray, ia: np.ndarray, seg: np.ndarray, n: int, tol: float)
 
 
 def solve_stacked(
-    gamma_hat: np.ndarray,
+    gains: np.ndarray,
     alpha: np.ndarray,
     bs: np.ndarray,
+    num_bs: int,
     cfg: Optional[LambdaSearchConfig] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Optimal bandwidth fractions of P associations in one kernel call.
 
     Association p assigns user i to BS bs[p, i] (bs: (P, I) integers in
-    [0, J), not checked) on the gains gamma_hat[p] (gamma_hat: (P, I, J));
-    every association shares the users' exponents alpha (I,). Returns
-    (share, s): share (P, I) is each user's fraction of its BS, and s (P, J)
-    the log multipliers, NaN at empty BSs.
+    [0, num_bs), not checked) on gains[p, i], the gamma_hat of that link
+    (P, I); every association shares the users' exponents alpha (I,).
+    Returns (share, s): share (P, I) is each user's fraction of its BS, and
+    s (P, num_bs) the log multipliers, NaN at empty BSs.
 
     The kernel's segments are the flat (association, BS) pairs in use, and
     each converges and freezes on its own, with its terms in user order; so
@@ -96,15 +97,15 @@ def solve_stacked(
     `allocate`.
     """
     cfg = cfg or _DEFAULT
-    P, I, J = gamma_hat.shape
-    ids = (bs + np.arange(0, P * J, J)[:, None]).ravel()  # each term's flat (association, BS) pair
-    in_use = np.bincount(ids, minlength=P * J) > 0
+    P, I = bs.shape
+    ids = (bs + np.arange(0, P * num_bs, num_bs)[:, None]).ravel()  # each term's flat (association, BS) pair
+    in_use = np.bincount(ids, minlength=P * num_bs) > 0
     seg = (np.cumsum(in_use) - 1)[ids]  # each term's rank among the pairs in use
-    lg = np.log(gamma_hat.reshape(P * I, J)[np.arange(P * I), bs.ravel()])
+    lg = np.log(gains.ravel())
     ia = (1.0 / alpha)[None].repeat(P, 0).ravel()
-    s = np.full(P * J, np.nan)
+    s = np.full(P * num_bs, np.nan)
     s[in_use] = _newton(lg, ia, seg, int(np.count_nonzero(in_use)), cfg.bisect_tol)
-    return _fractions(lg, s[ids], ia).reshape(P, I), s.reshape(P, J)
+    return _fractions(lg, s[ids], ia).reshape(P, I), s.reshape(P, num_bs)
 
 
 def _fractions(lg: np.ndarray, s_at: np.ndarray, ia: np.ndarray) -> np.ndarray:
@@ -142,7 +143,7 @@ def allocate(
         raise ValueError("association length must match the instance")
     if I and (bs.min() < 0 or bs.max() >= J):
         raise ValueError("association refers to a BS outside the instance")
-    share, s = solve_stacked(inst.gamma_hat[None], inst.alphas.alpha, bs[None], cfg)
+    share, s = solve_stacked(inst.gamma_hat[np.arange(I), bs][None], inst.alphas.alpha, bs[None], J, cfg)
     return Allocation(share=share[0], lam=np.exp(s[0]))
 
 

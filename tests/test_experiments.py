@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import hafnet.experiments as ex
-from hafnet import channel, pricing, ra
-from hafnet.baselines import GaParams, run_2rs, run_max_sinr, run_random
+from hafnet import baselines, channel, pricing, ra
+from hafnet.baselines import GaParams, run_2rs, run_max_sinr, run_pricing_baseline, run_random
 from hafnet.core import Allocation, Association, Group, haf_objective, rates_of
 from hafnet.pricing import PricingConfig, solve
 from hafnet.ra import LambdaSearchConfig, allocate
@@ -306,6 +306,39 @@ def test_configs_check_their_fields_when_built(build, field_name):
         build()
 
 
+_NAN, _INF = float("nan"), float("inf")
+_MEANINGLESS = [
+    ("noise_dbm_per_hz", _INF),  # else every SINR is 0 and a 40 x 6 run writes HAF near -7e14
+    ("noise_dbm_per_hz", _NAN),
+    ("indoor_prob", 1.5),
+    ("indoor_prob", _NAN),
+    ("indoor_prob", -0.1),
+    ("cluster_radius_m", -30.0),
+    ("cell_size_m", -250.0),  # this and the next three fail late, after the output directory exists
+    ("shadow_sigma_db", -8.0),
+    ("bandwidth_mhz", -20.0),
+    ("carrier_ghz", 0.0),
+    ("bandwidth_mhz", _NAN),
+    ("gamma_min", 0.0),
+    ("gamma_min", _INF),
+    ("pathloss_exp_macro", _NAN),
+    ("pathloss_exp_small", -3.19),
+    ("indoor_loss_db", _INF),
+    ("shadow_sigma_db", _NAN),
+    ("macro_power_dbm", (36.0, 33.0)),
+    ("macro_power_dbm", (_NAN, 36.0)),
+    ("small_power_dbm", (23.0, _INF)),
+    ("cluster_centers", ((0.25, 0.25), (_NAN, 0.75))),
+]
+
+
+@pytest.mark.parametrize("field_name, value", _MEANINGLESS, ids=[f"{f}={v}" for f, v in _MEANINGLESS])
+def test_forced_configs_reject_physically_meaningless_values(field_name, value):
+    # force unpins the reference ranges, not the physical domains
+    with pytest.raises(ValueError, match=field_name):
+        replace(ex.ScenarioConfig(), force=True, **{field_name: value})
+
+
 def test_user_sweep_checks_each_user_count(tmp_path):
     cfg = ex.ScenarioConfig(num_seeds=1, methods=("max_sinr",))
     with pytest.raises(ValueError, match="num_users"):
@@ -540,8 +573,11 @@ def _cold_rows(cfg, master_seed, methods):
                 fading = channel.evolve_fading(fading)
                 inst = channel.make_instance(topo, fading, inst.alphas)
             for m in methods:
-                if m in ex._PRICING:
-                    _, _, trace = ex._run_pricing(m, inst, slot_cfg, cfg.ra, mu0=mu.get(m))
+                if m == "proposed":
+                    _, _, trace = solve(inst, slot_cfg, cfg.ra, mu0=mu.get(m))
+                    mu[m], assoc = trace.mu_final, trace.assoc_final
+                elif m in baselines.RULES:
+                    _, _, trace = run_pricing_baseline(inst, m, slot_cfg, cfg.ra, mu0=mu.get(m))
                     mu[m], assoc = trace.mu_final, trace.assoc_final
                 elif m == "frozen":
                     if m not in kept:
@@ -582,31 +618,44 @@ def test_time_varying_stacked_rows_equal_cold_per_slot_solves(name, block, cold_
     assert [(s, slot, m, float(haf).hex()) for s, slot, m, haf in rows] == cold_rows[name]
 
 
-@pytest.mark.parametrize("method", ["max_sinr", "random", "frozen"])
+@pytest.mark.parametrize("method", [*TV_ALL, "all"])
 @pytest.mark.parametrize("num_slots, block", [(1, 25), (25, 25), (26, 25), (60, 25), (7, 3), (6, 3), (4, 1)])
 def test_time_varying_solves_a_block_in_one_kernel_call(method, num_slots, block, tmp_path, monkeypatch):
-    # the slot-independent associations of a block take one Newton call; a
-    # frozen run adds only its slot-1 pricing run's calls
+    # every (slot, method) row of a block is solved in one Newton call; only
+    # the pricing runs and 2RS make calls of their own, and no run computes
+    # a certificate
+    methods = TV_ALL if method == "all" else (method,)
     cfg = replace(SMALL, timevary=ex.TimeVaryingConfig(rho=0.9, num_slots=num_slots, iters_per_slot=4))
-    calls, in_solve = [], []
-    newton, pricing_solve = ra._newton, pricing.solve
+    calls, inside = [], []
+    newton = ra._newton
 
     def counted_newton(*args):
         calls.append(1)
         return newton(*args)
 
-    def counted_solve(*args, **kwargs):
-        before = len(calls)
-        out = pricing_solve(*args, **kwargs)
-        in_solve.append(len(calls) - before)
-        return out
+    def counted(fn):
+        def run(*args, **kwargs):
+            before = len(calls)
+            out = fn(*args, **kwargs)
+            inside.append(len(calls) - before)
+            return out
+
+        return run
+
+    def never(*args, **kwargs):
+        raise AssertionError("a slotted run computes no certificate")
 
     monkeypatch.setattr(ra, "_newton", counted_newton)
-    monkeypatch.setattr(pricing, "solve", counted_solve)
+    monkeypatch.setattr(pricing, "iterate", counted(pricing.iterate))
+    monkeypatch.setattr(baselines, "run_2rs", counted(baselines.run_2rs))
+    monkeypatch.setattr(pricing, "solve", never)
+    monkeypatch.setattr(pricing, "_certificate", never)
     monkeypatch.setattr(ex, "_SLOT_BLOCK", block)
-    ex.run_time_varying(cfg, tmp_path, master_seed=8, methods=(method,))
-    assert len(in_solve) == (cfg.num_seeds if method == "frozen" else 0)
-    assert len(calls) - sum(in_solve) == cfg.num_seeds * math.ceil(num_slots / block)
+    ex.run_time_varying(cfg, tmp_path, master_seed=8, methods=methods)
+    # a pricing run or a 2RS move every slot, and frozen's one slot-1 run
+    adaptive = sum(m in ex._PRICING or m == "two_rs" for m in methods)
+    assert len(inside) == cfg.num_seeds * (adaptive * num_slots + ("frozen" in methods))
+    assert len(calls) - sum(inside) == cfg.num_seeds * math.ceil(num_slots / block)
 
 
 def test_user_sweep_rows(tmp_path):

@@ -81,8 +81,9 @@ def test_subset_solve_equals_per_pair_calls(layout, tol, seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 12), st.integers(1, 5), st.sampled_from(TOLS), st.integers(0, 2**32 - 1))
 def test_solve_stacked_equals_one_association_solves(S, I, J, tol, seed):
-    # S slots share the users' exponents; each slot has its own gains and an
-    # association over its first 1..J BSs, so some BSs stay empty
+    # S slots share the users' exponents; each slot has its own gains,
+    # gathered at the links of an association over its first 1..J BSs, so
+    # some BSs stay empty
     rng = np.random.default_rng(seed)
     group = rng.integers(0, len(ALPHA_RANGES), size=I)
     lo, hi = np.array(ALPHA_RANGES).T
@@ -95,7 +96,8 @@ def test_solve_stacked_equals_one_association_solves(S, I, J, tol, seed):
         bs[p] = rng.integers(0, rng.integers(1, J + 1), size=I)
     cfg = LambdaSearchConfig(bisect_tol=tol)
     with np.errstate(all="raise"):
-        share, s = ra.solve_stacked(np.stack([inst.gamma_hat for inst in insts]), prof.alpha, bs, cfg)
+        gains = np.stack([inst.gamma_hat[np.arange(I), bs[p]] for p, inst in enumerate(insts)])
+        share, s = ra.solve_stacked(gains, prof.alpha, bs, J, cfg)
         for p, inst in enumerate(insts):
             alloc = allocate(inst, Association(bs[p]), cfg)
             assert np.array_equal(np.exp(s[p]), alloc.lam, equal_nan=True)

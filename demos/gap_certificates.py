@@ -31,7 +31,7 @@ def main():
     for k in range(12):
         inst, _, _ = build_instance(cfg, master_seed=11, seed_index=k)
         _, _, trace = pricing.solve(inst, pcfg, cfg.ra)
-        _, _, best = brute_force(inst, ra_cfg=exact)
+        _, best = brute_force(inst, ra_cfg=exact)
         true_gap = best - trace.best_primal
         ok = "" if true_gap <= trace.theorem2_bound + 1e-6 else "  <-- VIOLATION"
         loose = max(loose, trace.theorem2_bound - true_gap)

@@ -26,7 +26,6 @@ from .channel import (
 from .ra import (
     LambdaSearchConfig,
     allocate,
-    assemble,
     bs_optimal_utility,
     solve_stacked,
     subset_solve,

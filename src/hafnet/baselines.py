@@ -16,8 +16,10 @@ Three families:
 * search: single-move local search (2RS), a genetic algorithm, and exhaustive
   enumeration for small instances.
 
-Every baseline's allocation is re-solved optimally for the true per-user
-fairness exponents, so methods differ only in the association they pick.
+The one-shot and search baselines return only their association, as an (I,)
+BS array (brute force also its HAF value). The experiment harness solves every
+method's allocation optimally for the true per-user fairness exponents, all in
+one stacked call, so methods differ only in the association they pick.
 
 The pricing baselines follow their printed score and price rules literally,
 and on the experiment scenario their best-primal iterate is almost always
@@ -54,7 +56,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from . import pricing, ra
-from .core import Allocation, Association, NetworkInstance, haf_objective
+from .core import Allocation, Association, NetworkInstance
 from .pricing import Direction, Pick, PricingConfig, PricingRule, RunTrace, per_association
 from .pricing import dual_value  # unused here; perfbench's tracer test reads baselines.dual_value
 
@@ -107,29 +109,14 @@ def check_brute_force_size(num_users: int, num_bs: int) -> None:
         )
 
 
-def _finish(inst, bs, ra_cfg) -> Tuple[Association, Allocation]:
-    assoc = Association(bs_of_user=np.asarray(bs, dtype=int))
-    return assoc, ra.allocate(inst, assoc, ra_cfg)
-
-
-def random_association(inst: NetworkInstance, seed: int) -> np.ndarray:
+def run_random(inst: NetworkInstance, seed: int) -> np.ndarray:
     """Uniform random BS per user, as an (I,) BS array. Deterministic given seed."""
     return np.random.default_rng(seed).integers(0, inst.num_bs, size=inst.num_users)
 
 
-def max_sinr_association(inst: NetworkInstance) -> np.ndarray:
+def run_max_sinr(inst: NetworkInstance) -> np.ndarray:
     """Every user's best channel, ties to the lowest BS index, as an (I,) BS array."""
     return np.argmax(inst.gamma, axis=1)
-
-
-def run_random(inst: NetworkInstance, seed: int, ra_cfg=None) -> Tuple[Association, Allocation]:
-    """The random association and its allocation."""
-    return _finish(inst, random_association(inst, seed), ra_cfg)
-
-
-def run_max_sinr(inst: NetworkInstance, ra_cfg=None) -> Tuple[Association, Allocation]:
-    """The max-SINR association and its allocation."""
-    return _finish(inst, max_sinr_association(inst), ra_cfg)
 
 
 # ---------------------------------------------------------------- pricing ---
@@ -239,11 +226,12 @@ def run_pricing_baseline(
 
 def run_2rs(
     inst: NetworkInstance,
-    start: Association,
+    start: np.ndarray,
     adaptive: bool = False,
     ra_cfg=None,
-) -> Tuple[Association, Allocation]:
-    """First-improvement local search over single-user reassignments.
+) -> np.ndarray:
+    """First-improvement local search over single-user reassignments, from
+    the (I,) BS array start; returns the (I,) BS array it reaches.
 
     A move changes one user's BS (association matrices at Hamming distance 2).
     Users are tried in order, and the first user with an improving move
@@ -256,26 +244,17 @@ def run_2rs(
     result is that of scoring one user at a time: a set's utility does not
     depend on the rest of its batch, and the users before the first move in
     a block are scored against the same sets as they would be alone.
-    Each BS's log multiplier is kept beside its utility, so the returned
-    allocation is assembled from the scored sets, not solved again; it
-    equals ra.allocate of the returned association bit for bit.
     Full mode repeats passes until a complete pass finds no improving move
     or _MAX_PASSES is hit; adaptive mode applies exactly one improving move.
-    A start whose shape is not (I,) or that names a BS outside [0, J)
-    raises ValueError.
+    A start that `ra.checked_bs` refuses raises ValueError.
     """
-    bs = np.array(start.bs_of_user, dtype=int)
+    bs = ra.checked_bs(inst, start, "2RS start")  # a copy: the search moves users in it
     I, J = inst.num_users, inst.num_bs
-    if bs.shape != (I,):
-        raise ValueError(f"2RS start has shape {bs.shape}, not ({I},)")
-    if I and (bs.min() < 0 or bs.max() >= J):
-        raise ValueError(f"2RS start refers to a BS outside [0, {J})")
     all_bs = np.arange(J)
     sets = bs[None, :] == all_bs[:, None]  # sets[j, i]: BS j serves user i
     cap = max(1, _BATCH // max(J, 1))  # J is 0 only when I is 0
     first = min(_FIRST_BLOCK, cap)
     utils, block = None, first
-    logs = np.full(J, np.nan)  # each set's log multiplier, beside utils
 
     for _ in range(_MAX_PASSES):
         improved = False
@@ -290,10 +269,9 @@ def run_2rs(
             moved[k, a, users] = False
             if utils is None:  # the start sets ride in the first call
                 moved = np.concatenate([sets[None], moved])
-            u, s = ra.subset_solve(inst, np.tile(all_bs, len(moved)), moved.reshape(-1, I), ra_cfg)
-            u, s = u.reshape(-1, J), s.reshape(-1, J)
+            u = ra.subset_solve(inst, np.tile(all_bs, len(moved)), moved.reshape(-1, I), ra_cfg)[0].reshape(-1, J)
             if utils is None:
-                utils, u, logs, s = u[0], u[1:], s[0], s[1:]
+                utils, u = u[0], u[1:]
             ua, ta = u[k, a][:, None], utils[a][:, None]
             delta = ua + u - ta - utils
             # a gain must clear the rounding of the four utilities it differences
@@ -309,14 +287,13 @@ def run_2rs(
             bs[user] = b
             sets[old, user], sets[b, user] = False, True
             utils[old], utils[b] = u[h, old], u[h, b]
-            logs[old], logs[b] = s[h, old], s[h, b]
             if adaptive:
-                return Association(bs_of_user=bs), ra.assemble(inst, bs, logs)
+                return bs
             improved = True
             i, block = user + 1, first
         if not improved:
             break
-    return Association(bs_of_user=bs), ra.assemble(inst, bs, logs)
+    return bs
 
 
 def run_ga(
@@ -324,9 +301,10 @@ def run_ga(
     params: Optional[GaParams] = None,
     seed: int = 0,
     ra_cfg=None,
-) -> Tuple[Association, Allocation]:
+) -> np.ndarray:
     """Genetic search over association vectors; returns the best member of
-    the final generation, which elitism makes the first best ever seen.
+    the final generation, which elitism makes the first best ever seen, as
+    an (I,) BS array.
 
     Elitist: the top `parents` chromosomes survive unchanged, offspring come
     from uniform crossover of two distinct random parents plus per-gene
@@ -338,7 +316,7 @@ def run_ga(
     rng = np.random.default_rng(seed)
     I, J = inst.num_users, inst.num_bs
     if I == 0:  # the empty association is the only one; a row of no genes has no bytes key
-        return _finish(inst, np.zeros(0, dtype=int), ra_cfg)
+        return np.zeros(0, dtype=int)
     k, n = params.parents, params.population - params.parents
     memo: Dict[bytes, float] = {}
 
@@ -364,7 +342,7 @@ def run_ga(
         children[mut] = rng.integers(0, J, size=int(np.count_nonzero(mut)))
         pop = np.vstack([elite, children])
         fitness = np.concatenate([fitness[order], fitness_of(children)])
-    return _finish(inst, pop[np.argmax(fitness)], ra_cfg)
+    return pop[np.argmax(fitness)]
 
 
 def _subset_table(inst: NetworkInstance, ra_cfg=None) -> np.ndarray:
@@ -384,8 +362,10 @@ def _subset_table(inst: NetworkInstance, ra_cfg=None) -> np.ndarray:
 def brute_force(
     inst: NetworkInstance,
     ra_cfg=None,
-) -> Tuple[Association, Allocation, float]:
-    """Exhaustive search over all J^I associations (small instances only).
+) -> Tuple[np.ndarray, float]:
+    """Exhaustive search over all J^I associations (small instances only):
+    the best as an (I,) BS array, and its HAF value as the sum of its BSs'
+    subset utilities.
 
     Ties keep the first maximum in lexicographic enumeration order. Raises
     InstanceTooLargeError when J^I exceeds _MAX_CANDIDATES.
@@ -393,9 +373,9 @@ def brute_force(
     I, J = inst.num_users, inst.num_bs
     check_brute_force_size(I, J)
     n_cand = J**I
-    if J == 1:
-        assoc, alloc = _finish(inst, np.zeros(I, dtype=int), ra_cfg)
-        return assoc, alloc, haf_objective(inst, assoc, alloc)
+    if J == 1:  # one candidate, whose one set needs no 2^I subset table
+        util, _ = ra.subset_solve(inst, np.zeros(1, dtype=int), np.ones((1, I), dtype=bool), ra_cfg)
+        return np.zeros(I, dtype=int), float(util[0])
 
     # per-BS utility of every user subset, then the partition sums in
     # batches of candidates; candidate k's digits in base J, user 0 first,
@@ -413,5 +393,4 @@ def brute_force(
         k = int(np.argmax(val))
         if val[k] > best_val:
             best_val, best = val[k], cand[k]
-    assoc, alloc = _finish(inst, np.array(best, dtype=int), ra_cfg)
-    return assoc, alloc, float(best_val)
+    return best, float(best_val)

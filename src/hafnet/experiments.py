@@ -209,28 +209,27 @@ def run_method(
     cfg: ScenarioConfig,
     master_seed: int,
     seed_index: int,
-) -> Tuple[Association, Allocation, Optional[pricing.RunTrace]]:
-    """Dispatch one method on one instance; only pricing methods return a trace."""
+) -> Tuple[np.ndarray, Optional[pricing.RunTrace]]:
+    """Dispatch one method on one instance: its association as an (I,) BS
+    array (a pricing method's best-primal one) and, for a pricing method
+    only, its trace."""
     if name == "proposed":
-        return pricing.solve(inst, cfg.pricing, cfg.ra)
+        assoc, _, trace = pricing.solve(inst, cfg.pricing, cfg.ra)
+        return assoc.bs_of_user, trace
     if name in _PRICING:
-        return baselines.run_pricing_baseline(inst, name, cfg.pricing, cfg.ra)
+        assoc, _, trace = baselines.run_pricing_baseline(inst, name, cfg.pricing, cfg.ra)
+        return assoc.bs_of_user, trace
     if name == "max_sinr":
-        assoc, alloc = baselines.run_max_sinr(inst, cfg.ra)
-    elif name == "random":
-        assoc, alloc = baselines.run_random(inst, child_seed(master_seed, seed_index, _PURPOSE_RANDOM), cfg.ra)
-    elif name == "two_rs":
-        start = Association(baselines.max_sinr_association(inst))
-        assoc, alloc = baselines.run_2rs(inst, start, ra_cfg=cfg.ra)
-    elif name == "ga":
-        assoc, alloc = baselines.run_ga(
-            inst, cfg.ga, child_seed(master_seed, seed_index, _PURPOSE_GA), cfg.ra
-        )
-    elif name == "brute_force":
-        assoc, alloc, _ = baselines.brute_force(inst, cfg.ra)
-    else:
-        raise ValueError(f"unknown method {name!r}")
-    return assoc, alloc, None
+        return baselines.run_max_sinr(inst), None
+    if name == "random":
+        return baselines.run_random(inst, child_seed(master_seed, seed_index, _PURPOSE_RANDOM)), None
+    if name == "two_rs":
+        return baselines.run_2rs(inst, baselines.run_max_sinr(inst), ra_cfg=cfg.ra), None
+    if name == "ga":
+        return baselines.run_ga(inst, cfg.ga, child_seed(master_seed, seed_index, _PURPOSE_GA), cfg.ra), None
+    if name == "brute_force":
+        return baselines.brute_force(inst, cfg.ra)[0], None
+    raise ValueError(f"unknown method {name!r}")
 
 
 # ------------------------------------------------------------------- CSVs ---
@@ -277,18 +276,22 @@ def write_tables(out, tables: Dict[str, Tuple[Sequence[str], Iterable]]) -> List
 
 
 def _run_one_seed(cfg: ScenarioConfig, master_seed: int, seed_index: int) -> List[dict]:
+    """One realization's rows. Every method gives its association, and all
+    of them are solved in one `ra.solve_stacked` call, whose row p equals
+    `ra.allocate` of association p bit for bit; each row reports that."""
     inst, _, _ = build_instance(cfg, master_seed, seed_index)
+    runs = [run_method(name, inst, cfg, master_seed, seed_index) for name in cfg.methods]
+    bs = np.array([b for b, _ in runs])
+    gains = inst.gamma_hat[np.arange(inst.num_users), bs]
+    share, s = ra.solve_stacked(gains, inst.alphas.alpha, bs, inst.num_bs, cfg.ra)
     rows = []
-    for name in cfg.methods:
-        assoc, alloc, trace = run_method(name, inst, cfg, master_seed, seed_index)
-        bound = trace.theorem2_bound if trace is not None else None
+    for name, (b, trace), y, s_row in zip(cfg.methods, runs, share, s):
+        cert = (None,) * 3 if trace is None else (trace.best_dual, trace.empirical_gap, trace.theorem2_bound)
         rows.append({
             "seed": seed_index,
             "method": name,
-            **metrics.report(inst, assoc, alloc),
-            "best_dual": trace.best_dual if trace is not None else "",
-            "empirical_gap": trace.empirical_gap if trace is not None else "",
-            "theorem2_bound": bound if bound is not None else "",
+            **metrics.report(inst, Association(b), Allocation(share=y, lam=np.exp(s_row))),
+            **{col: "" if v is None else v for col, v in zip(_CERT_COLUMNS, cert)},
         })
     return rows
 
@@ -478,13 +481,12 @@ def run_time_varying(
                             state[m] = trace.assoc_final.bs_of_user
                         bs[k, n] = state[m]
                     elif m == "two_rs":
-                        start = Association(baselines.max_sinr_association(inst) if st is None else st)
-                        assoc = baselines.run_2rs(inst, start, adaptive=True, ra_cfg=cfg.ra)[0]
-                        state[m] = bs[k, n] = assoc.bs_of_user
+                        start = baselines.run_max_sinr(inst) if st is None else st
+                        state[m] = bs[k, n] = baselines.run_2rs(inst, start, adaptive=True, ra_cfg=cfg.ra)
                     elif m == "max_sinr":
-                        bs[k, n] = baselines.max_sinr_association(inst)
+                        bs[k, n] = baselines.run_max_sinr(inst)
                     else:  # random, fresh draw each slot
-                        bs[k, n] = baselines.random_association(inst, child_seed(master_seed, s, _PURPOSE_RANDOM, slot))
+                        bs[k, n] = baselines.run_random(inst, child_seed(master_seed, s, _PURPOSE_RANDOM, slot))
             at = (np.arange(len(slots))[:, None, None], np.arange(I), bs)  # each row's (slot, user, BS) links
             gains = np.stack([i.gamma_hat for i in insts])[at].reshape(-1, I)
             share, _ = ra.solve_stacked(gains, alpha, bs.reshape(-1, I), J, cfg.ra)

@@ -34,7 +34,7 @@ def report(inst: NetworkInstance, assoc: Association, alloc: Allocation) -> Dict
 
     Rates are normalized (bit/s/Hz share) except sum_rate*, which are in
     bit/s using the instance bandwidth. PF and latency use the rate floor;
-    min rate does not. Groups with no users report 0.
+    min rate does not. An instance or a group with no users reports 0.
     """
     r = rates_of(inst, assoc, alloc)
     floored = np.maximum(r, RATE_FLOOR)
@@ -51,8 +51,6 @@ def report(inst: NetworkInstance, assoc: Association, alloc: Allocation) -> Dict
     out = {}
     for name in METRICS:
         values, reduce = per_user[name]
-        out[name] = float(reduce(values))
-        for grp, suffix in zip(Group, GROUPS):
-            sel = values[g == int(grp)]
-            out[f"{name}_{suffix}"] = float(reduce(sel)) if sel.size else 0.0
+        sets = {name: values, **{f"{name}_{s}": values[g == int(grp)] for grp, s in zip(Group, GROUPS)}}
+        out.update((col, float(reduce(sel)) if sel.size else 0.0) for col, sel in sets.items())
     return out

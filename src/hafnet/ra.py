@@ -14,10 +14,9 @@ Every solve goes through one segmented Newton kernel on s = log lam, which
 solves many root-finds at once: `solve_stacked` passes every BS of many
 associations, each on its gathered gains (a slotted block's rows), and
 `allocate` is its one-association case; `subset_solve` passes many
-(BS, user set) pairs for the search baselines. `assemble` turns per-BS log
-multipliers into an allocation, for a search that kept the ones it solved.
-Every allocation holds each user's share at its own BS as the kernel
-computes it.
+(BS, user set) pairs for the search baselines, which score sets and return
+BS arrays, never allocations. Every allocation holds each user's share at
+its own BS as the kernel computes it.
 The scalar references the tests compare the kernel against (the printed
 decimal digit search and a brentq root-find) live with the tests.
 """
@@ -105,14 +104,21 @@ def solve_stacked(
     ia = (1.0 / alpha)[None].repeat(P, 0).ravel()
     s = np.full(P * num_bs, np.nan)
     s[in_use] = _newton(lg, ia, seg, int(np.count_nonzero(in_use)), cfg.bisect_tol)
-    return _fractions(lg, s[ids], ia).reshape(P, I), s.reshape(P, num_bs)
+    return np.exp(lg - s[ids] * ia).reshape(P, I), s.reshape(P, num_bs)
 
 
-def _fractions(lg: np.ndarray, s_at: np.ndarray, ia: np.ndarray) -> np.ndarray:
-    """share = exp(lg - s / alpha) at each user's BS, from lg = log gamma_hat
-    and s = log lam there, and ia = 1/alpha: the one formula every allocation
-    takes its fractions from."""
-    return np.exp(lg - s_at * ia)
+def checked_bs(inst: NetworkInstance, bs: np.ndarray, what: str = "association") -> np.ndarray:
+    """bs as a new int array if it has an integer dtype (a cast would truncate
+    a float or bool one), shape (I,) and every BS in [0, J); else ValueError."""
+    bs = np.asarray(bs)
+    I, J = inst.num_users, inst.num_bs
+    if not np.issubdtype(bs.dtype, np.integer):
+        raise ValueError(f"{what} has dtype {bs.dtype}, not an integer type")
+    if bs.shape != (I,):
+        raise ValueError(f"{what} has shape {bs.shape}, not ({I},)")
+    if I and (bs.min() < 0 or bs.max() >= J):
+        raise ValueError(f"{what} refers to a BS outside the instance's [0, {J})")
+    return bs.astype(int)
 
 
 def allocate(
@@ -133,31 +139,15 @@ def allocate(
     bit-identical copy of it, not necessarily the object it returned. If
     assoc is prev's association object or equals it, prev's Allocation
     object is returned as it is (the solve is deterministic, so a cold solve
-    would give the same arrays); otherwise the split is solved.
+    would give the same arrays); otherwise the split is solved, once
+    `checked_bs` passes the association.
     """
     if prev is not None and (prev[0] is assoc or np.array_equal(prev[0].bs_of_user, assoc.bs_of_user)):
         return prev[1]
     I, J = inst.num_users, inst.num_bs
-    bs = np.asarray(assoc.bs_of_user, dtype=int)
-    if bs.shape[0] != I:
-        raise ValueError("association length must match the instance")
-    if I and (bs.min() < 0 or bs.max() >= J):
-        raise ValueError("association refers to a BS outside the instance")
+    bs = checked_bs(inst, assoc.bs_of_user)
     share, s = solve_stacked(inst.gamma_hat[np.arange(I), bs][None], inst.alphas.alpha, bs[None], J, cfg)
     return Allocation(share=share[0], lam=np.exp(s[0]))
-
-
-def assemble(inst: NetworkInstance, bs: np.ndarray, s: np.ndarray) -> Allocation:
-    """The allocation of association bs (I,) from its BSs' log multipliers
-    s = log lam (J,), NaN at empty BSs: share_i = exp(lg_i - s_{bs_i} / alpha_i),
-    where lg_i = log gamma_hat_{i, bs_i}, and lam = exp(s).
-
-    Its fractions take allocate's formula, so s from any solve of the same
-    (BS, user set) splits gives allocate's arrays bit for bit. It takes s,
-    not lam, because log(exp(s)) need not give s back.
-    """
-    lg = np.log(inst.gamma_hat[np.arange(inst.num_users), bs])
-    return Allocation(share=_fractions(lg, s[bs], 1.0 / inst.alphas.alpha), lam=np.exp(s))
 
 
 def subset_solve(
@@ -170,7 +160,7 @@ def subset_solve(
 
     Pair p serves the users where members[p] (shape (P, I), boolean) is true
     from BS bs[p]. Returns (utility, s), each of shape (P,), with s the log
-    multiplier that `assemble` takes; empty sets contribute (0.0, nan). A
+    multiplier log lam; empty sets contribute (0.0, nan). A
     pair's result does not depend on the rest of its batch. Utilities use
     the same rate floor as the global objective, so per-BS sums match
     haf_objective.

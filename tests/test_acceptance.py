@@ -210,7 +210,7 @@ def test_c05_brute_force_optimality():
         )
         inst, _, _ = build_instance(cfg, master_seed=5, seed_index=k)
         _, _, trace = pricing.solve(inst, pcfg, cfg.ra)
-        _, _, best = brute_force(inst, ra_cfg=exact)
+        _, best = brute_force(inst, ra_cfg=exact)
         excess = best - trace.theorem2_bound - 1e-6 - trace.best_primal
         worst_excess = max(worst_excess, excess)
         if excess > 0:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hafnet import ra
 from hafnet.baselines import (
@@ -17,48 +16,51 @@ from hafnet.baselines import (
     run_random,
 )
 from hafnet.core import Association, haf_objective
+from hafnet.metrics import report
 from hafnet.pricing import PricingConfig, associate, solve
 from hafnet.ra import allocate, subset_solve
 from conftest import make_instance, random_instance
 
 
+def _haf(inst, bs):
+    """HAF of the BS array bs under its optimal allocation."""
+    assoc = Association(bs)
+    return haf_objective(inst, assoc, allocate(inst, assoc))
+
+
 def test_run_random_single_bs():
     inst = make_instance([[1.0]] * 4, [0.5] * 4)
-    assoc, alloc = run_random(inst, 0)
-    assert np.all(assoc.bs_of_user == 0)
-    assert alloc.share.sum() == pytest.approx(1.0, abs=1e-6)
+    bs = run_random(inst, 0)
+    assert np.all(bs == 0)
+    assert allocate(inst, Association(bs)).share.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_run_random_deterministic_and_uniform():
     rng = np.random.default_rng(1)
     inst = random_instance(rng, 6000, 6)
-    a1, _ = run_random(inst, 9)
-    a2, _ = run_random(inst, 9)
-    assert np.array_equal(a1.bs_of_user, a2.bs_of_user)
-    shares = np.bincount(a1.bs_of_user, minlength=6) / 6000
+    a1 = run_random(inst, 9)
+    a2 = run_random(inst, 9)
+    assert np.array_equal(a1, a2)
+    shares = np.bincount(a1, minlength=6) / 6000
     assert np.all(np.abs(shares - 1 / 6) < 0.02)
 
 
 def test_max_sinr_equals_uniform_price_association():
     rng = np.random.default_rng(2)
     inst = random_instance(rng, 25, 4)
-    a, _ = run_max_sinr(inst)
-    b = associate(inst, np.ones(4))
-    assert np.array_equal(a.bs_of_user, b.bs_of_user)
+    assert np.array_equal(run_max_sinr(inst), associate(inst, np.ones(4)).bs_of_user)
 
 
 def test_max_sinr_rows_and_ties():
     inst = make_instance([[1.0, 5.0, 2.0], [3.0, 3.0, 3.0]], [0.5, 0.5])
-    a, _ = run_max_sinr(inst)
-    assert a.bs_of_user.tolist() == [1, 0]
+    assert run_max_sinr(inst).tolist() == [1, 0]
 
 
 def test_pf_first_association_is_max_sinr():
     rng = np.random.default_rng(3)
     inst = random_instance(rng, 15, 3)
     _, _, trace = run_pricing_baseline(inst, "pf", PricingConfig(total_iters=1))
-    ms, _ = run_max_sinr(inst)
-    expected = haf_objective(inst, ms, allocate(inst, ms))
+    expected = _haf(inst, run_max_sinr(inst))
     assert trace.primal[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -138,17 +140,15 @@ def test_final_prices_and_association_continue_the_run_exactly():
 
 def test_2rs_keeps_global_optimum():
     inst = make_instance([[4.0, 1.0], [1.0, 4.0]], [0.5, 0.5])
-    opt = Association(np.array([0, 1]))
-    assoc, _ = run_2rs(inst, opt)
-    assert np.array_equal(assoc.bs_of_user, opt.bs_of_user)
+    opt = np.array([0, 1])
+    assert np.array_equal(run_2rs(inst, opt), opt)
 
 
 def test_2rs_escapes_shared_bs_start():
     inst = make_instance([[4.0, 1.0], [1.0, 4.0]], [0.5, 0.5])
-    start = Association(np.array([0, 0]))
-    assoc, alloc = run_2rs(inst, start)
-    assert assoc.bs_of_user.tolist() == [0, 1]
-    assert haf_objective(inst, assoc, alloc) == pytest.approx(8.0, rel=1e-9)
+    bs = run_2rs(inst, np.array([0, 0]))
+    assert bs.tolist() == [0, 1]
+    assert _haf(inst, bs) == pytest.approx(8.0, rel=1e-9)
 
 
 def test_2rs_never_decreases_haf():
@@ -156,18 +156,18 @@ def test_2rs_never_decreases_haf():
     for _ in range(20):
         inst = random_instance(rng, int(rng.integers(3, 10)), int(rng.integers(2, 4)))
         n = inst.gamma.shape[0]
-        start = Association(rng.integers(0, inst.gamma.shape[1], size=n))
-        h0 = haf_objective(inst, start, allocate(inst, start))
-        assoc, alloc = run_2rs(inst, start)
-        assert haf_objective(inst, assoc, alloc) >= h0 - 1e-12
+        start = rng.integers(0, inst.gamma.shape[1], size=n)
+        h0 = _haf(inst, start)
+        bs = run_2rs(inst, start)
+        assert _haf(inst, bs) >= h0 - 1e-12
 
 
 def test_2rs_adaptive_single_move():
     inst = make_instance([[4.0, 1.0], [1.0, 4.0], [2.0, 2.0]], [0.5, 0.5, 0.5])
-    start = Association(np.array([0, 0, 0]))
-    assoc, _ = run_2rs(inst, start, adaptive=True)
-    moved = np.sum(assoc.bs_of_user != start.bs_of_user)
-    assert moved == 1
+    start = np.array([0, 0, 0])
+    bs = run_2rs(inst, start, adaptive=True)
+    assert np.sum(bs != start) == 1
+    assert start.tolist() == [0, 0, 0]  # the search moves users in its own copy
 
 
 def test_2rs_refuses_a_gain_made_of_rounding():
@@ -175,7 +175,7 @@ def test_2rs_refuses_a_gain_made_of_rounding():
     # alike, so moving user 0 gains exactly nothing; the low-rate alpha=2.8
     # users put the BS utilities near -1e5, whose rounding exceeds 1e-12
     inst = make_instance([[1.0, 1.0], [1e-3, 1e-4], [1e-4, 1e-3]], [0.5, 2.8, 2.8])
-    start = Association(np.array([0, 0, 1]))
+    start = np.array([0, 0, 1])
     sets = np.array([[True, True, False], [False, False, True]])
     moved = np.array([[False, True, False], [True, False, True]])
     utils, _ = subset_solve(inst, np.array([0, 1]), sets)
@@ -183,66 +183,47 @@ def test_2rs_refuses_a_gain_made_of_rounding():
     assert u[0] == utils[1] and u[1] == utils[0]
     assert u[0] + u[1] - utils[0] - utils[1] > 1e-12  # the gain 2RS sums
     for adaptive in (True, False):
-        assoc, _ = run_2rs(inst, start, adaptive=adaptive)
-        assert np.array_equal(assoc.bs_of_user, start.bs_of_user)
+        assert np.array_equal(run_2rs(inst, start, adaptive=adaptive), start)
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
-@pytest.mark.parametrize("start", [[0, 1], [0, -1, 1], [0, 2, 1]], ids=["short", "negative", "past_last_bs"])
+@pytest.mark.parametrize(
+    "start",
+    [[0, 1], [0, -1, 1], [0, 2, 1], [0.6, 1.4, 0.2], [0.0, 1.0, 1.0], [True, False, True]],
+    ids=["short", "negative", "past_last_bs", "float", "integral_float", "bool"],
+)
 def test_2rs_rejects_a_bad_start_before_any_solve(start, adaptive, monkeypatch):
+    # a float start was truncated to [0, 1, 0] and a bool one read as BSs 0 and 1
     inst = make_instance([[4.0, 1.0], [1.0, 4.0], [2.0, 2.0]], [0.5, 0.5, 0.5])
     calls = []
     monkeypatch.setattr(ra, "_newton", lambda *args: calls.append(1))
     with pytest.raises(ValueError, match="2RS start"):
-        run_2rs(inst, Association(np.array(start)), adaptive=adaptive)
+        run_2rs(inst, np.array(start), adaptive=adaptive)
     assert calls == []
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 12), st.integers(1, 5), st.sampled_from([(0.1, 10.0), (1e-6, 1e3)]),
-    st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
-)
-def test_2rs_allocation_equals_a_cold_allocate(I, J, gains, seed, adaptive, max_sinr_start):
-    # 2RS assembles its allocation from the log multipliers it scored; they
-    # must give ra.allocate's arrays bit for bit, NaN at empty BSs included.
-    # Caught mutation: assembling from log(lam) = log(exp(s)) instead of s.
-    rng = np.random.default_rng(seed)
-    inst = random_instance(rng, I, J, *gains)
-    start = np.argmax(inst.gamma, axis=1) if max_sinr_start else rng.integers(0, J, size=I)
-    with np.errstate(all="raise"):
-        assoc, alloc = run_2rs(inst, Association(start), adaptive=adaptive)
-        cold = allocate(inst, assoc)
-    assert np.array_equal(alloc.share, cold.share)
-    assert np.array_equal(alloc.lam, cold.lam, equal_nan=True)
 
 
 def test_2rs_result_is_single_move_local_optimum():
     rng = np.random.default_rng(7)
     inst = random_instance(rng, 6, 3)
-    start = Association(rng.integers(0, 3, size=6))
-    assoc, alloc = run_2rs(inst, start)
-    best = haf_objective(inst, assoc, alloc)
+    bs = run_2rs(inst, rng.integers(0, 3, size=6))
+    best = _haf(inst, bs)
     for i in range(6):
         for j in range(3):
-            if j == assoc.bs_of_user[i]:
+            if j == bs[i]:
                 continue
-            cand = assoc.bs_of_user.copy()
+            cand = bs.copy()
             cand[i] = j
-            ca = Association(cand)
-            val = haf_objective(inst, ca, allocate(inst, ca))
-            assert val <= best + 1e-9
+            assert _haf(inst, cand) <= best + 1e-9
 
 
 def test_ga_zero_generations_is_best_of_population():
     rng = np.random.default_rng(8)
     inst = random_instance(rng, 6, 3)
     params = GaParams(population=20, parents=5, max_generations=0)
-    assoc, alloc = run_ga(inst, params, 123)
-    got = haf_objective(inst, assoc, alloc)
+    got = _haf(inst, run_ga(inst, params, 123))
     test_rng = np.random.default_rng(123)
     pop = test_rng.integers(0, 3, size=(20, 6))
-    vals = [haf_objective(inst, Association(row), allocate(inst, Association(row))) for row in pop]
+    vals = [_haf(inst, row) for row in pop]
     assert got == pytest.approx(max(vals), rel=1e-12)
 
 
@@ -253,11 +234,11 @@ def test_ga_without_mutation_keeps_initial_genes_and_the_best_member():
     params = GaParams(population=6, parents=3, mutation_prob=0.0, max_generations=20)
     for seed in range(10):
         inst = random_instance(rng, 8, 3)
-        assoc, alloc = run_ga(inst, params, seed)
+        bs = run_ga(inst, params, seed)
         pop = np.random.default_rng(seed).integers(0, 3, size=(params.population, 8))
-        assert np.all((pop == assoc.bs_of_user).any(axis=0))
-        best = max(haf_objective(inst, Association(row), allocate(inst, Association(row))) for row in pop)
-        assert haf_objective(inst, assoc, alloc) >= best - 1e-9 * abs(best)
+        assert np.all((pop == bs).any(axis=0))
+        best = max(_haf(inst, row) for row in pop)
+        assert _haf(inst, bs) >= best - 1e-9 * abs(best)
 
 
 def _reference_ga(inst, params, seed):
@@ -294,27 +275,28 @@ def test_ga_matches_a_cold_reference_loop(params):
     rng = np.random.default_rng(23)
     for seed in range(20):
         inst = random_instance(rng, 7, 3)
-        assoc, _ = run_ga(inst, params, seed)
-        assert np.array_equal(assoc.bs_of_user, _reference_ga(inst, params, seed))
+        assert np.array_equal(run_ga(inst, params, seed), _reference_ga(inst, params, seed))
 
 
 def test_ga_deterministic_per_seed():
     rng = np.random.default_rng(9)
     inst = random_instance(rng, 8, 3)
     params = GaParams(population=12, parents=4, max_generations=10)
-    a1, _ = run_ga(inst, params, 7)
-    a2, _ = run_ga(inst, params, 7)
-    assert np.array_equal(a1.bs_of_user, a2.bs_of_user)
+    assert np.array_equal(run_ga(inst, params, 7), run_ga(inst, params, 7))
 
 
 def test_search_baselines_return_the_empty_association_with_no_users():
     inst = make_instance(np.ones((0, 3)), [])
-    empty = Association(np.zeros(0, dtype=int))
-    for assoc, alloc in (run_2rs(inst, empty), run_ga(inst, GaParams(), 0)):
-        assert assoc.bs_of_user.shape == (0,)
+    empty = np.zeros(0, dtype=int)
+    bf, value = brute_force(inst)
+    assert value == 0.0
+    for bs in (run_2rs(inst, empty), run_ga(inst, GaParams(), 0), bf, run_max_sinr(inst), run_random(inst, 0)):
+        assert bs.shape == (0,) and np.issubdtype(bs.dtype, np.integer)
+        alloc = allocate(inst, Association(bs))
         assert alloc.share.shape == (0,)
         assert alloc.lam.shape == (3,)
         assert np.isnan(alloc.lam).all()
+        assert set(report(inst, Association(bs), alloc).values()) == {0.0}
 
 
 def test_ga_validates_params():
@@ -331,27 +313,34 @@ def test_ga_matches_or_beats_2rs_usually():
     wins = 0
     for k in range(100):
         inst = random_instance(rng, 5, 2)
-        start = Association(rng.integers(0, 2, size=5))
-        a_rs, l_rs = run_2rs(inst, start)
-        a_ga, l_ga = run_ga(inst, params, k)
-        h_rs = haf_objective(inst, a_rs, l_rs)
-        h_ga = haf_objective(inst, a_ga, l_ga)
+        h_rs = _haf(inst, run_2rs(inst, rng.integers(0, 2, size=5)))
+        h_ga = _haf(inst, run_ga(inst, params, k))
         wins += h_ga >= h_rs - 1e-9
     assert wins >= 90
 
 
 def test_brute_force_single_user_picks_best_utility():
     inst = make_instance([[4.0, 9.0, 1.0]], [0.5])
-    assoc, alloc, val = brute_force(inst)
-    assert assoc.bs_of_user[0] == 1
+    bs, val = brute_force(inst)
+    assert bs.tolist() == [1]
     assert val == pytest.approx(2 * 9.0 ** 0.5, rel=1e-9)
 
 
 def test_brute_force_two_by_two_diagonal():
     inst = make_instance([[4.0, 1.0], [1.0, 4.0]], [0.5, 0.5])
-    assoc, alloc, val = brute_force(inst)
-    assert assoc.bs_of_user.tolist() == [0, 1]
+    bs, val = brute_force(inst)
+    assert bs.tolist() == [0, 1]
     assert val == pytest.approx(8.0, rel=1e-9)
+
+
+def test_brute_force_single_bs_value_is_the_haf_of_all_users_on_it():
+    # J = 1 skips the subset table: its one candidate's value is the one set's utility
+    rng = np.random.default_rng(13)
+    for I in (1, 6, 40):
+        inst = random_instance(rng, I, 1)
+        bs, val = brute_force(inst)
+        assert bs.tolist() == [0] * I
+        assert val == pytest.approx(_haf(inst, bs), rel=1e-12)
 
 
 def test_brute_force_guard():
@@ -365,9 +354,7 @@ def test_brute_force_dominates_other_methods():
     rng = np.random.default_rng(12)
     for _ in range(10):
         inst = random_instance(rng, 5, 3)
-        _, _, best = brute_force(inst)
-        start = Association(rng.integers(0, 3, size=5))
-        a, l = run_2rs(inst, start)
-        assert best >= haf_objective(inst, a, l) - 1e-9
-        a, l = run_max_sinr(inst)
-        assert best >= haf_objective(inst, a, l) - 1e-9
+        bs, best = brute_force(inst)
+        assert best == pytest.approx(_haf(inst, bs), rel=1e-12)
+        assert best >= _haf(inst, run_2rs(inst, rng.integers(0, 3, size=5))) - 1e-9
+        assert best >= _haf(inst, run_max_sinr(inst)) - 1e-9

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import hafnet.experiments as ex
-from hafnet import baselines, channel, pricing, ra
+from hafnet import baselines, channel, metrics, pricing, ra
 from hafnet.baselines import GaParams, run_2rs, run_max_sinr, run_pricing_baseline, run_random
-from hafnet.core import Allocation, Association, Group, haf_objective, rates_of
+from hafnet.core import Association, Group, haf_objective
 from hafnet.pricing import PricingConfig, solve
 from hafnet.ra import LambdaSearchConfig, allocate
 from conftest import random_instance
@@ -363,25 +363,58 @@ def test_duplicate_method_names_are_rejected(tmp_path):
         ex.run_time_varying(cfg, tmp_path, methods=("proposed", "frozen", "proposed"))
 
 
-def test_every_decision_holds_one_share_per_user():
-    # An allocation is each user's share at its own BS and one multiplier per
-    # BS, whichever method made it, and rates_of reads gamma at the user's BS
-    # times that share, bit for bit. Brute force runs on SMALL's forced 8 x 3.
-    inst, _, _ = ex.build_instance(SMALL, 0, 0)
-    I, J = inst.num_users, inst.num_bs
-    decisions = {}
-    for name in ex.available_methods():
-        assoc, alloc, trace = ex.run_method(name, inst, SMALL, 0, 0)
-        decisions[name] = (assoc, alloc)
-        if trace is not None:
-            decisions[f"{name} best dual"] = trace.best_dual_decision
-    start = Association(np.argmax(inst.gamma, axis=1))
-    decisions["adaptive two_rs"] = run_2rs(inst, start, adaptive=True)
-    assert [f.name for f in fields(Allocation)] == ["share", "lam"]
-    for name, (assoc, alloc) in decisions.items():
-        assert alloc.share.shape == (I,) and alloc.lam.shape == (J,), name
-        want = inst.gamma[np.arange(I), assoc.bs_of_user] * alloc.share
-        assert rates_of(inst, assoc, alloc).tobytes() == want.tobytes(), name
+#: SMALL with every static method, the search baselines included
+SMALL_ALL = replace(SMALL, methods=ex.available_methods())
+
+
+def test_static_rows_equal_reports_of_cold_allocations(tmp_path):
+    # each row, whichever method made it, reports a cold ra.allocate of the
+    # association that method returns, bit for bit, in the rows and the CSV
+    res = ex.run_static_experiment(SMALL_ALL, tmp_path, master_seed=2)
+    with open(tmp_path / "static_per_seed.csv") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert len(res["rows"]) == len(parsed) == SMALL_ALL.num_seeds * len(SMALL_ALL.methods)
+    for row, line in zip(res["rows"], parsed):
+        inst, _, _ = ex.build_instance(SMALL_ALL, 2, row["seed"])
+        bs, _ = ex.run_method(row["method"], inst, SMALL_ALL, 2, row["seed"])
+        assoc = Association(bs)
+        want = metrics.report(inst, assoc, allocate(inst, assoc, SMALL_ALL.ra))
+        assert {c: row[c] for c in metrics.COLUMNS} == want, row["method"]
+        assert [line[c] for c in metrics.COLUMNS] == [ex._fmt(want[c]) for c in metrics.COLUMNS], row["method"]
+
+
+@pytest.mark.parametrize("method", [*ex.available_methods(), "all"])
+def test_static_seed_solves_its_rows_in_one_stacked_call(method, tmp_path, monkeypatch):
+    # outside the pricing loops and the search baselines, a seed's rows take
+    # one ra.solve_stacked call, whose one Newton call is the only solve; the
+    # certificate takes the loop's kept allocation and solves nothing
+    cfg = replace(SMALL_ALL, methods=ex.available_methods() if method == "all" else (method,))
+    calls, depth = [], []
+
+    def counted(fn):
+        def run(*args):
+            if not depth:  # outside every wrapped run
+                calls.append(fn.__name__)
+            return fn(*args)
+
+        return run
+
+    def wrapped(fn):
+        def run(*args, **kwargs):
+            depth.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        return run
+
+    monkeypatch.setattr(ra, "solve_stacked", counted(ra.solve_stacked))
+    monkeypatch.setattr(ra, "_newton", counted(ra._newton))
+    for mod, name in ((pricing, "iterate"), (baselines, "run_2rs"), (baselines, "run_ga"), (baselines, "brute_force")):
+        monkeypatch.setattr(mod, name, wrapped(getattr(mod, name)))
+    ex.run_static_experiment(cfg, tmp_path, master_seed=1)
+    assert calls == ["solve_stacked", "_newton"] * cfg.num_seeds
 
 
 def test_static_experiment_rows_and_files(tmp_path):
@@ -584,12 +617,12 @@ def _cold_rows(cfg, master_seed, methods):
                         kept[m] = solve(inst, slot_cfg, cfg.ra)[2].assoc_final
                     assoc = kept[m]
                 elif m == "two_rs":
-                    start = kept.get(m, Association(np.argmax(inst.gamma, axis=1)))
-                    assoc = kept[m] = run_2rs(inst, start, adaptive=True, ra_cfg=cfg.ra)[0]
+                    start = kept[m].bs_of_user if m in kept else np.argmax(inst.gamma, axis=1)
+                    assoc = kept[m] = Association(run_2rs(inst, start, adaptive=True, ra_cfg=cfg.ra))
                 elif m == "max_sinr":
-                    assoc = run_max_sinr(inst, cfg.ra)[0]
+                    assoc = Association(run_max_sinr(inst))
                 else:
-                    assoc = run_random(inst, ex.child_seed(master_seed, s, ex._PURPOSE_RANDOM, slot), cfg.ra)[0]
+                    assoc = Association(run_random(inst, ex.child_seed(master_seed, s, ex._PURPOSE_RANDOM, slot)))
                 rows.append((s, slot, m, haf_objective(inst, assoc, allocate(inst, assoc, cfg.ra)).hex()))
     return rows
 

@@ -1,7 +1,8 @@
 """`import hafnet` needs numpy alone: the tools and references that only the
 tests use (scipy, hypothesis, pytest, tests/reference.py) stay out of src,
 and the process pool that only a multi-process run uses is not loaded. And
-no module in src imports a name it never reads."""
+no module in src imports a name it never reads, or binds a private name that
+nothing in src reads."""
 
 import ast
 import json
@@ -78,3 +79,37 @@ def test_src_has_no_unused_module_level_import():
             if name not in read and (path.stem, name) not in _KEPT_IMPORTS
         ]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each private name (`_x`, not dunder) that the module
+    body binds by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_src_has_no_unreferenced_private_name():
+    # a private helper that nothing in src reads any more, by name or as a
+    # module attribute, is a leftover of removed code
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "hafnet").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{file}:{line} {name}"
+        for file, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in read
+    ]
+    assert unread == []

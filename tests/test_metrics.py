@@ -21,6 +21,14 @@ def test_user_rates_normalized_and_absolute():
     assert r_abs == pytest.approx([4.0e7, 6.0e7])  # 20 MHz
 
 
+def test_report_on_no_users_is_all_zero():
+    # every overall column warned "Mean of empty slice", then min_rate raised
+    inst = make_instance(np.ones((0, 2)), [])
+    assoc = Association(np.zeros(0, dtype=int))
+    alloc = Allocation(share=np.zeros(0), lam=np.full(2, np.nan))
+    assert report(inst, assoc, alloc) == dict.fromkeys(COLUMNS, 0.0)
+
+
 def test_report_totals_match_core():
     rng = np.random.default_rng(14)
     inst = random_instance(rng, 10, 3)

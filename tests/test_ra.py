@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hafnet import ra
 from hafnet.core import Association, utility_vector
 from hafnet.ra import allocate, bs_optimal_utility
 from conftest import make_instance, random_instance
@@ -93,6 +94,16 @@ def test_allocate_validates_association():
             allocate(inst, Association(np.array([bad])))
     with pytest.raises(ValueError):
         allocate(inst, Association(np.array([0, 1])))
+
+
+@pytest.mark.parametrize("bs", [[0.6, 1.4, 2.9, 0.2], [0.0, 1.0, 2.0, 0.0], [True, False, True, True]],
+                         ids=["float", "integral_float", "bool"])
+def test_allocate_rejects_a_non_integer_association(bs, monkeypatch):
+    # the float array was read as [0, 1, 2, 0] and the bool one as BSs 0 and 1
+    inst = make_instance(np.ones((4, 3)), [0.5, 0.8, 2.0, 3.0])
+    monkeypatch.setattr(ra, "_newton", lambda *args: pytest.fail("solved a refused association"))
+    with pytest.raises(ValueError, match="not an integer type"):
+        allocate(inst, Association(np.array(bs)))
 
 
 def test_allocation_beats_random_splits():

@@ -136,15 +136,15 @@ def test_brute_force_matches_per_subset_loop(I, J, seed):
     inst = random_instance(np.random.default_rng(seed), I, J)
     table = _reference_table(inst)
     assert np.array_equal(_subset_table(inst), table)
-    assoc, _, value = brute_force(inst)
-    assert (assoc.bs_of_user.tolist(), value) == _reference_brute_force(inst, table)
+    bs, value = brute_force(inst)
+    assert (bs.tolist(), value) == _reference_brute_force(inst, table)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_brute_force_across_candidate_batches(seed):
     inst = random_instance(np.random.default_rng(seed), 9, 3)  # 3^9 candidates: five batches
-    assoc, _, value = brute_force(inst)
-    assert (assoc.bs_of_user.tolist(), value) == _reference_brute_force(inst, _reference_table(inst))
+    bs, value = brute_force(inst)
+    assert (bs.tolist(), value) == _reference_brute_force(inst, _reference_table(inst))
 
 
 def _reference_2rs(inst, start, adaptive, max_passes=50, passes=None):
@@ -191,8 +191,7 @@ def test_2rs_matches_per_move_reference(I, J, adaptive, seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, I, J)
     start = rng.integers(0, J, size=I)
-    assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
-    assert assoc.bs_of_user.tolist() == _reference_2rs(inst, start, adaptive).tolist()
+    assert run_2rs(inst, start, adaptive=adaptive).tolist() == _reference_2rs(inst, start, adaptive).tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -205,8 +204,8 @@ def test_2rs_across_capped_blocks_matches_per_move_reference(I, J, batch, adapti
     start = rng.integers(0, J, size=I)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "_BATCH", batch)
-        assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
-    assert assoc.bs_of_user.tolist() == _reference_2rs(inst, start, adaptive).tolist()
+        bs = run_2rs(inst, start, adaptive=adaptive)
+    assert bs.tolist() == _reference_2rs(inst, start, adaptive).tolist()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -214,8 +213,7 @@ def test_2rs_across_capped_blocks_matches_per_move_reference(I, J, batch, adapti
 def test_2rs_matches_per_move_reference_at_40x6(seed, adaptive):
     inst, _, _ = build_instance(low_fairness_config(), 3, seed)  # the experiments' 40x6 shape
     start = np.argmax(inst.gamma, axis=1)
-    assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
-    assert assoc.bs_of_user.tolist() == _reference_2rs(inst, start, adaptive).tolist()
+    assert run_2rs(inst, start, adaptive=adaptive).tolist() == _reference_2rs(inst, start, adaptive).tolist()
 
 
 def _counting_newton(monkeypatch):
@@ -250,14 +248,13 @@ def test_2rs_scan_doubles_its_block_up_to_the_cap(I, batch, scans, monkeypatch):
     # that a scan starting at one user (_FIRST_BLOCK = 1) takes
     rng = np.random.default_rng(I)
     inst = random_instance(rng, I, 3)
-    local_opt, _ = run_2rs(inst, Association(rng.integers(0, 3, size=I)))
+    local_opt = run_2rs(inst, rng.integers(0, 3, size=I))
     calls = _counting_newton(monkeypatch)
     monkeypatch.setattr(baselines, "_BATCH", batch)
     for first, expected in ((baselines._FIRST_BLOCK, _SCANS_FROM_EIGHT[I, batch]), (1, scans)):
         calls.clear()
         monkeypatch.setattr(baselines, "_FIRST_BLOCK", first)
-        assoc, _ = run_2rs(inst, local_opt, adaptive=True)
-        assert np.array_equal(assoc.bs_of_user, local_opt.bs_of_user)
+        assert np.array_equal(run_2rs(inst, local_opt, adaptive=True), local_opt)
         assert len(calls) == expected
 
 
@@ -298,7 +295,7 @@ def test_2rs_scan_makes_the_calls_its_schedule_needs(I, J, batch, start_kind, ad
     inst = random_instance(rng, I, J)
     start = rng.integers(0, J, size=I)
     if start_kind != "random":
-        start = run_2rs(inst, Association(start))[0].bs_of_user.copy()
+        start = run_2rs(inst, start)
     if start_kind == "one_user_moved":
         user = rng.integers(I)
         start[user] = (start[user] + rng.integers(1, J)) % J
@@ -307,7 +304,7 @@ def test_2rs_scan_makes_the_calls_its_schedule_needs(I, J, batch, start_kind, ad
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_newton(mp)
         mp.setattr(baselines, "_BATCH", batch)
-        assoc, _ = run_2rs(inst, Association(start), adaptive=adaptive)
+        bs = run_2rs(inst, start, adaptive=adaptive)
         needed = _scan_calls(passes, I, J, adaptive)
-    assert assoc.bs_of_user.tolist() == expected.tolist()
+    assert bs.tolist() == expected.tolist()
     assert len(calls) == needed

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hafnet import ra
 from hafnet.baselines import (
@@ -200,6 +201,27 @@ def test_2rs_rejects_a_bad_start_before_any_solve(start, adaptive, monkeypatch):
     with pytest.raises(ValueError, match="2RS start"):
         run_2rs(inst, np.array(start), adaptive=adaptive)
     assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 5), st.sampled_from([(0.1, 10.0), (1e-6, 1e3)]),
+    st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+)
+def test_2rs_allocation_equals_a_cold_allocate(I, J, gains, seed, adaptive, max_sinr_start):
+    # 2RS returns its association only; the harness solves it in a stacked
+    # call next to other rows, which must give ra.allocate's arrays bit for
+    # bit, NaN at empty BSs included, whichever row it lands in
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, I, J, *gains)
+    start = np.argmax(inst.gamma, axis=1) if max_sinr_start else rng.integers(0, J, size=I)
+    with np.errstate(all="raise"):
+        bs = run_2rs(inst, start, adaptive=adaptive)
+        rows = np.stack([start, bs, start])
+        share, s = ra.solve_stacked(inst.gamma_hat[np.arange(I), rows], inst.alphas.alpha, rows, J)
+        cold = allocate(inst, Association(bs))
+    assert np.array_equal(share[1], cold.share)
+    assert np.array_equal(np.exp(s[1]), cold.lam, equal_nan=True)
 
 
 def test_2rs_result_is_single_move_local_optimum():

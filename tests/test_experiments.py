@@ -9,7 +9,7 @@ import pytest
 import hafnet.experiments as ex
 from hafnet import baselines, channel, metrics, pricing, ra
 from hafnet.baselines import GaParams, run_2rs, run_max_sinr, run_pricing_baseline, run_random
-from hafnet.core import Association, Group, haf_objective
+from hafnet.core import Allocation, Association, Group, haf_objective, rates_of
 from hafnet.pricing import PricingConfig, solve
 from hafnet.ra import LambdaSearchConfig, allocate
 from conftest import random_instance
@@ -361,6 +361,38 @@ def test_duplicate_method_names_are_rejected(tmp_path):
     cfg = replace(SMALL, num_seeds=1, timevary=ex.TimeVaryingConfig(num_slots=2, iters_per_slot=2))
     with pytest.raises(ValueError, match="'proposed' is named twice"):
         ex.run_time_varying(cfg, tmp_path, methods=("proposed", "frozen", "proposed"))
+
+
+def test_every_decision_holds_one_share_per_user(tmp_path, monkeypatch):
+    # An allocation is each user's share at its own BS and one multiplier per
+    # BS, whichever method's row the harness solved, and rates_of reads gamma
+    # at the user's BS times that share, bit for bit. Brute force runs on
+    # SMALL's forced 8 x 3.
+    seen = []
+    report = metrics.report
+
+    def kept(inst, assoc, alloc):
+        seen.append((inst, assoc, alloc))
+        return report(inst, assoc, alloc)
+
+    monkeypatch.setattr(metrics, "report", kept)
+    cfg = replace(SMALL, num_seeds=1, methods=ex.available_methods())
+    ex.run_static_experiment(cfg, tmp_path, master_seed=0)
+    assert len(seen) == len(cfg.methods)
+    inst = seen[0][0]
+    decisions = {name: (assoc, alloc) for name, (_, assoc, alloc) in zip(cfg.methods, seen)}
+    for name in ex.available_methods():
+        _, trace = ex.run_method(name, inst, cfg, 0, 0)
+        if trace is not None:
+            decisions[f"{name} best dual"] = trace.best_dual_decision
+    adaptive = Association(run_2rs(inst, np.argmax(inst.gamma, axis=1), adaptive=True))
+    decisions["adaptive two_rs"] = (adaptive, allocate(inst, adaptive))
+    assert [f.name for f in fields(Allocation)] == ["share", "lam"]
+    I, J = inst.num_users, inst.num_bs
+    for name, (assoc, alloc) in decisions.items():
+        assert alloc.share.shape == (I,) and alloc.lam.shape == (J,), name
+        want = inst.gamma[np.arange(I), assoc.bs_of_user] * alloc.share
+        assert rates_of(inst, assoc, alloc).tobytes() == want.tobytes(), name
 
 
 #: SMALL with every static method, the search baselines included

@@ -7,12 +7,11 @@ Three families:
   (proportional-fair, fixed-alpha fairness, delay-oriented). Each is a
   PricingRule run by the one pricing loop, `pricing.iterate`, so it shares the
   proposed method's price floor/ceiling, best-primal convention and trace.
-  Its prepare step computes the instance's score table once (gamma^e,
+  Applied to an instance, it computes the score table once (gamma^e,
   sqrt(gamma)) and fixes what the prices cannot change (the fixed-alpha
   rules' sign of e = (1-a)/a, an add or a subtract of the power term, since
   prices are positive); its pick is one argmax or argmin method call on the
-  score table, and its direction keeps the current association's per-BS
-  loads until the association changes;
+  score table, and its bind computes an association's per-BS loads once;
 * search: single-move local search (2RS), a genetic algorithm, and exhaustive
   enumeration for small instances.
 
@@ -57,7 +56,7 @@ import numpy as np
 
 from . import pricing, ra
 from .core import Allocation, Association, NetworkInstance
-from .pricing import Direction, Pick, PricingConfig, PricingRule, RunTrace, per_association
+from .pricing import Bind, Pick, PricingConfig, PricingRule, RunTrace
 from .pricing import dual_value  # unused here; perfbench's tracer test reads baselines.dual_value
 
 
@@ -125,11 +124,10 @@ def run_max_sinr(inst: NetworkInstance) -> np.ndarray:
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _prepare_pf(inst: NetworkInstance) -> Tuple[Pick, Direction]:
+def _pf(inst: NetworkInstance) -> Tuple[Pick, Bind]:
     """Proportional fair: score mu_j gamma_ij, and the price moves by
     exp(mu_j - 1) minus BS j's user count."""
     gamma, J = inst.gamma, inst.num_bs
-    counts = per_association(lambda bs: np.bincount(bs, minlength=J).astype(float))
     # exp(mu - 1) is capped at sqrt(float max / J) / e, so the J squared
     # components sum below the float max and the loop's norm of d stays finite
     cap = 0.5 * (_LOG_MAX - math.log(J)) - 1.0
@@ -137,10 +135,11 @@ def _prepare_pf(inst: NetworkInstance) -> Tuple[Pick, Direction]:
     def pick(mu):
         return (gamma * mu).argmax(1)
 
-    def direction(bs, mu):
-        return np.exp(np.minimum(mu - 1.0, cap)) - counts(bs)
+    def bind(bs):
+        counts = np.bincount(bs, minlength=J).astype(float)
+        return lambda mu: np.exp(np.minimum(mu - 1.0, cap)) - counts
 
-    return pick, direction
+    return pick, bind
 
 
 def _alpha_fair(a: float) -> PricingRule:
@@ -155,20 +154,20 @@ def _alpha_fair(a: float) -> PricingRule:
     scale, power = abs(e), 1.0 / (a - 1.0)
     combine = np.subtract if e > 0 else np.add
 
-    def prepare(inst: NetworkInstance) -> Tuple[Pick, Direction]:
+    def rule(inst: NetworkInstance) -> Tuple[Pick, Bind]:
         G = inst.gamma ** e
         users, J = np.arange(inst.num_users), inst.num_bs
-        sums = per_association(lambda bs: np.bincount(bs, weights=G[users, bs], minlength=J))
 
         def pick(mu):
             return (G * mu).argmax(1)
 
-        def direction(bs, mu):
-            return combine(sums(bs), np.float_power(scale * mu, power))
+        def bind(bs):
+            sums = np.bincount(bs, weights=G[users, bs], minlength=J)
+            return lambda mu: combine(sums, np.float_power(scale * mu, power))
 
-        return pick, direction
+        return pick, bind
 
-    return PricingRule(prepare=prepare)
+    return rule
 
 
 def _min_latency(choose: Callable) -> PricingRule:
@@ -176,28 +175,28 @@ def _min_latency(choose: Callable) -> PricingRule:
     argmin, called with the axis) of mu_j / sqrt(gamma_ij), and the price
     moves by mu_j / 2 plus the sum of 1 / sqrt(gamma_ij) over BS j's users."""
 
-    def prepare(inst: NetworkInstance) -> Tuple[Pick, Direction]:
+    def rule(inst: NetworkInstance) -> Tuple[Pick, Bind]:
         root = np.sqrt(inst.gamma)
         inv_root = 1.0 / root
         users, J = np.arange(inst.num_users), inst.num_bs
-        loads = per_association(lambda bs: np.bincount(bs, weights=inv_root[users, bs], minlength=J))
 
         def pick(mu):
             return choose(mu / root, 1)
 
-        def direction(bs, mu):
-            return 0.5 * mu + loads(bs)
+        def bind(bs):
+            loads = np.bincount(bs, weights=inv_root[users, bs], minlength=J)
+            return lambda mu: 0.5 * mu + loads
 
-        return pick, direction
+        return pick, bind
 
-    return PricingRule(prepare=prepare)
+    return rule
 
 
 #: The pricing baselines by method name: each printed user score f1 and price
 #: update f2 as a PricingRule. ``min_latency`` takes the printed argmax of its
 #: score; ``min_latency_argmin`` is the same rule with argmin.
 RULES: Dict[str, PricingRule] = {
-    "pf": PricingRule(prepare=_prepare_pf),
+    "pf": _pf,
     "af_low": _alpha_fair(0.6),
     "af_high": _alpha_fair(1.6),
     "min_latency": _min_latency(np.ndarray.argmax),

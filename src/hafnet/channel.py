@@ -7,15 +7,16 @@ shadowing frozen per realization, a flat indoor penetration loss, and Rayleigh
 fast fading that evolves as a Gauss-Markov process across time slots.
 
 Interference between small cells of different clusters is ignored (treated as
-negligible); macro interference is always counted.
+negligible); macro interference is always counted. A Topology derives the
+terms that hold for every fading slot when it is built, so each slot's
+spectral_efficiency adds only its fading.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,10 +34,8 @@ class Topology:
     """A frozen large-scale realization: geometry, powers, shadowing.
 
     Everything spectral_efficiency needs is copied in at generation time,
-    so the channel functions take no config argument. spectral_efficiency
-    computes the terms that hold for every fading slot once per topology
-    object (which compares by identity), so its arrays must not change
-    after its first use.
+    so the channel functions take no config argument. `dataclasses.replace`
+    derives the init=False fields anew; writing into an array does not.
     """
 
     bs_positions: np.ndarray  # (J, 2) meters
@@ -53,6 +52,24 @@ class Topology:
     noise_dbm_per_hz: float
     bandwidth_hz: float
     gamma_min: float
+    # (I, J) link gain in dB without fading: path loss + shadowing + indoor
+    large_scale_db: np.ndarray = field(init=False, repr=False)
+    # (J, J) mask of the BSs k that interfere with a user served by BS j:
+    # all but j itself and small cells of another cluster than j's
+    interferers: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        d = np.linalg.norm(self.user_positions[:, None, :] - self.bs_positions[None, :, :], axis=2)
+        d = np.maximum(d, 1.0)  # model not valid below the 1 m reference
+        pl0 = _PL0_CONST + 20.0 * np.log10(self.carrier_ghz)
+        path_db = pl0 + 10.0 * self.pathloss_exp[None, :] * np.log10(d)
+        large_scale_db = -path_db - self.shadow_db - self.indoor_loss_db * self.indoor[:, None]
+        small = ~self.is_macro
+        mask = np.ones((self.num_bs, self.num_bs))
+        mask[small[:, None] & small[None, :] & (self.cluster_of[:, None] != self.cluster_of[None, :])] = 0.0
+        np.fill_diagonal(mask, 0.0)
+        object.__setattr__(self, "large_scale_db", large_scale_db)  # the dataclass is frozen
+        object.__setattr__(self, "interferers", mask)
 
     @property
     def num_bs(self) -> int:
@@ -159,35 +176,10 @@ def evolve_fading(state: FadingState) -> FadingState:
     return FadingState(h=h, rho=state.rho, rng=state.rng)
 
 
-#: Each topology's slot-invariant terms (see _invariant_terms), kept while the
-#: topology lives.
-_INVARIANT: "weakref.WeakKeyDictionary[Topology, Tuple[np.ndarray, np.ndarray]]" = weakref.WeakKeyDictionary()
-
-
-def _invariant_terms(topo: Topology) -> Tuple[np.ndarray, np.ndarray]:
-    """The terms that hold for every fading slot, computed on first use:
-    the (I, J) link gain in dB without fading (path loss + shadowing +
-    indoor), and the (J, J) mask of BSs k that interfere with a user served
-    by BS j, which drops small cells of another cluster than j's."""
-    terms = _INVARIANT.get(topo)
-    if terms is None:
-        d = np.linalg.norm(topo.user_positions[:, None, :] - topo.bs_positions[None, :, :], axis=2)
-        d = np.maximum(d, 1.0)  # model not valid below the 1 m reference
-        pl0 = _PL0_CONST + 20.0 * np.log10(topo.carrier_ghz)
-        path_db = pl0 + 10.0 * topo.pathloss_exp[None, :] * np.log10(d)
-        large_db = -path_db - topo.shadow_db - topo.indoor_loss_db * topo.indoor[:, None]
-        small = ~topo.is_macro
-        mask = np.ones((topo.num_bs, topo.num_bs))
-        mask[small[:, None] & small[None, :] & (topo.cluster_of[:, None] != topo.cluster_of[None, :])] = 0.0
-        np.fill_diagonal(mask, 0.0)
-        terms = _INVARIANT[topo] = (large_db, mask)
-    return terms
-
-
 def _gain_db_matrix(topo: Topology, h: np.ndarray) -> np.ndarray:
     """Total link gain in dB: path loss + shadowing + indoor + fast fading."""
     mag = np.maximum(np.abs(h), 1e-15)
-    return _invariant_terms(topo)[0] + 20.0 * np.log10(mag)
+    return topo.large_scale_db + 20.0 * np.log10(mag)
 
 
 def spectral_efficiency(topo: Topology, h: FadingState) -> np.ndarray:
@@ -200,7 +192,7 @@ def spectral_efficiency(topo: Topology, h: FadingState) -> np.ndarray:
     gain_db = _gain_db_matrix(topo, h.h)
     rx_mw = 10.0 ** ((gain_db + topo.bs_power_dbm[None, :]) / 10.0)
     noise_mw = 10.0 ** ((topo.noise_dbm_per_hz + 10.0 * math.log10(topo.bandwidth_hz)) / 10.0)
-    interference = rx_mw @ _invariant_terms(topo)[1].T  # from k while served by j
+    interference = rx_mw @ topo.interferers.T  # from k while served by j
     sinr = rx_mw / (interference + noise_mw)
     gamma = np.log2(1.0 + sinr)
     return np.maximum(gamma, topo.gamma_min)

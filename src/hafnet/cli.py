@@ -20,11 +20,15 @@ from . import experiments, pricing
 from .experiments import ScenarioConfig, load_config
 
 
-def _positive_int(text: str) -> int:
+def _nonnegative_int(text: str, low: int = 0) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{value} is not >= {low}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _nonnegative_int(text, 1)
 
 
 def _user_counts(text: str) -> list:
@@ -35,7 +39,7 @@ def _flag_parsers():
     """Parent parsers: the flags every verb takes, --threads and --methods."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="INI scenario file")
-    common.add_argument("--seed", type=int, default=0, help="master seed")
+    common.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed")
     common.add_argument("--out", type=str, default="hafnet_out", help="output directory")
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument("--threads", type=_positive_int, default=1, help="worker processes over seeds")
@@ -53,11 +57,11 @@ def _config(args) -> ScenarioConfig:
     run; a config it rejects raises ValueError, and a config file it cannot
     read FileNotFoundError, before anything is written."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.verb in ("static", "sweep") and args.methods:
+    if args.verb in ("static", "sweep") and args.methods is not None:
         cfg = replace(cfg, methods=_methods(args))
     if args.verb == "sweep":
         experiments.sweep_configs(cfg, args.users)
-    elif args.verb == "timevary" and args.methods:  # its own method list
+    elif args.verb == "timevary" and args.methods is not None:  # its own method list
         experiments.timevary_methods(_methods(args))
     elif args.verb == "oracle":
         cfg = replace(cfg, num_users=min(cfg.num_users, args.max_users),
@@ -103,7 +107,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "timevary":
-        methods = _methods(args) if args.methods else None
+        methods = _methods(args) if args.methods is not None else None
         res = experiments.run_time_varying(cfg, out, master_seed=args.seed, methods=methods)
         print(f"wrote {len(res['rows'])} slot rows to {out}")
         return 0

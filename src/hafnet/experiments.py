@@ -345,6 +345,14 @@ def group_metric_rows(rows: List[dict], methods: Sequence[str]) -> List[list]:
     return out
 
 
+def _check_run(master_seed: int, threads: int = 1) -> None:
+    """Reject a negative master seed or fewer than one thread, before any output."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed={master_seed} must be >= 0")
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be >= 1")
+
+
 def run_static_experiment(
     cfg: ScenarioConfig,
     out_dir,
@@ -357,8 +365,7 @@ def run_static_experiment(
     and manifest.txt under out_dir. Fails before any computation if the
     output directory cannot be created or written.
     """
-    if threads < 1:
-        raise ValueError(f"threads={threads} must be >= 1")
+    _check_run(master_seed, threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").touch()  # surface I/O errors before the compute starts
@@ -395,8 +402,7 @@ def run_user_sweep(
     normal-approximation 95% interval per method. Every count's config is
     built (see sweep_configs) before anything runs or is written."""
     configs = sweep_configs(cfg, user_counts)
-    if threads < 1:
-        raise ValueError(f"threads={threads} must be >= 1")
+    _check_run(master_seed, threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sweep_rows = []
@@ -448,6 +454,7 @@ def run_time_varying(
     """
     tv = cfg.timevary
     methods = timevary_methods(methods)
+    _check_run(master_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -21,8 +21,8 @@ iterate and reports the gap to the best dual value, together with an analytic
 bound on that gap evaluated at the best-dual prices.
 
 `iterate` is the one two-stage loop. A method enters it as a PricingRule,
-whose `prepare(inst)` binds the method to one instance: it computes the
-instance's terms once and returns the users' pick and the price direction.
+rule(inst) -> (pick, bind): pick(mu) gives the users' BSs, and bind(bs)
+computes an association's terms once and returns its price direction.
 `solve` runs the loop with the rule above and attaches the certificate; the
 baselines module supplies the other rules. `associate` and `price_gradient`
 are the rule above as one-off calls.
@@ -123,60 +123,37 @@ class RunTrace:
         return solved
 
 
-#: pick(mu) -> (I,) BS per user; direction(bs, mu) -> (J,) price direction.
+#: pick(mu) -> (I,) BS per user; bind(bs) -> that association's mu -> (J,) direction.
 Pick = Callable[[np.ndarray], np.ndarray]
-Direction = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Bind = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
+#: One pricing method for `iterate`: rule(inst) computes the method's
+#: per-instance terms once and returns (pick, bind). The prices step
+#: mu <- clip(mu - eta_t * direction(mu)) with direction = bind(bs) of the
+#: current association. pick and the directions must be deterministic in
+#: their arguments: `iterate` ends a run at the first step that leaves the
+#: prices unchanged, since every later iteration would repeat it.
+PricingRule = Callable[[NetworkInstance], Tuple[Pick, Bind]]
 
 
-@dataclass(frozen=True)
-class PricingRule:
-    """One pricing method for `iterate`. prepare(inst) computes the method's
-    per-instance terms once and returns (pick, direction): pick(mu) gives
-    each user's BS, and the prices step
-    mu <- clip(mu - eta_t * direction(bs, mu)). A direction may cache terms
-    of the association on the identity of its bs array (see
-    `per_association`), so a caller passes the same array object while the
-    association is unchanged and never writes into it. pick and direction
-    must be deterministic in their arguments: `iterate` ends a run at the
-    first step that leaves the prices unchanged, since every later iteration
-    would repeat it."""
-
-    prepare: Callable[[NetworkInstance], Tuple[Pick, Direction]]
-
-
-def per_association(terms: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """terms(bs), recomputed only when bs is not the array object of the
-    previous call. The last bs is held, so its identity cannot be reused."""
-    last_bs = last_terms = None
-
-    def cached(bs: np.ndarray) -> np.ndarray:
-        nonlocal last_bs, last_terms
-        if bs is not last_bs:
-            last_bs, last_terms = bs, terms(bs)
-        return last_terms
-
-    return cached
-
-
-def _prepare_proposed(inst: NetworkInstance) -> Tuple[Pick, Direction]:
+def _proposed(inst: NetworkInstance) -> Tuple[Pick, Bind]:
     """The rule above, bound to inst: `associate` and `price_gradient`, with
     -1/alpha computed once and gamma_hat gathered once per association."""
     gamma, gamma_hat, J = inst.gamma, inst.gamma_hat, inst.num_bs
     expo = -1.0 / inst.alphas.alpha
     users = np.arange(inst.num_users)
-    gathered = per_association(lambda bs: gamma_hat[users, bs])
 
     def pick(mu):
         return (gamma / mu).argmax(1)
 
-    def direction(bs, mu):
-        return 1.0 - np.bincount(bs, weights=gathered(bs) * mu.take(bs) ** expo, minlength=J)
+    def bind(bs):
+        gathered = gamma_hat[users, bs]
+        return lambda mu: 1.0 - np.bincount(bs, weights=gathered * mu.take(bs) ** expo, minlength=J)
 
-    return pick, direction
+    return pick, bind
 
 
 #: The proposed method's rule, which `solve` runs.
-PROPOSED = PricingRule(prepare=_prepare_proposed)
+PROPOSED: PricingRule = _proposed
 
 
 def associate(inst: NetworkInstance, mu: np.ndarray) -> Association:
@@ -299,14 +276,10 @@ def iterate(
     that become NaN during the run. Cold or warm, every iterate evaluates the
     association its prices induce.
 
-    The rule is prepared once per run, and the loop works on the BS array
-    its pick returns. An iteration's pick is a change only when its bytes
-    differ from the current association's, and only then are the moved
-    users counted. That array, and the Association built around it, keep
-    their objects while the association is unchanged, even when the pick
-    returns a fresh equal array, which lets the rule's direction reuse its
-    per-association terms. Step sizes come from `PricingConfig.step_sizes`,
-    and the trace's rows are collected in lists and stacked after.
+    The rule is applied to inst once per run. An iteration's pick is a
+    change only when its bytes differ from the current association's; only
+    then are the moved users counted and a new Association built, whose
+    direction is bound at the first iteration that runs with it.
 
     Each association is solved and scored once per run. A table keyed on the
     association's bytes (BS indices in the narrowest unsigned type) holds
@@ -326,7 +299,7 @@ def iterate(
     to length T, with 0 association changes; mu_final and assoc_final are
     that iteration's. This is exact: the step sizes never increase, rounding
     and the clip are monotone, so every smaller step rounds back to the same
-    prices, and the rule's pick and direction depend only on their
+    prices, and the rule's pick and directions depend only on their
     arguments, so every later iteration would repeat this one. A repeated
     row takes the computed row's dual, which `dual_value` gives the same
     bits wherever the row sits in its table, and cannot become the best
@@ -341,7 +314,7 @@ def iterate(
         raise ValueError("start prices must not be NaN")
     mu = np.clip(mu, cfg.mu_min, cfg.mu_max)
     mu_bytes = mu.tobytes()
-    pick, direction = rule.prepare(inst)
+    pick, bind = rule(inst)
     bs = pick(mu)
     bs_bytes = bs.tobytes()
     assoc = Association(bs_of_user=bs)
@@ -357,6 +330,7 @@ def iterate(
 
     for eta in cfg.step_sizes().tolist():
         if prev is None or assoc is not prev[0]:  # the first iteration or a changed association
+            direction = bind(bs)
             key = bs.astype(key_type).tobytes()
             visit = table.get(key)
             prev = None if visit is None else (assoc, visit[0])
@@ -365,7 +339,7 @@ def iterate(
             visit = table[key] = (alloc, haf_objective(inst, assoc, alloc), len(table))
         prev = (assoc, alloc)
         _, p, rank = visit
-        d = direction(bs, mu)
+        d = direction(mu)
         primal.append(p)
         mu_rows.append(mu)
         changes.append(pending_changes)
@@ -382,7 +356,7 @@ def iterate(
         nxt = pick(mu)
         nxt_bytes = nxt.tobytes()
         # equal bytes are an unchanged association: keep both objects, which
-        # ra.allocate and the direction test first
+        # ra.allocate tests first
         pending_changes = 0 if nxt_bytes == bs_bytes else int(np.count_nonzero(nxt != bs))
         if pending_changes:
             bs, bs_bytes = nxt, nxt_bytes
@@ -433,9 +407,9 @@ def solve(
     mu0 warm-starts a continuation (time-varying operation). The returned
     trace carries per-iteration primal/dual values and theorem2_bound.
     """
-    # the loop calls PROPOSED's prepared pick and direction, and the
-    # certificate takes the loop's kept association: a wrapper on the module
-    # attributes `associate` and `price_gradient` sees no call
+    # the loop calls PROPOSED's pick and directions, and the certificate
+    # takes the loop's kept association: a wrapper on the module attributes
+    # `associate` and `price_gradient` sees no call
     assoc, alloc, trace = iterate(inst, PROPOSED, cfg, ra_cfg, mu0)
     trace.theorem2_bound = _certificate(inst, trace, ra_cfg)
     return assoc, alloc, trace

@@ -11,7 +11,7 @@ measures how far a multiplier is from the root.
 
 `REFERENCE_RULES` gives every pricing method's user pick and price direction
 as per-call formulas that recompute every instance term on each call; the
-loop's prepared rules must match them bit for bit.
+loop's rules, and the directions they bind, must match them bit for bit.
 
 `weak_duality_ok` and `theorem1_check` test a finished pricing run: the
 dual above the primal at every iteration, and the convergence-rate envelope

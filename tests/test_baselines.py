@@ -99,7 +99,7 @@ def test_alpha_fair_direction_matches_the_printed_rule_per_bs(name, a):
         mu = np.exp(rng.uniform(np.log(cfg.mu_min), np.log(cfg.mu_max), size=J))
         mu[:2] = cfg.mu_min, cfg.mu_max
         with np.errstate(all="raise"):
-            got = RULES[name].prepare(inst)[1](assoc.bs_of_user, mu)
+            got = RULES[name](inst)[1](assoc.bs_of_user)(mu)
         gh = inst.gamma[np.arange(I), assoc.bs_of_user] ** e
         served = np.bincount(assoc.bs_of_user, weights=gh, minlength=J)
         for j in range(J):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,6 @@ def test_topology_shapes_and_power_tiers():
 
 
 def test_indoor_prob_zero_and_one():
-    from dataclasses import replace
-
     topo0 = ch.generate_topology(replace(CFG, indoor_prob=0.0, force=True), 5)
     assert not topo0.indoor.any()
     topo1 = ch.generate_topology(replace(CFG, indoor_prob=1.0, force=True), 5)
@@ -81,7 +81,7 @@ def test_link_gain_indoor_is_20db():
     topo = _bare_topology()
     gain_out = _gain_db(topo)
     indoor = np.array([True])
-    topo_in = ch.Topology(**{**topo.__dict__, "indoor": indoor})
+    topo_in = replace(topo, indoor=indoor)
     gain_in = _gain_db(topo_in)
     assert gain_out - gain_in == pytest.approx(20.0, abs=1e-9)
 
@@ -103,14 +103,14 @@ def test_spectral_efficiency_single_bs_snr_one():
     topo = _bare_topology()
     noise_dbm = -174.0 + 10 * np.log10(20e6)
     pl = 32.4 + 20 * np.log10(2.0)
-    topo = ch.Topology(**{**topo.__dict__, "bs_power_dbm": np.array([noise_dbm + pl])})
+    topo = replace(topo, bs_power_dbm=np.array([noise_dbm + pl]))
     gam = ch.spectral_efficiency(topo, _unit_fading())
     assert gam[0, 0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_spectral_efficiency_clamped_at_floor():
     topo = _bare_topology()
-    topo = ch.Topology(**{**topo.__dict__, "bs_power_dbm": np.array([-200.0])})
+    topo = replace(topo, bs_power_dbm=np.array([-200.0]))
     gam = ch.spectral_efficiency(topo, _unit_fading())
     assert gam[0, 0] == CFG.gamma_min
 
@@ -119,34 +119,32 @@ def test_cross_cluster_interference_zeroed():
     # two small cells in different clusters, one user: no mutual interference,
     # so each gamma equals its single-link SNR value.
     topo = _bare_topology(n_users=1, n_bs=2, macro=False)
-    topo = ch.Topology(**{**topo.__dict__,
-                          "cluster_of": np.array([0, 1]),
-                          "pathloss_exp": np.array([3.19, 3.19]),
-                          "bs_power_dbm": np.array([0.0, 0.0])})
+    topo = replace(topo, cluster_of=np.array([0, 1]),
+                   pathloss_exp=np.array([3.19, 3.19]),
+                   bs_power_dbm=np.array([0.0, 0.0]))
     fad = _unit_fading(1, 2)
     gam = ch.spectral_efficiency(topo, fad)
     solo0 = ch.spectral_efficiency(
-        ch.Topology(**{**_bare_topology(macro=False).__dict__, "bs_power_dbm": np.array([0.0])}),
+        replace(_bare_topology(macro=False), bs_power_dbm=np.array([0.0])),
         _unit_fading())
     assert gam[0, 0] == pytest.approx(solo0[0, 0], rel=1e-9)
     assert gam[0, 1] == pytest.approx(solo0[0, 0], rel=1e-9)
 
     # same cluster: interference present, gamma strictly lower
-    topo_same = ch.Topology(**{**topo.__dict__, "cluster_of": np.array([0, 0])})
+    topo_same = replace(topo, cluster_of=np.array([0, 0]))
     gam_same = ch.spectral_efficiency(topo_same, fad)
     assert gam_same[0, 0] < gam[0, 0]
 
 
 def test_macro_interferes_with_small_cells():
     topo = _bare_topology(n_users=1, n_bs=2, macro=False)
-    topo = ch.Topology(**{**topo.__dict__,
-                          "is_macro": np.array([True, False]),
-                          "cluster_of": np.array([-1, 0]),
-                          "pathloss_exp": np.array([3.76, 3.19]),
-                          "bs_power_dbm": np.array([10.0, 0.0])})
+    topo = replace(topo, is_macro=np.array([True, False]),
+                   cluster_of=np.array([-1, 0]),
+                   pathloss_exp=np.array([3.76, 3.19]),
+                   bs_power_dbm=np.array([10.0, 0.0]))
     gam = ch.spectral_efficiency(topo, _unit_fading(1, 2))
     solo = ch.spectral_efficiency(
-        ch.Topology(**{**_bare_topology(macro=False).__dict__, "bs_power_dbm": np.array([0.0])}),
+        replace(_bare_topology(macro=False), bs_power_dbm=np.array([0.0])),
         _unit_fading())
     assert gam[0, 1] < solo[0, 0]
 

@@ -80,6 +80,21 @@ def test_verbs_reject_flags_they_do_not_read(verb, flag, value, small_ini, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb", ["static", "sweep", "timevary", "converge", "oracle"])
+def test_a_negative_master_seed_exits_2_before_anything_is_written(verb, small_ini, tmp_path, capsys):
+    # static and timevary left an empty output behind, and every verb ended
+    # in a numpy traceback with exit 1
+    assert _exit_code([verb, "--config", str(small_ini), "--seed", "-1"], tmp_path / "out") == 2
+    assert "-1 is not >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["static", "sweep", "timevary"])
+def test_an_empty_method_list_exits_2(verb, small_ini, tmp_path, capsys):
+    # an empty --methods ran the default methods
+    assert _exit_code([verb, "--config", str(small_ini), "--methods", ""], tmp_path / "out") == 2
+    assert "methods must name at least one method" in capsys.readouterr().err
+
+
 def test_converge_writes_a_manifest(small_ini, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["converge", "--config", str(small_ini), "--out", str(out)]) == 0

@@ -502,6 +502,19 @@ def test_experiments_reject_threads_below_one(tmp_path, threads):
     assert not (tmp_path / "static").exists() and not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("run", [
+    lambda cfg, out: ex.run_static_experiment(cfg, out, master_seed=-1),
+    lambda cfg, out: ex.run_user_sweep(cfg, [8], out, master_seed=-1),
+    lambda cfg, out: ex.run_time_varying(cfg, out, master_seed=-1),
+], ids=["static", "sweep", "timevary"])
+def test_experiments_reject_a_negative_master_seed_before_writing(run, tmp_path):
+    # the seed split raised a numpy error only after the output directory
+    # (and the static run's empty manifest) had been created
+    with pytest.raises(ValueError, match="master_seed=-1"):
+        run(SMALL, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_static_experiment_deterministic(tmp_path):
     r1 = ex.run_static_experiment(SMALL, tmp_path / "a", master_seed=9)
     r2 = ex.run_static_experiment(SMALL, tmp_path / "b", master_seed=9)

@@ -2,9 +2,11 @@
 tests use (scipy, hypothesis, pytest, tests/reference.py) stay out of src,
 and the process pool that only a multi-process run uses is not loaded. And
 no module in src imports a name it never reads, or binds a private name that
-nothing in src reads."""
+nothing in src reads, and every hafnet attribute the benchmark's tracer
+wraps or reads resolves."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -113,3 +115,27 @@ def test_src_has_no_unreferenced_private_name():
         if name not in read
     ]
     assert unread == []
+
+
+#: Attributes perfbench's tracer test reads beside the layers it wraps.
+_TRACER_READS = [("baselines", "dual_value"), ("pricing", "haf_objective")]
+
+
+def test_every_attribute_the_benchmark_pins_resolves():
+    # perfbench/tracing.py's LAYERS, read from its source without importing
+    # it: a renamed or removed attribute shows here by name, not only as a
+    # traced benchmark run that fails
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    )
+    pinned = [(module, attr) for module, attr, _ in layers] + _TRACER_READS
+    missing = [
+        f"hafnet.{module}.{attr}"
+        for module, attr in pinned
+        if not hasattr(importlib.import_module(f"hafnet.{module}"), attr)
+    ]
+    assert len(layers) > 10
+    assert not missing, f"perfbench pins attributes hafnet lacks: {missing}"

@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from hafnet import baselines, pricing, ra
 from hafnet.core import AlphaProfile, Association, GROUP_INTERVALS, NetworkInstance, haf_objective
-from hafnet.experiments import _PRICING, build_instance, low_fairness_config
+from hafnet.experiments import _PRICING, _RULES, build_instance, low_fairness_config
 from hafnet.pricing import (
     _DUAL_BLOCK,
     PROPOSED,
     PricingConfig,
-    PricingRule,
     associate,
     dual_value,
     price_gradient,
@@ -165,20 +164,26 @@ def test_prices_that_become_nan_are_rejected():
     # NaN propagates through the step and the clip, so one check after the
     # loop catches a direction that turns a price into NaN at any iteration
     inst = random_instance(np.random.default_rng(6), 8, 3)
+    calls = []
 
-    def prepare(inst):
-        pick, direction = PROPOSED.prepare(inst)
-        calls = []
+    def rule(inst):
+        pick, bind = PROPOSED(inst)
 
-        def nan_once(bs, mu):
-            calls.append(1)
-            d = direction(bs, mu)
-            return np.where(np.arange(d.size) == 1, np.nan, d) if len(calls) == 3 else d
+        def bind_nan_once(bs):
+            direction = bind(bs)
 
-        return pick, nan_once
+            def nan_once(mu):
+                calls.append(1)
+                d = direction(mu)
+                return np.where(np.arange(d.size) == 1, np.nan, d) if len(calls) == 3 else d
+
+            return nan_once
+
+        return pick, bind_nan_once
 
     with pytest.raises(ValueError, match="NaN"):
-        pricing.iterate(inst, PricingRule(prepare=prepare), PricingConfig(total_iters=5))
+        pricing.iterate(inst, rule, PricingConfig(total_iters=5))
+    assert len(calls) >= 3  # the NaN direction was reached
 
 
 @pytest.mark.parametrize("length", [1, 4])
@@ -623,20 +628,19 @@ def test_iterate_matches_the_cold_loop_on_random_runs(name, data):
 def test_a_pick_that_returns_fresh_equal_arrays_keeps_one_association(monkeypatch):
     # The loop tests a change by the pick's bytes, not its array object: a
     # fresh array naming the same BSs moves no user, so one Association
-    # object serves the whole run and the direction computes its
-    # per-association terms once.
+    # object serves the whole run and the rule binds its direction once.
     # Caught mutation: a change test on the pick's identity.
     inst = random_instance(np.random.default_rng(59), 12, 3)
     start = np.argmax(inst.gamma, axis=1)
-    computed = []
+    bound = []
 
-    def prepare(inst):
-        def counts(bs):
-            computed.append(1)
-            return np.bincount(bs, minlength=inst.num_bs).astype(float)
+    def rule(inst):
+        def bind(bs):
+            bound.append(bs)
+            loads = np.bincount(bs, minlength=inst.num_bs).astype(float)
+            return lambda mu: mu - loads
 
-        loads = pricing.per_association(counts)
-        return (lambda mu: start.copy()), (lambda bs, mu: mu - loads(bs))
+        return (lambda mu: start.copy()), bind
 
     seen = []
 
@@ -645,12 +649,43 @@ def test_a_pick_that_returns_fresh_equal_arrays_keeps_one_association(monkeypatc
         return allocate(inst, assoc, cfg, prev)
 
     monkeypatch.setattr(ra, "allocate", recorded)
-    assoc, _, trace = pricing.iterate(inst, PricingRule(prepare=prepare), PricingConfig(total_iters=50, eta0=0.5))
+    assoc, _, trace = pricing.iterate(inst, rule, PricingConfig(total_iters=50, eta0=0.5))
     assert len(np.unique(trace.mu, axis=0)) > 1  # the prices move
     assert not trace.assoc_changes.any()
     assert len(seen) == 50 and all(a is seen[0] for a in seen)
     assert assoc is seen[0] and trace.assoc_final is seen[0]
-    assert len(computed) == 1
+    assert len(bound) == 1 and np.array_equal(bound[0], start)
+
+
+@pytest.mark.parametrize("name", list(_PRICING))
+def test_a_run_binds_each_association_it_changes_to_once(name):
+    # bind runs at the first iteration and at each iteration whose
+    # association changed, on that association: a pick that changes at the
+    # last step, into mu_final's association, is never bound. A cold and a
+    # warm start between them change the association under every rule.
+    # Caught mutations: a bind at every iteration, and a bind where the pick
+    # changes (one too many when the last step changes it).
+    inst = random_instance(np.random.default_rng(7), 12, 3)
+    changed = 0
+    for mu0 in (None, np.array([1e-3, 1.0, 1e3])):
+        bound = []
+
+        def counted(inst):
+            pick, bind = _RULES[name](inst)
+
+            def counted_bind(bs):
+                bound.append(bs.copy())
+                return bind(bs)
+
+            return pick, counted_bind
+
+        _, _, trace = pricing.iterate(inst, counted, PricingConfig(total_iters=60, eta0=0.5), mu0=mu0)
+        rows = np.flatnonzero(trace.assoc_changes)
+        assert len(bound) == 1 + rows.size
+        for bs, t in zip(bound, [0, *rows]):
+            assert np.array_equal(bs, REFERENCE_RULES[name].associate(inst, trace.mu[t]).bs_of_user)
+        changed += rows.size
+    assert changed
 
 
 def test_table_keeps_no_dense_allocation_per_association(monkeypatch):
@@ -728,34 +763,36 @@ def test_dual_bounds_every_optimally_split_association(case):
             assert g >= p - 1e-6 * (1.0 + abs(g))
 
 
-def _prepared(name):
+def _rule(name):
     return PROPOSED if name == "proposed" else baselines.RULES[name]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(list(_PRICING)), _priced_instances(), st.data())
 def test_prepared_rules_equal_the_reference_formulas(name, case, data):
-    # One prepared rule sees associations A, B and A as fresh arrays, then
-    # the last A again as the same object, each at its own prices; pick and
-    # direction must equal the per-call reference bit for bit. B moves one
-    # user of A when J > 1, so a stale per-association cache shows.
-    # Caught mutations: a cache that never refreshes, and a gather at
-    # another association than the one passed.
+    # One rule applied to inst binds associations A, B and A again (a fresh
+    # array) before any direction is called; then at each of several prices
+    # its pick and every bound direction must equal the per-call reference
+    # bit for bit. B moves one user of A when J > 1, so a direction that
+    # reads another bind's terms shows.
+    # Caught mutations: terms shared by every bind of one rule (the last
+    # bind wins), and a gather at another association than the one bound.
     inst, mu, rng = case
     I, J = inst.num_users, inst.num_bs
     a = rng.integers(0, J, size=I)
     b = a.copy()
     k = rng.integers(I)
     b[k] = (a[k] + 1) % J
-    a_again = a.copy()
-    seq = [a, b, a_again, a_again]
-    prices = [mu] + [data.draw(_prices(J)) for _ in seq[1:]]
+    seq = [a, b, a.copy()]
+    prices = [mu] + [data.draw(_prices(J)) for _ in seq]
     ref = REFERENCE_RULES[name]
     with np.errstate(all="raise"):
-        pick, direction = _prepared(name).prepare(inst)
-        for bs, m in zip(seq, prices):
+        pick, bind = _rule(name)(inst)
+        directions = [bind(bs) for bs in seq]
+        for m in prices:
             assert pick(m).tobytes() == ref.associate(inst, m).bs_of_user.tobytes()
-            assert direction(bs, m).tobytes() == ref.direction(inst, Association(bs), m).tobytes()
+            for bs, direction in zip(seq, directions):
+                assert direction(m).tobytes() == ref.direction(inst, Association(bs), m).tobytes()
 
 
 @st.composite
@@ -851,10 +888,11 @@ def test_prepared_rules_equal_the_reference_formulas_at_pinned_and_tied_prices(n
     bs = np.array(data.draw(st.lists(st.integers(0, J - 1), min_size=I, max_size=I)), dtype=int)
     ref = REFERENCE_RULES[name]
     with np.errstate(all="raise"):
-        pick, direction = _prepared(name).prepare(inst)
+        pick, bind = _rule(name)(inst)
+        direction = bind(bs)
         for m in (mu, ends):
             assert pick(m).tobytes() == ref.associate(inst, m).bs_of_user.tobytes()
-            assert direction(bs, m).tobytes() == ref.direction(inst, Association(bs), m).tobytes()
+            assert direction(m).tobytes() == ref.direction(inst, Association(bs), m).tobytes()
 
 
 @pytest.mark.parametrize("name", list(_PRICING))
@@ -862,7 +900,7 @@ def test_prepared_picks_give_exact_ties_to_the_lowest_index(name):
     # every user's gain is the same at every BS, so at equal prices each
     # rule's score row is constant, and argmax and argmin alike pick BS 0
     inst = make_instance(np.repeat([[0.5], [2.0], [1e-6]], 4, axis=1), [0.5, 0.8, 2.0])
-    pick, _ = _prepared(name).prepare(inst)
+    pick, _ = _rule(name)(inst)
     for price in (_MU_MIN, PricingConfig().mu_init, _MU_MAX):
         assert pick(np.full(4, price)).tolist() == [0, 0, 0]
 

@@ -5,8 +5,9 @@ Three families:
 * one-shot rules: uniform random association, max-SINR;
 * pricing rules with alternative user scores f1(i, j) and price updates f2
   (proportional-fair, fixed-alpha fairness, delay-oriented). Each is a
-  PricingRule run by the one pricing loop, `pricing.iterate`, so it shares the
-  proposed method's price floor/ceiling, best-primal convention and trace.
+  PricingRule run by the one price loop, `pricing.walk` (through
+  `pricing.iterate`), so it shares the proposed method's price
+  floor/ceiling, best-primal convention and trace.
   Applied to an instance, it computes the score table once (gamma^e,
   sqrt(gamma)) and fixes what the prices cannot change (the fixed-alpha
   rules' sign of e = (1-a)/a, an add or a subtract of the power term, since
@@ -34,7 +35,7 @@ the first one. On the low-fairness mix (100 seeds, eta0 = 0.5, master seed
 
 On the same fixture the prices of ``af_high`` and ``min_latency`` stop
 moving, bit for bit, after 2-3 iterations on every seed, so the loop ends
-there (see `pricing.iterate`); ``pf``'s stop after a median of 230
+there (see `pricing.walk`); ``pf``'s stop after a median of 230
 iterations (35-500, all 500 on 31 seeds) and ``min_latency_argmin``'s after
 2 on 51 seeds (all 500 on the other 49). ``af_low``'s, like the proposed
 rule's, run all 500.

@@ -70,11 +70,15 @@ class AlphaProfile:
             raise ValueError("alpha and group must be 1-D arrays of equal length")
         if not np.all(a > 0):  # NaN fails too
             raise ValueError("fairness exponents must be positive")
-        for gi in np.unique(g):
-            lo, hi = GROUP_INTERVALS[Group(int(gi))]
-            sel = a[g == gi]
+        known = np.zeros(g.shape, dtype=bool)
+        for group, (lo, hi) in GROUP_INTERVALS.items():
+            in_group = g == group
+            known |= in_group
+            sel = a[in_group]
             if np.any(sel < lo) or np.any(sel > hi):
-                raise ValueError(f"alpha outside {Group(int(gi)).name} interval [{lo}, {hi}]")
+                raise ValueError(f"alpha outside {group.name} interval [{lo}, {hi}]")
+        if not known.all():
+            raise ValueError(f"unknown group code {g[~known][0]}")
 
 
 @dataclass(frozen=True)

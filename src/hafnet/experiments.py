@@ -145,8 +145,14 @@ def high_fairness_config(**overrides) -> ScenarioConfig:
 
 
 def child_seed(master_seed: int, *tags: int) -> int:
-    """Counter-based seed split: stable per (master, tags), order-free."""
-    ss = np.random.SeedSequence((int(master_seed),) + tuple(int(t) for t in tags))
+    """Counter-based seed split: stable per (master, tags), order-free.
+    A negative master seed or tag raises ValueError naming it."""
+    entropy = (int(master_seed),) + tuple(int(t) for t in tags)
+    if entropy[0] < 0:
+        raise ValueError(f"master_seed={master_seed} must be >= 0")
+    if min(entropy) < 0:
+        raise ValueError(f"seed tags {entropy[1:]} must be >= 0")
+    ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -440,11 +446,13 @@ def run_time_varying(
 
     The pricing methods warm-start each slot from their prices alone, so a
     slot starts at the association those prices induce on the new channels,
-    and run iters_per_slot iterations of `pricing.iterate` with a constant
+    and walk iters_per_slot iterations of `pricing.walk` with a constant
     step; 2RS applies one improving move per slot. The frozen reference
     keeps the association adaptive pricing reached at the end of slot 1.
-    A row is the HAF of a method's end-of-slot association; no certificate
-    is computed, since none is written.
+    A row is the tuple (seed, slot, method, HAF) of a method's end-of-slot
+    association. A slotted run reads only where each walk ends, so no
+    walk's iterates are solved, scored or given a dual, and no certificate
+    is computed.
 
     Slots go in blocks of _SLOT_BLOCK, whose instances are built first.
     Every method gives one BS array per slot, and the block's (slot, method)
@@ -480,12 +488,11 @@ def run_time_varying(
                 for n, m in enumerate(methods):
                     st = state[m]
                     if m in _RULES:
-                        trace = pricing.iterate(inst, _RULES[m], slot_cfg, cfg.ra, mu0=st)[2]
-                        state[m], bs[k, n] = trace.mu_final, trace.assoc_final.bs_of_user
+                        w = pricing.walk(inst, _RULES[m], slot_cfg, mu0=st)
+                        state[m], bs[k, n] = w.mu_final, w.bs_final
                     elif m == "frozen":
                         if st is None:
-                            trace = pricing.iterate(inst, pricing.PROPOSED, slot_cfg, cfg.ra)[2]
-                            state[m] = trace.assoc_final.bs_of_user
+                            state[m] = pricing.walk(inst, pricing.PROPOSED, slot_cfg).bs_final
                         bs[k, n] = state[m]
                     elif m == "two_rs":
                         start = baselines.run_max_sinr(inst) if st is None else st
@@ -499,7 +506,7 @@ def run_time_varying(
             share, _ = ra.solve_stacked(gains, alpha, bs.reshape(-1, I), J, cfg.ra)
             rates = np.stack([i.gamma for i in insts])[at].reshape(-1, I) * share
             haf = utility_vector(rates, alpha).sum(axis=1).tolist()
-            rows.extend([s, slot, m, h] for (slot, m), h in zip(itertools.product(slots, methods), haf))
+            rows.extend((s, slot, m, h) for (slot, m), h in zip(itertools.product(slots, methods), haf))
 
     files = write_tables(out, {"timevary.csv": (["seed", "slot", "method", _HAF], rows)})
     return {"rows": rows, "files": files}

@@ -20,10 +20,13 @@ any price vector certifies solution quality: the run keeps the best primal
 iterate and reports the gap to the best dual value, together with an analytic
 bound on that gap evaluated at the best-dual prices.
 
-`iterate` is the one two-stage loop. A method enters it as a PricingRule,
+`walk` is the one price loop. A method enters it as a PricingRule,
 rule(inst) -> (pick, bind): pick(mu) gives the users' BSs, and bind(bs)
-computes an association's terms once and returns its price direction.
-`solve` runs the loop with the rule above and attaches the certificate; the
+computes an association's terms once and returns its price direction. The
+walk records each iteration's prices and association and solves nothing.
+`iterate` runs the walk, then a scoring pass that solves and scores each
+association it visited and takes the dual of every recorded price row.
+`solve` runs `iterate` with the rule above and attaches the certificate; the
 baselines module supplies the other rules. `associate` and `price_gradient`
 are the rule above as one-off calls.
 """
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -126,11 +129,11 @@ class RunTrace:
 #: pick(mu) -> (I,) BS per user; bind(bs) -> that association's mu -> (J,) direction.
 Pick = Callable[[np.ndarray], np.ndarray]
 Bind = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-#: One pricing method for `iterate`: rule(inst) computes the method's
+#: One pricing method for `walk`: rule(inst) computes the method's
 #: per-instance terms once and returns (pick, bind). The prices step
 #: mu <- clip(mu - eta_t * direction(mu)) with direction = bind(bs) of the
 #: current association. pick and the directions must be deterministic in
-#: their arguments: `iterate` ends a run at the first step that leaves the
+#: their arguments: `walk` ends a run at the first step that leaves the
 #: prices unchanged, since every later iteration would repeat it.
 PricingRule = Callable[[NetworkInstance], Tuple[Pick, Bind]]
 
@@ -260,50 +263,44 @@ def _certificate(
     return theorem2_bound(inst, assoc, trace.mu[trace.best_dual_iter], lam)
 
 
-def iterate(
+@dataclass(frozen=True)
+class Walk:
+    """The rows of one price walk, one per iteration it ran (n <= T), and
+    where it ended. An iteration's association is its rank by first visit;
+    visits holds each association's BS array in that order."""
+
+    mu: List[np.ndarray]  # each iteration's prices before its step
+    rank: List[int]
+    visits: List[np.ndarray]
+    changes: List[int]  # users the iteration's association moved from the one before
+    dd: List[float]  # squared norm of the iteration's price direction
+    mu_final: np.ndarray  # prices after the last step (warm-start handle)
+    bs_final: np.ndarray  # the BS array mu_final induces
+
+
+def walk(
     inst: NetworkInstance,
     rule: PricingRule,
     cfg: Optional[PricingConfig] = None,
-    ra_cfg: Optional[ra.LambdaSearchConfig] = None,
     mu0: Optional[np.ndarray] = None,
-) -> Tuple[Association, Allocation, RunTrace]:
-    """The two-stage loop of every pricing method: returns the best primal
-    iterate (the first on ties) and a trace with no theorem2_bound. The recorded
-    dual is g(mu), a valid bound at any positive prices; nothing in the loop
-    reads it, so it is evaluated after the loop, on all recorded prices in
-    blocks. mu0 warm-starts a continuation and is clipped to [mu_min, mu_max];
-    a shape other than (J,) or NaN in it raises ValueError, and so do prices
-    that become NaN during the run. Cold or warm, every iterate evaluates the
-    association its prices induce.
+) -> Walk:
+    """The price walk of every pricing method: each iteration picks the
+    users' BSs, steps the prices along the association's direction and
+    clips them to [mu_min, mu_max]. Nothing is solved or scored.
 
-    The rule is applied to inst once per run. An iteration's pick is a
-    change only when its bytes differ from the current association's; only
-    then are the moved users counted and a new Association built, whose
-    direction is bound at the first iteration that runs with it.
+    mu0 warm-starts a continuation and is clipped to [mu_min, mu_max]; a
+    shape other than (J,) or NaN in it raises ValueError, and so do prices
+    that become NaN during the walk. The rule is applied to inst once per
+    walk. An iteration's pick is a change only when its bytes differ from
+    the current association's; only then are the moved users counted and
+    the direction bound anew.
 
-    Each association is solved and scored once per run. A table keyed on the
-    association's bytes (BS indices in the narrowest unsigned type) holds
-    each first visit's allocation, primal value and rank; a later visit
-    takes the allocation object and primal value from there, and cannot
-    become the best iterate, which moves only on a strictly larger primal.
-    The best-dual iterate's decision pairs the table's allocation with the
-    association its key holds, for the certificate.
-    Every iteration the loop runs makes one ra.allocate call: it passes the
-    previous iteration's pair when the association is unchanged (an
-    unchanged association keeps its object, so that test is one identity
-    check), the table's pair on a revisit, and nothing on a first visit,
-    which solves.
-
-    The loop ends at the first iteration whose clipped step leaves the
-    prices unchanged bit for bit, and the trace repeats that iteration's row
-    to length T, with 0 association changes; mu_final and assoc_final are
-    that iteration's. This is exact: the step sizes never increase, rounding
-    and the clip are monotone, so every smaller step rounds back to the same
-    prices, and the rule's pick and directions depend only on their
-    arguments, so every later iteration would repeat this one. A repeated
-    row takes the computed row's dual, which `dual_value` gives the same
-    bits wherever the row sits in its table, and cannot become the best
-    iterate.
+    The walk ends at the first iteration whose clipped step leaves the
+    prices unchanged bit for bit, or after T iterations. The early end is
+    exact: the step sizes never increase, rounding and the clip are
+    monotone, so every smaller step rounds back to the same prices, and the
+    rule's pick and directions depend only on their arguments, so every
+    later iteration would repeat this one.
     """
     cfg = cfg or PricingConfig()
     J = inst.num_bs
@@ -317,37 +314,23 @@ def iterate(
     pick, bind = rule(inst)
     bs = pick(mu)
     bs_bytes = bs.tobytes()
-    assoc = Association(bs_of_user=bs)
     mu_min, mu_max = cfg.mu_min, cfg.mu_max
 
-    primal, mu_rows, changes, ranks, dd = [], [], [], [], []
-    key_type = np.min_scalar_type(J - 1)  # the narrowest BS index: one byte per user up to 256 BSs
-    table: Dict[bytes, Tuple[Allocation, float, int]] = {}  # a first visit's allocation, primal and rank
-    best_p = -np.inf
-    best: Optional[Tuple[Association, Allocation]] = None
-    prev: Optional[Tuple[Association, Allocation]] = None
+    mu_rows, ranks, visits, changes, dd = [], [], [], [], []
+    rank_of: Dict[bytes, int] = {}  # an association's bytes -> its rank by first visit
     pending_changes = 0
-
+    direction = None
     for eta in cfg.step_sizes().tolist():
-        if prev is None or assoc is not prev[0]:  # the first iteration or a changed association
+        if direction is None or pending_changes:  # the first iteration or a changed association
             direction = bind(bs)
-            key = bs.astype(key_type).tobytes()
-            visit = table.get(key)
-            prev = None if visit is None else (assoc, visit[0])
-        alloc = ra.allocate(inst, assoc, ra_cfg, prev)
-        if prev is None:  # a first visit: score it and add it to the table
-            visit = table[key] = (alloc, haf_objective(inst, assoc, alloc), len(table))
-        prev = (assoc, alloc)
-        _, p, rank = visit
+            rank = rank_of.setdefault(bs_bytes, len(rank_of))
+            if rank == len(visits):
+                visits.append(bs)
         d = direction(mu)
-        primal.append(p)
         mu_rows.append(mu)
-        changes.append(pending_changes)
         ranks.append(rank)
+        changes.append(pending_changes)
         dd.append(d.dot(d))
-        if best is None or p > best_p:
-            best_p = p
-            best = prev
         stepped = np.minimum(np.maximum(mu - eta * d, mu_min), mu_max)
         stepped_bytes = stepped.tobytes()
         if stepped_bytes == mu_bytes:  # a fixed point: every later iteration repeats this one
@@ -355,31 +338,83 @@ def iterate(
         mu, mu_bytes = stepped, stepped_bytes
         nxt = pick(mu)
         nxt_bytes = nxt.tobytes()
-        # equal bytes are an unchanged association: keep both objects, which
-        # ra.allocate tests first
         pending_changes = 0 if nxt_bytes == bs_bytes else int(np.count_nonzero(nxt != bs))
         if pending_changes:
             bs, bs_bytes = nxt, nxt_bytes
-            assoc = Association(bs_of_user=bs)
 
     # a NaN price stays NaN through every later step and clip, so the final
     # prices show one in any recorded row
     if np.isnan(mu).any():
         raise ValueError("prices became NaN")
-    mu_snaps = np.array(mu_rows)
+    return Walk(mu_rows, ranks, visits, changes, dd, mu, bs)
+
+
+def iterate(
+    inst: NetworkInstance,
+    rule: PricingRule,
+    cfg: Optional[PricingConfig] = None,
+    ra_cfg: Optional[ra.LambdaSearchConfig] = None,
+    mu0: Optional[np.ndarray] = None,
+) -> Tuple[Association, Allocation, RunTrace]:
+    """The `walk` of a pricing method, then its scoring pass: returns the
+    best primal iterate (the first on ties) and a trace with no
+    theorem2_bound. The walk's start checks and NaN check apply. Cold or
+    warm, every iterate evaluates the association its prices induce.
+
+    The scoring pass solves and scores each association once per run. A
+    table indexed by the walk's ranks holds each first visit's
+    Association, allocation and primal value; a later visit takes the
+    allocation object and primal value from there, and cannot become the
+    best iterate, which moves only on a strictly larger primal. An
+    Association is built at the first iteration and at each change, so an
+    unchanged association keeps its object. Every iteration the walk ran
+    makes one ra.allocate call: it passes the previous iteration's pair
+    when the association is unchanged (one identity check), the table's
+    pair on a revisit, and nothing on a first visit, which solves.
+
+    The recorded dual is g(mu), a valid bound at any positive prices, taken
+    by one blocked `dual_value` call on the walk's prices. The best-dual
+    iterate's decision is its table entry, for the certificate. When the
+    walk ended at a fixed point, the trace repeats its last row to length
+    T with 0 association changes; a repeated row takes the computed row's
+    dual, which `dual_value` gives the same bits wherever the row sits in
+    its table, and cannot become the best iterate. mu_final and
+    assoc_final are where the walk ended.
+    """
+    cfg = cfg or PricingConfig()
+    w = walk(inst, rule, cfg, mu0)
+    primal = []
+    table: List[Tuple[Association, Allocation, float]] = []  # a first visit's decision and primal
+    best_p = -np.inf
+    best: Optional[Tuple[Association, Allocation]] = None
+    assoc: Optional[Association] = None
+    for rank, moved in zip(w.rank, w.changes):
+        if assoc is None or moved:  # the first iteration or a changed association
+            assoc = Association(bs_of_user=w.visits[rank])
+            prev = (assoc, table[rank][1]) if rank < len(table) else None
+        alloc = ra.allocate(inst, assoc, ra_cfg, prev)
+        if prev is None:  # a first visit: score it and add it to the table
+            table.append((assoc, alloc, haf_objective(inst, assoc, alloc)))
+        prev = (assoc, alloc)
+        p = table[rank][2]
+        primal.append(p)
+        if best is None or p > best_p:
+            best_p = p
+            best = prev
+
+    mu_snaps = np.array(w.mu)
     dual = dual_value(inst, mu_snaps)
+    ranks, changes, dd = w.rank, w.changes, w.dd
     rest = cfg.total_iters - len(primal)
     if rest:  # a fixed point: every later row repeats the last, whose g has the same bits in any table
         primal += primal[-1:] * rest
-        changes += [0] * rest
-        ranks += ranks[-1:] * rest
-        dd += dd[-1:] * rest
-        mu_snaps = np.concatenate((mu_snaps, np.broadcast_to(mu, (rest, J))))
+        changes = changes + [0] * rest
+        ranks = ranks + ranks[-1:] * rest
+        dd = dd + dd[-1:] * rest
+        mu_snaps = np.concatenate((mu_snaps, np.broadcast_to(w.mu_final, (rest, inst.num_bs))))
         dual = np.concatenate((dual, np.full(rest, dual[-1])))
     assoc_id = np.array(ranks)
-    # the table keeps first-visit order, so the best-dual row's rank is its entry
-    key, (dual_alloc, _, _) = list(table.items())[assoc_id[np.argmin(dual)]]
-    dual_assoc = Association(bs_of_user=np.frombuffer(key, dtype=key_type).astype(int))
+    final = w.bs_final
     trace = RunTrace(
         primal=np.array(primal),
         dual=dual,
@@ -387,9 +422,9 @@ def iterate(
         assoc_changes=np.array(changes),
         assoc_id=assoc_id,
         grad_norm=np.sqrt(dd),
-        mu_final=mu,
-        assoc_final=assoc,
-        best_dual_decision=(dual_assoc, dual_alloc),
+        mu_final=w.mu_final,
+        assoc_final=assoc if final.tobytes() == assoc.bs_of_user.tobytes() else Association(bs_of_user=final),
+        best_dual_decision=table[assoc_id[np.argmin(dual)]][:2],
     )
     return best[0], best[1], trace
 

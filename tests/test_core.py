@@ -64,6 +64,13 @@ def test_profile_validation():
     make_profile([0.5, 0.8, 2.0, 3.0]).validate()
 
 
+@pytest.mark.parametrize("code", [4, -1])
+def test_profile_validation_names_an_unknown_group_code(code):
+    # the exponent lies inside A1's interval; only the code is wrong
+    with pytest.raises(ValueError, match=rf"unknown group code {code}$"):
+        AlphaProfile(alpha=np.array([0.5, 0.5]), group=np.array([0, code])).validate()
+
+
 def test_haf_objective_diagonal():
     # both users alone on their BS: r_i = gamma * 1
     inst = make_instance([[4.0, 1.0], [1.0, 4.0]], [0.5, 0.5])

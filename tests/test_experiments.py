@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -55,6 +58,20 @@ def test_child_seed_purpose_separation():
     s_fading = ex.child_seed(0, 0, 2)
     assert len({s_topo, s_alpha, s_fading}) == 3
     assert ex.child_seed(0, 0, 0) == s_topo
+
+
+@pytest.mark.parametrize(
+    "master_seed, tags, match",
+    [(-1, (0, 0), r"master_seed=-1 must be >= 0"), (0, (0, -2), r"seed tags \(0, -2\) must be >= 0")],
+)
+def test_child_seed_names_a_negative_seed_or_tag(master_seed, tags, match):
+    with pytest.raises(ValueError, match=match):
+        ex.child_seed(master_seed, *tags)
+
+
+def test_build_instance_rejects_a_negative_master_seed():
+    with pytest.raises(ValueError, match=r"master_seed=-1 must be >= 0"):
+        ex.build_instance(ex.ScenarioConfig(), -1, 0)
 
 
 def test_build_instance_deterministic():
@@ -700,7 +717,8 @@ def test_time_varying_stacked_rows_equal_cold_per_slot_solves(name, block, cold_
 @pytest.mark.parametrize("num_slots, block", [(1, 25), (25, 25), (26, 25), (60, 25), (7, 3), (6, 3), (4, 1)])
 def test_time_varying_solves_a_block_in_one_kernel_call(method, num_slots, block, tmp_path, monkeypatch):
     # every (slot, method) row of a block is solved in one Newton call; only
-    # the pricing runs and 2RS make calls of their own, and no run computes
+    # 2RS makes calls of its own, and a pricing run only walks its prices:
+    # it solves, scores and takes the dual of nothing, and no run computes
     # a certificate
     methods = TV_ALL if method == "all" else (method,)
     cfg = replace(SMALL, timevary=ex.TimeVaryingConfig(rho=0.9, num_slots=num_slots, iters_per_slot=4))
@@ -721,19 +739,47 @@ def test_time_varying_solves_a_block_in_one_kernel_call(method, num_slots, block
         return run
 
     def never(*args, **kwargs):
-        raise AssertionError("a slotted run computes no certificate")
+        raise AssertionError("a slotted pricing run only walks its prices")
 
     monkeypatch.setattr(ra, "_newton", counted_newton)
-    monkeypatch.setattr(pricing, "iterate", counted(pricing.iterate))
+    monkeypatch.setattr(pricing, "walk", counted(pricing.walk))
     monkeypatch.setattr(baselines, "run_2rs", counted(baselines.run_2rs))
-    monkeypatch.setattr(pricing, "solve", never)
-    monkeypatch.setattr(pricing, "_certificate", never)
+    for name in ("solve", "_certificate", "iterate", "dual_value", "haf_objective"):
+        monkeypatch.setattr(pricing, name, never)
+    monkeypatch.setattr(ra, "allocate", never)
     monkeypatch.setattr(ex, "_SLOT_BLOCK", block)
     ex.run_time_varying(cfg, tmp_path, master_seed=8, methods=methods)
     # a pricing run or a 2RS move every slot, and frozen's one slot-1 run
     adaptive = sum(m in ex._PRICING or m == "two_rs" for m in methods)
     assert len(inside) == cfg.num_seeds * (adaptive * num_slots + ("frozen" in methods))
     assert len(calls) - sum(inside) == cfg.num_seeds * math.ceil(num_slots / block)
+
+
+_NO_MASKED_ARRAYS = """
+import sys, tempfile
+from dataclasses import replace
+from hafnet import experiments as ex
+from hafnet.pricing import PricingConfig
+
+cfg = replace(ex.ScenarioConfig(), num_users=8, num_bs=3, num_seeds=2, force=True,
+              methods=("proposed", "max_sinr", "pf", "random"), pricing=PricingConfig(total_iters=30),
+              timevary=ex.TimeVaryingConfig(num_slots=3, iters_per_slot=4))
+with tempfile.TemporaryDirectory() as out:
+    ex.run_time_varying(cfg, out, methods=%r)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_slotted_run_loads_no_masked_arrays(tmp_path):
+    # numpy.ma costs about 1.25 MB and 8 ms on its first import (np.unique
+    # loads it); a slotted run at SMALL with every method never needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS % (TV_ALL,)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
 
 
 def test_user_sweep_rows(tmp_path):

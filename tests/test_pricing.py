@@ -156,8 +156,11 @@ def test_solve_warm_start_resumes_from_given_prices():
 @pytest.mark.parametrize("name", ["proposed", *baselines.RULES])
 def test_a_nan_start_price_is_rejected(name):
     inst = random_instance(np.random.default_rng(6), 8, 3)
+    mu0 = np.array([np.nan, 1.0, 1.0])
     with pytest.raises(ValueError, match="NaN"):
-        _run(name, inst, PricingConfig(total_iters=5), np.array([np.nan, 1.0, 1.0]))
+        _run(name, inst, PricingConfig(total_iters=5), mu0)
+    with pytest.raises(ValueError, match="NaN"):
+        pricing.walk(inst, _RULES[name], PricingConfig(total_iters=5), mu0)
 
 
 def test_prices_that_become_nan_are_rejected():
@@ -181,9 +184,11 @@ def test_prices_that_become_nan_are_rejected():
 
         return pick, bind_nan_once
 
-    with pytest.raises(ValueError, match="NaN"):
-        pricing.iterate(inst, rule, PricingConfig(total_iters=5))
-    assert len(calls) >= 3  # the NaN direction was reached
+    for run in (pricing.iterate, pricing.walk):
+        calls.clear()
+        with pytest.raises(ValueError, match="NaN"):
+            run(inst, rule, PricingConfig(total_iters=5))
+        assert len(calls) >= 3  # the NaN direction was reached
 
 
 @pytest.mark.parametrize("length", [1, 4])
@@ -193,6 +198,8 @@ def test_a_start_price_of_the_wrong_length_is_rejected(name, length):
     inst = random_instance(np.random.default_rng(6), 8, 3)
     with pytest.raises(ValueError, match=rf"shape \({length},\), not \(3,\)"):
         _run(name, inst, PricingConfig(total_iters=5), np.ones(length))
+    with pytest.raises(ValueError, match=rf"shape \({length},\), not \(3,\)"):
+        pricing.walk(inst, _RULES[name], PricingConfig(total_iters=5), np.ones(length))
 
 
 def test_out_of_range_start_prices_clip():
@@ -607,14 +614,34 @@ def _freezing_runs(draw):
     return inst, cfg, draw(st.none() | st.lists(price, min_size=J, max_size=J).map(np.array))
 
 
+def _assert_walk_matches_the_cold_loop(name, inst, cfg, mu0, ref):
+    """pricing.walk alone, with no solve, score or dual, against the cold
+    loop's trace ref: the final prices and BS array bit for bit, and each
+    row the walk ran. It stops where the cold loop's prices first repeat."""
+    w = pricing.walk(inst, _RULES[name], cfg, mu0)
+    _assert_same_bits(w.mu_final, ref.mu_final)
+    _assert_same_bits(w.bs_final, ref.assoc_final.bs_of_user)
+    n = _iterations_run(ref)
+    assert len(w.mu) == len(w.rank) == len(w.changes) == len(w.dd) == n
+    _assert_same_bits(np.array(w.mu), ref.mu[:n])
+    _assert_same_bits(np.array(w.rank), ref.assoc_id[:n])
+    _assert_same_bits(np.array(w.changes), ref.assoc_changes[:n])
+    _assert_same_bits(np.sqrt(w.dd), ref.grad_norm[:n])
+    firsts = np.unique(ref.assoc_id[:n], return_index=True)[1]
+    assert len(w.visits) == firsts.size
+    for bs, t in zip(w.visits, firsts):
+        _assert_same_bits(bs, REFERENCE_RULES[name].associate(inst, ref.mu[t]).bs_of_user)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(_PRICING)), _freezing_runs())
 def test_the_early_end_matches_the_cold_loop_on_random_runs(name, case):
     inst, cfg, mu0 = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         run, calls = _run_counting_allocations(monkeypatch, name, inst, cfg, mu0)
-    _assert_matches_the_cold_loop(name, inst, cfg, mu0, run)
+    ref = _assert_matches_the_cold_loop(name, inst, cfg, mu0, run)
     assert calls == _iterations_run(run[2])
+    _assert_walk_matches_the_cold_loop(name, inst, cfg, mu0, ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -622,7 +649,8 @@ def test_the_early_end_matches_the_cold_loop_on_random_runs(name, case):
 def test_iterate_matches_the_cold_loop_on_random_runs(name, data):
     inst, cfg, mu0 = data.draw(_short_runs())
     with np.errstate(all="raise"):
-        _assert_matches_the_cold_loop(name, inst, cfg, mu0, _run(name, inst, cfg, mu0))
+        ref = _assert_matches_the_cold_loop(name, inst, cfg, mu0, _run(name, inst, cfg, mu0))
+        _assert_walk_matches_the_cold_loop(name, inst, cfg, mu0, ref)
 
 
 def test_a_pick_that_returns_fresh_equal_arrays_keeps_one_association(monkeypatch):
